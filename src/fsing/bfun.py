@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
+from .errors import InternalConsistencyError
 from .listmod import (
     ChainEstimate,
     JumpReport,
@@ -59,7 +60,7 @@ def weight_to_theta_digits(w: EulerWeight) -> Tuple[Tuple[int, ...], Tuple[int, 
     big_theta = tuple((d + 1) % p for d in theta)
     alt = tuple((-(p - 1 - d)) % p for d in theta)
     if alt != big_theta:
-        raise AssertionError("eigenvalue conventions disagree")
+        raise InternalConsistencyError("eigenvalue conventions disagree")
     return theta, big_theta
 
 

@@ -323,9 +323,11 @@ def _build_parser() -> _Parser:
 def run(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    limit = getattr(args, "limit_pairs", None)
+    previous = None
     try:
-        if getattr(args, "limit_pairs", None) is not None:
-            set_default_pair_limit(args.limit_pairs)
+        if limit is not None:
+            previous = set_default_pair_limit(limit)
         return args.func(args)
     except ResourceLimitExceeded as exc:
         print(f"fsing: resource limit: {exc}", file=sys.stderr)
@@ -333,6 +335,10 @@ def run(argv: Optional[List[str]] = None) -> int:
     except (FsingError, ValueError) as exc:
         print(f"fsing: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # --limit-pairs caps this call only
+        if previous is not None:
+            set_default_pair_limit(previous)
 
 
 def main() -> None:

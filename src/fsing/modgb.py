@@ -10,14 +10,23 @@ Internally a vector is flattened to a map (position, monomial) -> coefficient
 for the division loop; the public representation is `VectorR`, a tuple of
 `Poly` entries.
 
-The Buchberger loop applies the chain (lcm) criterion only.  The coprime
+The Buchberger loop takes S-pairs in the normal selection strategy: the pair
+whose lcm is smallest in grevlex comes first, ties broken by the indices
+(i, j) of the pair.  The key of a pair never changes once the pair exists, so
+the queue is a heap of (key, i, j) entries, each pushed once when its pair is
+created.  The loop applies the chain (lcm) criterion only.  The coprime
 product criterion is an ideal-theoretic shortcut whose usual proof does not
 carry to module tails, and at this problem scale it buys nothing.
+
+`prune_generators` needs one forward pass.  A generator that is not in the
+span of the others stays outside it when later generators are removed, since
+that span only shrinks; so a pass that restarts after every removal would
+keep exactly the same generators.
 """
 
 from __future__ import annotations
 
-import threading
+import heapq
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import RankMismatchError, ResourceLimitExceeded
@@ -27,12 +36,16 @@ DEFAULT_PAIR_LIMIT = 200_000
 _default_pair_limit = DEFAULT_PAIR_LIMIT
 
 
-def set_default_pair_limit(limit: int) -> None:
-    """Cap the S-pair queue for submodules built without an explicit limit."""
+def set_default_pair_limit(limit: int) -> int:
+    """Cap the S-pair queue for submodules built without an explicit limit.
+
+    Returns the previous default, so that a caller can restore it.
+    """
     global _default_pair_limit
     if limit < 1:
         raise ValueError("pair limit must be positive")
-    _default_pair_limit = limit
+    previous, _default_pair_limit = _default_pair_limit, limit
+    return previous
 
 
 ModTerm = Tuple[int, Monomial]
@@ -192,16 +205,16 @@ def _buchberger(gens: List[FlatVec], p: int, pair_limit: int) -> List[FlatVec]:
             G.append(mg)
             leads.append(_lead(mg))
 
-    pairs = set()
+    pairs: List[Tuple[tuple, int, int]] = []
+
+    def push(i: int, j: int) -> None:
+        lcm = _mono_lcm(leads[i][1], leads[j][1])
+        heapq.heappush(pairs, (grevlex_key(lcm), i, j))
+
     for i in range(len(G)):
         for j in range(i):
             if leads[i][0] == leads[j][0]:
-                pairs.add((j, i))
-
-    def pair_sort_key(pair):
-        i, j = pair
-        lcm = _mono_lcm(leads[i][1], leads[j][1])
-        return (grevlex_key(lcm), i, j)
+                push(j, i)
 
     processed = set()
     while pairs:
@@ -209,8 +222,7 @@ def _buchberger(gens: List[FlatVec], p: int, pair_limit: int) -> List[FlatVec]:
             raise ResourceLimitExceeded(
                 f"pair queue grew past the cap of {pair_limit}; raise --limit-pairs"
             )
-        i, j = min(pairs, key=pair_sort_key)
-        pairs.discard((i, j))
+        _, i, j = heapq.heappop(pairs)
         processed.add((i, j))
         pi, mi = leads[i]
         pj, mj = leads[j]
@@ -240,7 +252,7 @@ def _buchberger(gens: List[FlatVec], p: int, pair_limit: int) -> List[FlatVec]:
             n = len(G) - 1
             for k in range(n):
                 if leads[k][0] == new_lead[0]:
-                    pairs.add((k, n))
+                    push(k, n)
     return G
 
 
@@ -302,7 +314,6 @@ class Submodule:
         self.generators: Tuple[VectorR, ...] = tuple(gens)
         self.pair_limit = pair_limit
         self._basis: Optional[Tuple[VectorR, ...]] = None
-        self._lock = threading.Lock()
 
     @staticmethod
     def zero(rank: int, ring: Ring) -> "Submodule":
@@ -322,14 +333,10 @@ class Submodule:
 
     def reduced_basis(self) -> Tuple[VectorR, ...]:
         if self._basis is None:
-            with self._lock:
-                if self._basis is None:
-                    flats = [_flatten(v) for v in self.generators]
-                    G = _buchberger(flats, self.ring.p, self.pair_limit)
-                    G = _reduce_basis(G, self.ring.p)
-                    self._basis = tuple(
-                        _unflatten(g, self.rank, self.ring) for g in G
-                    )
+            flats = [_flatten(v) for v in self.generators]
+            G = _buchberger(flats, self.ring.p, self.pair_limit)
+            G = _reduce_basis(G, self.ring.p)
+            self._basis = tuple(_unflatten(g, self.rank, self.ring) for g in G)
         return self._basis
 
     def normal_form(self, v: VectorR) -> VectorR:
@@ -403,14 +410,12 @@ def prune_generators(N: Submodule) -> Submodule:
     which the Frobenius-root degree bound relies on.
     """
     gens = list(N.generators)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(gens)):
-            rest = gens[:i] + gens[i + 1 :]
-            M = Submodule(N.rank, rest, N.ring, pair_limit=N.pair_limit)
-            if contains(M, gens[i]):
-                gens = rest
-                changed = True
-                break
+    i = 0
+    while i < len(gens):
+        rest = gens[:i] + gens[i + 1 :]
+        M = Submodule(N.rank, rest, N.ring, pair_limit=N.pair_limit)
+        if contains(M, gens[i]):
+            gens = rest
+        else:
+            i += 1
     return Submodule(N.rank, gens, N.ring, pair_limit=N.pair_limit)

@@ -12,12 +12,10 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import StabilizationError
-from .frobenius import frobenius_root
+from .frobenius import DEFAULT_STABLE_CAP, frobenius_root
 from .modgb import Submodule, VectorR, contains_all, module_sum
 from .polyring import CharConfig, Poly, PowerCache, frobenius_power
 from .rationals import GridRational, frac_ceil, snap_interval
-
-DEFAULT_STABLE_CAP = 16
 
 
 @dataclass(frozen=True)

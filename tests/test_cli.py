@@ -4,6 +4,10 @@ import sys
 
 import pytest
 
+from fsing.cli import run
+from fsing.modgb import DEFAULT_PAIR_LIMIT, Submodule
+from fsing.polyring import Ring
+
 FSING = [sys.executable, "-m", "fsing.cli"]
 
 
@@ -150,3 +154,13 @@ def test_pair_limit_exit_code():
         "--limit-pairs", "1", check=False,
     )
     assert proc.returncode == 2
+
+
+def test_pair_limit_applies_to_one_call(capsys):
+    code = run([
+        "froot", "--gens", "x0^4;x0^2*x1^2 + x1^4", "--e", "1", "-p", "2",
+        "--limit-pairs", "1",
+    ])
+    assert code == 2
+    assert "resource limit" in capsys.readouterr().err
+    assert Submodule.zero(1, Ring(2, 2)).pair_limit == DEFAULT_PAIR_LIMIT

@@ -1,11 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsing.errors import RankMismatchError, ResourceLimitExceeded
 from fsing.modgb import (
+    DEFAULT_PAIR_LIMIT,
     Submodule,
     VectorR,
+    _buchberger,
+    _flatten,
     contains,
     equals,
     module_sum,
@@ -149,3 +154,93 @@ def test_containment_of_generators_random():
         for g in gens:
             f = random_poly(rng, ring, 2)
             assert contains(N, g.poly_mul(f))
+
+
+def prune_restart_greedy(N):
+    """Reference prune: drop the first redundant generator, then start over."""
+    gens = list(N.generators)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(gens)):
+            rest = gens[:i] + gens[i + 1 :]
+            if contains(Submodule(N.rank, rest, N.ring), gens[i]):
+                gens = rest
+                changed = True
+                break
+    return tuple(gens)
+
+
+@st.composite
+def small_submodules(draw):
+    """A few vectors over F_2, F_3 or F_5 in two variables, some of them
+    combinations of earlier ones so that pruning has something to drop."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    ring = Ring(p, 2)
+    rank = draw(st.integers(1, 2))
+    monos = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    polys = st.dictionaries(monos, st.integers(1, p - 1), max_size=3).map(
+        lambda terms: Poly(ring, terms)
+    )
+    gens = []
+    for _ in range(draw(st.integers(1, 5))):
+        if gens and draw(st.booleans()):
+            a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+            gens.append(a.poly_mul(draw(polys)) + b.poly_mul(draw(polys)))
+        else:
+            gens.append(VectorR(tuple(draw(polys) for _ in range(rank))))
+    return Submodule(rank, gens, ring)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_submodules())
+def test_prune_matches_restart_greedy(N):
+    assert prune_generators(N).generators == prune_restart_greedy(N)
+
+
+BUCHBERGER_CASES = [
+    # rank 1 over F_3
+    (
+        Ring(3, 2),
+        [("x0^3 + x1^2",), ("x0^2*x1 + 2*x1^3",), ("x0*x1^2 + x0",)],
+        [
+            {(0, (0, 2)): 1, (0, (3, 0)): 1},
+            {(0, (0, 3)): 2, (0, (2, 1)): 1},
+            {(0, (1, 0)): 1, (0, (1, 2)): 1},
+            {(0, (0, 4)): 1, (0, (2, 0)): 1},
+            {(0, (0, 3)): 1, (0, (1, 1)): 2},
+            {(0, (1, 0)): 2, (0, (2, 0)): 1},
+            {(0, (0, 2)): 1, (0, (1, 0)): 1},
+            {(0, (1, 1)): 1},
+            {(0, (1, 0)): 1},
+        ],
+    ),
+    # rank 2 over F_2
+    (
+        Ring(2, 2),
+        [("x0^2", "x1"), ("x0*x1 + x1^2", "x0"), ("x1^3", "x0^2 + x1")],
+        [
+            {(0, (2, 0)): 1, (1, (0, 1)): 1},
+            {(0, (0, 2)): 1, (0, (1, 1)): 1, (1, (1, 0)): 1},
+            {(0, (0, 3)): 1, (1, (0, 1)): 1, (1, (2, 0)): 1},
+            {(1, (0, 1)): 1, (1, (0, 2)): 1, (1, (1, 1)): 1},
+            {(1, (0, 2)): 1, (1, (3, 0)): 1},
+            {(1, (0, 1)): 1, (1, (0, 2)): 1, (1, (0, 4)): 1},
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("ring, gens, expected", BUCHBERGER_CASES)
+def test_buchberger_unreduced_basis_pinned(ring, gens, expected):
+    # the unreduced basis records the order in which S-pairs were taken
+    flats = [_flatten(vec(ring, *g)) for g in gens]
+    assert _buchberger(flats, ring.p, DEFAULT_PAIR_LIMIT) == expected
+
+
+def test_pair_limit_boundary():
+    ring, gens, _ = BUCHBERGER_CASES[0]
+    vectors = [vec(ring, *g) for g in gens]
+    with pytest.raises(ResourceLimitExceeded):
+        Submodule(1, vectors, ring, pair_limit=27).reduced_basis()
+    assert Submodule(1, vectors, ring, pair_limit=28).reduced_basis()
