@@ -314,6 +314,7 @@ class Submodule:
         self.generators: Tuple[VectorR, ...] = tuple(gens)
         self.pair_limit = pair_limit
         self._basis: Optional[Tuple[VectorR, ...]] = None
+        self._flat_basis: List[Tuple[ModTerm, FlatVec]] = []
 
     @staticmethod
     def zero(rank: int, ring: Ring) -> "Submodule":
@@ -336,14 +337,15 @@ class Submodule:
             flats = [_flatten(v) for v in self.generators]
             G = _buchberger(flats, self.ring.p, self.pair_limit)
             G = _reduce_basis(G, self.ring.p)
+            self._flat_basis = [(_lead(g), g) for g in G]
             self._basis = tuple(_unflatten(g, self.rank, self.ring) for g in G)
         return self._basis
 
     def normal_form(self, v: VectorR) -> VectorR:
         if v.rank != self.rank:
             raise RankMismatchError(f"vector rank {v.rank}, module rank {self.rank}")
-        basis = [(_lead(_flatten(g)), _flatten(g)) for g in self.reduced_basis()]
-        nf = _normal_form(_flatten(v), basis, self.ring.p)
+        self.reduced_basis()
+        nf = _normal_form(_flatten(v), self._flat_basis, self.ring.p)
         return _unflatten(nf, self.rank, self.ring)
 
     def max_generator_degree(self) -> int:

@@ -435,10 +435,17 @@ def frobenius_decompose(f: Poly, e: int, cfg: CharConfig) -> Dict[Monomial, Poly
 
 
 class PowerCache:
-    """Memoized powers of one polynomial (binary exponentiation on the cache)."""
+    """Memoized powers of one polynomial f over F_p.
+
+    f^n = (f^{n // p})^[p] f^{n mod p}: in characteristic p the p-th power
+    only scales exponents by p, so the one real product per base-p digit of
+    n has a factor f^{n mod p} of degree below p deg(f), and no squaring of
+    large powers ever happens.
+    """
 
     def __init__(self, f: Poly):
         self.f = f
+        self._prime_cfg = CharConfig(f.ring.p)
         self._cache: Dict[int, Poly] = {0: Poly.const(f.ring, 1), 1: f}
 
     def power(self, n: int) -> Poly:
@@ -447,9 +454,12 @@ class PowerCache:
         cached = self._cache.get(n)
         if cached is not None:
             return cached
-        half = self.power(n // 2)
-        result = half * half
-        if n % 2:
-            result = result * self.f
+        high, low = divmod(n, self._prime_cfg.p)
+        if high == 0:
+            result = self.power(low - 1) * self.f
+        else:
+            result = frobenius_power(self.power(high), 1, self._prime_cfg)
+            if low:
+                result = result * self.power(low)
         self._cache[n] = result
         return result

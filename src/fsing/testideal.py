@@ -3,18 +3,28 @@
 lambda only ever enters through ceil(lambda * q^{e+1}), so every scan walks
 an integer grid; there is no real arithmetic anywhere.  Ideals are rank-1
 submodules so that the Groebner machinery is shared with the module case.
+
+Every root here is taken one level at a time and f^a is never formed.  Two
+rules (Blickle-Mustata-Smith, Michigan Math. J. 57, 2008) make that exact:
+(I^[1/q])^[1/q^{e-1}] = I^[1/q^e], and (g^q h)^[1/q] = g h^[1/q].  Writing
+a = a_0 + a_1 q + ... + a_{e-1} q^{e-1} + N q^e in base q, they give
+(f^a K)^[1/q^e] = f^N K_e with K_0 = K and K_{i+1} = (f^{a_i} K_i)^[1/q], so
+degrees stay near deg(f) q rather than deg(f) a.  K_i depends on K and the
+low i digits of a only, which lets a scan over many a share its inner roots.
+The simple-list products r_{i_0} r_{i_1}^q ... r_{i_e}^{q^e} are rooted the
+same way, with the factor r_{i_k} in place of f^{a_k}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import StabilizationError
 from .frobenius import DEFAULT_STABLE_CAP, frobenius_root
 from .modgb import Submodule, VectorR, contains_all, module_sum
-from .polyring import CharConfig, Poly, PowerCache, frobenius_power
+from .polyring import CharConfig, Poly, PowerCache
 from .rationals import GridRational, frac_ceil, snap_interval
 
 
@@ -34,6 +44,48 @@ def _ideal(gen: Poly) -> Submodule:
     return Submodule(1, (VectorR((gen,)),), gen.ring)
 
 
+def _scaled(K: Submodule, g: Poly) -> Submodule:
+    """The submodule g K."""
+    return Submodule(K.rank, tuple(v.poly_mul(g) for v in K.generators), K.ring)
+
+
+Prefixes = Dict[Tuple[int, int], Submodule]
+
+
+def _digit_root(
+    n: int,
+    e: int,
+    K: Submodule,
+    factor: Callable[[int], Poly],
+    cfg: CharConfig,
+    prefixes: Optional[Prefixes] = None,
+) -> Submodule:
+    """(g K)^[1/q^e] for g = factor(n_0) factor(n_1)^q ... factor(n_{e-1})^{q^{e-1}},
+    times factor(N)^{q^e} when N > 0.
+
+    n_0 .. n_{e-1} are the low base-q digits of n and N = n // q^e.  With
+    factor(i) = f^i this is (f^n K)^[1/q^e].  The root is taken as e single
+    levels K <- (factor(n_i) K)^[1/q], lowest digit first, and multiplied by
+    factor(N) at the end.  A caller rooting many n over the same
+    K passes one `prefixes` dict: the level-i value, i < e, is stored there
+    under (n mod q^i, i) and reused.
+    """
+    q = cfg.q
+    low, scale = 0, 1
+    for level in range(1, e + 1):
+        n, digit = divmod(n, q)
+        low += digit * scale
+        scale *= q
+        shared = level < e and prefixes is not None
+        if shared and (low, level) in prefixes:
+            K = prefixes[(low, level)]
+            continue
+        K = frobenius_root(_scaled(K, factor(digit)), 1, cfg)
+        if shared:
+            prefixes[(low, level)] = K
+    return _scaled(K, factor(n)) if n else K
+
+
 def tau_f(
     f: Poly,
     alpha: Fraction,
@@ -50,10 +102,7 @@ def tau_f(
         raise ValueError("e must be non-negative")
     powers = powers or PowerCache(f)
     k = frac_ceil(alpha * cfg.q**e)
-    ideal = _ideal(powers.power(k))
-    if e == 0:
-        return ideal
-    return frobenius_root(ideal, e, cfg)
+    return _digit_root(k, e, Submodule.full(1, f.ring), powers.power, cfg)
 
 
 def _pe_decompose(alpha: Fraction, cfg: CharConfig) -> Tuple[int, int, int]:
@@ -81,21 +130,16 @@ def _pe_decompose(alpha: Fraction, cfg: CharConfig) -> Tuple[int, int, int]:
 
 
 def _ascend(
-    f: Poly, a: int, d: int, seed: Submodule, cfg: CharConfig,
-    powers: PowerCache, cap: int,
+    a: int, d: int, seed: Submodule, cfg: CharConfig, powers: PowerCache, cap: int,
 ) -> Submodule:
     """Smallest K containing seed with (f^a K)^[1/q^d] inside K.
 
     The iteration K <- K + (f^a K)^[1/q^d] is ascending by construction and
     monotone in K, so the first repeated value is the true fixed point.
     """
-    fa = powers.power(a)
     cur = seed
     for _ in range(cap):
-        scaled = Submodule(
-            1, tuple(v.poly_mul(fa) for v in cur.generators), cur.ring
-        )
-        step = frobenius_root(scaled, d, cfg)
+        step = _digit_root(a, d, cur, powers.power, cfg)
         if contains_all(cur, step.generators):
             return cur
         cur = module_sum(cur, step)
@@ -114,37 +158,29 @@ def tau_f_stable(
     """The test ideal tau(f^alpha) itself, the union of the tau_f chain.
 
     Computed exactly rather than by watching the chain: with
-    alpha = a / (q^c (q^d - 1)), the ideal tau(f^{a/(q^d-1)}) is the smallest
-    fixed point of K -> K + (f^a K)^[1/q^d] over the seed (f^ceil), and
-    dividing the exponent by q^c is a Frobenius root.  Consecutive equal
-    chain members are not a stopping proof: the ascending chain can pause
-    and grow again (f = x0^3 over F_2 at alpha = 8/25 pauses at e = 1, 2).
+    alpha = a / (q^c (q^d - 1)) and a = m (q^d - 1) + a' (a' < q^d - 1), Skoda
+    gives tau(f^{a/(q^d-1)}) = f^m tau(f^{a'/(q^d-1)}); the latter is the
+    smallest fixed point of K -> K + (f^{a'} K)^[1/q^d] over the seed
+    (f^ceil), and dividing the exponent by q^c is a Frobenius root, taken
+    digit by digit over the multiplier f^m.  Consecutive equal chain members
+    are not a stopping proof: the ascending chain can pause and grow again
+    (f = x0^3 over F_2 at alpha = 8/25 pauses at e = 1, 2).
     """
     if f.is_zero():
         raise ValueError("f must be nonzero")
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     powers = powers or PowerCache(f)
-    ring = f.ring
+    full = Submodule.full(1, f.ring)
     if alpha == 0:
-        return Submodule.full(1, ring)
-    shift = 0
-    if alpha > 1:
-        shift = frac_ceil(alpha) - 1
-        alpha = alpha - shift
+        return full
     a, c, d = _pe_decompose(alpha, cfg)
     if d == 0:
-        ideal = _ideal(powers.power(a))
-        out = frobenius_root(ideal, c, cfg) if c else ideal
-    else:
-        t_ceil = frac_ceil(Fraction(a, cfg.q**d - 1))
-        seed = _ideal(powers.power(t_ceil))
-        fixed = _ascend(f, a, d, seed, cfg, powers, e_cap)
-        out = frobenius_root(fixed, c, cfg) if c else fixed
-    if shift:
-        fs = powers.power(shift)
-        out = Submodule(1, tuple(v.poly_mul(fs) for v in out.generators), ring)
-    return out
+        return _digit_root(a, c, full, powers.power, cfg)
+    m, a = divmod(a, cfg.q**d - 1)
+    seed = _ideal(powers.power(frac_ceil(Fraction(a, cfg.q**d - 1))))
+    fixed = _ascend(a, d, seed, cfg, powers, e_cap)
+    return _digit_root(m, c, fixed, powers.power, cfg)
 
 
 def f_jumping_exponents(f: Poly, cfg: CharConfig, e_max: int) -> List[Fraction]:
@@ -165,11 +201,13 @@ def f_jumping_exponents(f: Poly, cfg: CharConfig, e_max: int) -> List[Fraction]:
     grid = q**e_max
     window = max(1, -(-e_max // 2))
     powers = PowerCache(f)
+    full = Submodule.full(1, f.ring)
+    prefixes: Prefixes = {}
 
     out: List[Fraction] = []
-    prev = Submodule.full(1, f.ring)
+    prev = full
     for k in range(1, grid + 1):
-        cur = frobenius_root(_ideal(powers.power(k)), e_max, cfg)
+        cur = _digit_root(k, e_max, full, powers.power, cfg, prefixes)
         if cur != prev:
             lo = Fraction(k - 1, grid)
             hi = Fraction(k, grid)
@@ -177,22 +215,6 @@ def f_jumping_exponents(f: Poly, cfg: CharConfig, e_max: int) -> List[Fraction]:
             out.append(snapped if snapped is not None else hi)
         prev = cur
     return out
-
-
-def _digit_product(r: Sequence[Poly], m: int, e: int, cfg: CharConfig) -> Poly:
-    """r_{i_0} r_{i_1}^q ... r_{i_e}^{q^e} for the base-q digits i_k of m - 1."""
-    q = cfg.q
-    n = m - 1
-    ring = r[0].ring
-    prod = Poly.const(ring, 1)
-    for k in range(e + 1):
-        i_k = n % q
-        n //= q
-        factor = r[i_k]
-        if factor.is_zero():
-            return Poly.zero(ring)
-        prod = prod * frobenius_power(factor, k, cfg)
-    return prod
 
 
 def _check_list(r: Sequence[Poly], cfg: CharConfig) -> None:
@@ -219,10 +241,7 @@ def simple_list_I(
     """(r_{i_0} r_{i_1}^q ... r_{i_e}^{q^e})^[1/q^{e+1}] at the grid point lam."""
     _check_list(r, cfg)
     m = _grid_index(lam, e, cfg)
-    prod = _digit_product(r, m, e, cfg)
-    if prod.is_zero():
-        return Submodule.zero(1, r[0].ring)
-    return frobenius_root(_ideal(prod), e + 1, cfg)
+    return _digit_root(m - 1, e + 1, Submodule.full(1, r[0].ring), r.__getitem__, cfg)
 
 
 def simple_tau_scan(
@@ -231,14 +250,14 @@ def simple_tau_scan(
     """Cumulative simple list test ideals at m = 1 .. q^{e+1} (index m-1)."""
     _check_list(r, cfg)
     ring = r[0].ring
+    full = Submodule.full(1, ring)
+    prefixes: Prefixes = {}
     out: List[Submodule] = []
     cum = Submodule.zero(1, ring)
     for m in range(1, cfg.q ** (e + 1) + 1):
-        prod = _digit_product(r, m, e, cfg)
-        if not prod.is_zero():
-            piece = frobenius_root(_ideal(prod), e + 1, cfg)
-            if not contains_all(cum, piece.generators):
-                cum = module_sum(cum, piece)
+        piece = _digit_root(m - 1, e + 1, full, r.__getitem__, cfg, prefixes)
+        if not contains_all(cum, piece.generators):
+            cum = module_sum(cum, piece)
         out.append(cum)
     return out
 

@@ -1,13 +1,17 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fsing.frobenius import frobenius_root
-from fsing.modgb import Submodule, VectorR
-from fsing.polyring import CharConfig, Poly, Ring, poly_parse
-from fsing.rationals import GridRational
+from fsing.modgb import Submodule, VectorR, contains_all, module_sum
+from fsing.polyring import CharConfig, Poly, PowerCache, Ring, frobenius_power, poly_parse
+from fsing.rationals import GridRational, frac_ceil, snap_interval
 from fsing.testideal import (
+    _digit_root,
     f_jumping_exponents,
     s_set_simple,
     simple_list_I,
@@ -252,3 +256,241 @@ class TestSSetSimple:
         rep = s_set_simple(r, 0, cfg, keep_chain=True)
         assert rep.chain is not None and len(rep.chain) == 3
         assert rep.chain[0][0] == Fraction(1, 3)
+
+
+# -- oracles: f^a built with Poly.__pow__, then one deep Frobenius root -------
+
+
+def ref_root_of_power(f, a, e, cfg):
+    """(f^a)^[1/q^e], the power formed outright."""
+    ideal = Submodule(1, (VectorR((f**a,)),), f.ring)
+    return frobenius_root(ideal, e, cfg) if e else ideal
+
+
+def ref_tau_f(f, alpha, e, cfg):
+    return ref_root_of_power(f, frac_ceil(alpha * cfg.q**e), e, cfg)
+
+
+def ref_tau_f_stable(f, alpha, cfg):
+    """tau(f^alpha) by shifting alpha into (0, 1], ascending with f^a itself
+    and taking the q^c-th root in one step."""
+    ring = f.ring
+    if alpha == 0:
+        return Submodule.full(1, ring)
+    shift = max(frac_ceil(alpha) - 1, 0)
+    alpha -= shift
+    q = cfg.q
+    den, v = alpha.denominator, 0
+    while den % cfg.p == 0:
+        den //= cfg.p
+        v += 1
+    c = -(-v // cfg.gamma)
+    d = 0
+    if den > 1:
+        d = next(d for d in range(1, den + 1) if (q**d - 1) % den == 0)
+    if d == 0:
+        out = ref_root_of_power(f, int(alpha * q**c), c, cfg)
+    else:
+        a = int(alpha * q**c * (q**d - 1))
+        cur = Submodule(1, (VectorR((f ** frac_ceil(Fraction(a, q**d - 1)),)),), ring)
+        fa = f**a
+        while True:
+            scaled = Submodule(1, tuple(g.poly_mul(fa) for g in cur.generators), ring)
+            step = frobenius_root(scaled, d, cfg)
+            if contains_all(cur, step.generators):
+                break
+            cur = module_sum(cur, step)
+        out = frobenius_root(cur, c, cfg) if c else cur
+    fs = f**shift
+    return Submodule(1, tuple(g.poly_mul(fs) for g in out.generators), ring)
+
+
+def ref_f_jumping_exponents(f, cfg, e_max):
+    grid = cfg.q**e_max
+    window = max(1, -(-e_max // 2))
+    out, prev = [], Submodule.full(1, f.ring)
+    for k in range(1, grid + 1):
+        cur = ref_root_of_power(f, k, e_max, cfg)
+        if cur != prev:
+            lo, hi = Fraction(k - 1, grid), Fraction(k, grid)
+            snapped = snap_interval(lo, hi, cfg.q, window, window)
+            out.append(snapped if snapped is not None else hi)
+        prev = cur
+    return out
+
+
+# F_2, F_3, F_5 and q = 4 over F_2
+CONFIGS = [CharConfig(2), CharConfig(3), CharConfig(5), CharConfig(2, 2)]
+
+
+@st.composite
+def nonconstant_polys(draw, max_terms=3, max_deg=3):
+    cfg = draw(st.sampled_from(CONFIGS))
+    ring = Ring(cfg.p, 2)
+    monos = st.tuples(st.integers(0, max_deg), st.integers(0, max_deg)).filter(
+        lambda m: 0 < sum(m) <= max_deg
+    )
+    terms = draw(st.dictionaries(monos, st.integers(1, cfg.p - 1), min_size=1, max_size=max_terms))
+    return cfg, Poly(ring, terms)
+
+
+@st.composite
+def exponent_cases(draw):
+    """alpha = a / (q^c (q^d - 1)) with q^(c+d) small, alpha in (0, 2]."""
+    cfg, f = draw(nonconstant_polys())
+    q = cfg.q
+    c, d = draw(
+        st.sampled_from([(c, d) for c in range(3) for d in range(3) if q ** (c + d) <= 16])
+    )
+    den = q**c * (q**d - 1 if d else 1)
+    alpha = Fraction(draw(st.integers(1, 2 * den)), den)
+    return cfg, f, alpha
+
+
+def case(p, text, alpha, gamma=1):
+    cfg = CharConfig(p, gamma)
+    return cfg, poly_parse(text, Ring(p, 2)), alpha
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(exponent_cases())
+@example(case(2, "x0^2+x1^3", Fraction(5, 6)))  # alpha * q^c = 5/3 > 1
+@example(case(3, "x0^2*x1+x1^2", Fraction(7, 6)))
+@example(case(2, "x0^3+x0*x1", Fraction(5, 12), gamma=2))
+def test_tau_f_stable_matches_power_oracle(data):
+    cfg, f, alpha = data
+    assert tau_f_stable(f, alpha, cfg) == ref_tau_f_stable(f, alpha, cfg)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(exponent_cases(), st.integers(0, 3))
+@example(case(2, "x0^2+x1^3", Fraction(5, 6)), 3)
+def test_tau_f_matches_power_oracle(data, e):
+    cfg, f, alpha = data
+    if cfg.q**e > 32:
+        e = 1
+    assert tau_f(f, alpha, e, cfg) == ref_tau_f(f, alpha, e, cfg)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(nonconstant_polys(), st.integers(2, 4))
+@example((CharConfig(5), poly_parse("x0^2+x1^3", Ring(5, 2))), 2)
+def test_f_jumping_exponents_match_power_oracle(data, e_max):
+    cfg, f = data
+    while cfg.q**e_max > 27:
+        e_max -= 1
+    assert f_jumping_exponents(f, cfg, e_max) == ref_f_jumping_exponents(f, cfg, e_max)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(nonconstant_polys(), st.integers(2, 4), st.tuples(st.integers(0, 26), st.integers(0, 26)))
+def test_shared_prefixes_match_power_oracle(data, e, seed_mono):
+    # one prefix dict serves every n, as in the jumping-exponent scan; the
+    # monomial seed g keeps the inner roots apart from the unit ideal
+    cfg, f = data
+    while cfg.q**e > 27:
+        e -= 1
+    g = Poly.monomial(f.ring, tuple(u % cfg.q**e for u in seed_mono))
+    seed = Submodule(1, (VectorR((g,)),), f.ring)
+    powers, prefixes = PowerCache(f), {}
+    for n in range(cfg.q**e + cfg.q):
+        got = _digit_root(n, e, seed, powers.power, cfg, prefixes)
+        want = frobenius_root(Submodule(1, (VectorR((f**n * g,)),), f.ring), e, cfg)
+        assert got == want
+
+
+def ref_simple_tau_scan(r, e, cfg):
+    """Cumulative roots of the full digit products, one level-(e+1) root each."""
+    ring = r[0].ring
+    out, cum = [], Submodule.zero(1, ring)
+    for m in range(1, cfg.q ** (e + 1) + 1):
+        n, prod = m - 1, Poly.const(ring, 1)
+        for k in range(e + 1):
+            n, i_k = divmod(n, cfg.q)
+            prod = prod * frobenius_power(r[i_k], k, cfg)
+        cum = module_sum(cum, frobenius_root(Submodule(1, (VectorR((prod,)),), ring), e + 1, cfg))
+        out.append(cum)
+    return out
+
+
+@st.composite
+def simple_lists(draw):
+    cfg = draw(st.sampled_from(CONFIGS))
+    ring = Ring(cfg.p, 2)
+    monos = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    polys = st.dictionaries(monos, st.integers(1, cfg.p - 1), max_size=2).map(
+        lambda terms: Poly(ring, terms)
+    )
+    return cfg, [draw(polys) for _ in range(cfg.q)]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(simple_lists(), st.integers(0, 2))
+def test_simple_tau_scan_matches_product_oracle(data, e):
+    cfg, r = data
+    while cfg.q ** (e + 1) > 27:
+        e -= 1
+    assert simple_tau_scan(r, e, cfg) == ref_simple_tau_scan(r, e, cfg)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(nonconstant_polys(max_terms=2), st.integers(0, 300))
+def test_power_cache_matches_pow(data, n):
+    _, f = data
+    assert PowerCache(f).power(n) == f**n
+
+
+def test_power_cache_all_small_powers():
+    f = poly_parse("x0^2*x1+x1^3+x0+1", Ring(3, 2))
+    cache = PowerCache(f)
+    want = Poly.const(f.ring, 1)
+    for n in range(61):
+        assert cache.power(n) == want
+        want = want * f
+
+
+# -- closed forms -------------------------------------------------------------
+
+
+def cusp_fpt(p):
+    """fpt(x^2 + y^3) in characteristic p (Mustata-Takagi-Watanabe)."""
+    if p in (2, 3):
+        return Fraction(p - 1, p)
+    if p % 6 == 1:
+        return Fraction(5, 6)
+    return Fraction(5, 6) - Fraction(1, 6 * p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_cusp_fpt_closed_form(p):
+    cfg, ring = CharConfig(p), Ring(p, 2)
+    f = poly_parse("x0^2+x1^3", ring)
+    fpt = cusp_fpt(p)
+    assert tau_f_stable(f, fpt, cfg) == ideal(ring, "x0", "x1")
+    assert tau_f_stable(f, fpt - Fraction(1, p**3), cfg) == Submodule.full(1, ring)
+
+
+@pytest.mark.parametrize(
+    "p,text,t",
+    [
+        (2, "x0^2+x1^3", Fraction(1, 3)),
+        (3, "x0^2*x1+x1^2", Fraction(3, 4)),
+        (5, "x0^2+x1^3", Fraction(4, 5)),
+    ],
+)
+def test_skoda(p, text, t):
+    cfg, ring = CharConfig(p), Ring(p, 2)
+    f = poly_parse(text, ring)
+    inner = tau_f_stable(f, t, cfg)
+    times_f = Submodule(1, tuple(g.poly_mul(f) for g in inner.generators), ring)
+    assert tau_f_stable(f, 1 + t, cfg) == times_f
+
+
+def test_trinomial_at_five_sevenths():
+    # f^a for this exponent has a = 11160; forming it took over 300 s
+    cfg = CharConfig(5)
+    f = poly_parse("x0^2*x1+x1^3+x2^4", Ring(5, 3))
+    start = time.perf_counter()
+    got = tau_f_stable(f, Fraction(5, 7), cfg)
+    assert time.perf_counter() - start < 5
+    assert got == tau_f(f, Fraction(5, 7), 8, cfg)
