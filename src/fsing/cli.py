@@ -2,7 +2,8 @@
 
 Subcommands: froot | tau | fjump | hexpand | sset | jumps | bfun | graphgen.
 Exit codes: 0 success, 1 user error (bad flags, parse or validation failure),
-2 resource-limit failure.  All exact rationals cross the boundary as
+2 resource-limit failure, 3 internal error (a failed internal consistency
+check, which signals a bug).  All exact rationals cross the boundary as
 {"num": ..., "den": ...} pairs; floating point is rejected on input.
 JSON output is byte-identical across runs for identical inputs.
 """
@@ -17,11 +18,12 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .bfun import b_function, graph_generator
-from .errors import FsingError, ResourceLimitExceeded
+from .errors import FsingError, InternalConsistencyError, ResourceLimitExceeded
 from .frobenius import frobenius_root
 from .listmod import (
     MatrixList,
     TMatrix,
+    assemble_A,
     decompose_A,
     estimate_jumping_numbers,
     h_expand,
@@ -131,6 +133,12 @@ def _as_matrix_list(problem, cfg: CharConfig) -> MatrixList:
     return problem
 
 
+def _as_tmatrix(problem) -> TMatrix:
+    if isinstance(problem, MatrixList):
+        return assemble_A(problem)
+    return problem
+
+
 def _cmd_froot(args) -> int:
     ring = Ring(args.p, _infer_num_vars([args.gens], args.num_vars))
     cfg = CharConfig(args.p, args.gamma)
@@ -167,11 +175,7 @@ def _cmd_fjump(args) -> int:
 
 def _cmd_hexpand(args) -> int:
     problem, cfg = load_problem_file(args.input)
-    if isinstance(problem, MatrixList):
-        from .listmod import assemble_A
-
-        problem = assemble_A(problem)
-    fam = h_expand(problem, args.e, cfg)
+    fam = h_expand(_as_tmatrix(problem), args.e, cfg)
     table = {
         str(n): [[str(entry) for entry in row] for row in mat]
         for n, mat in sorted(fam.table.items())
@@ -225,11 +229,7 @@ def _cmd_jumps(args) -> int:
 
 def _cmd_bfun(args) -> int:
     problem, cfg = load_problem_file(args.input)
-    if isinstance(problem, MatrixList):
-        from .listmod import assemble_A
-
-        problem = assemble_A(problem)
-    result = b_function(problem, cfg, args.e_max)
+    result = b_function(_as_tmatrix(problem), cfg, args.e_max)
     obj = {
         "roots": [_frac_obj(r) for r in result.roots],
         "shift_N": result.shift_N,
@@ -332,6 +332,9 @@ def run(argv: Optional[List[str]] = None) -> int:
     except ResourceLimitExceeded as exc:
         print(f"fsing: resource limit: {exc}", file=sys.stderr)
         return 2
+    except InternalConsistencyError as exc:
+        print(f"fsing: internal error: {exc}", file=sys.stderr)
+        return 3
     except (FsingError, ValueError) as exc:
         print(f"fsing: error: {exc}", file=sys.stderr)
         return 1

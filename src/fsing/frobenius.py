@@ -38,6 +38,16 @@ def frobenius_root(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
     replaced by a Groebner basis, preserving the degree bound
     deg <= floor(maxdeg(N)/q^e).
     """
+    return prune_generators(_root_generators(N, e, cfg))
+
+
+def _root_generators(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
+    """N^[1/q^e] spanned by all extracted coefficient vectors, unpruned.
+
+    The span and the degree bound are those of `frobenius_root`; only the
+    irredundancy of the generator list is missing, which callers that use
+    the root for membership and sums alone do not need.
+    """
     if e < 1:
         raise ValueError("e must be positive")
     gens: List[VectorR] = []
@@ -51,8 +61,7 @@ def frobenius_root(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
                 per_u[u][pos] = a_u
         for u in sorted(per_u):
             gens.append(VectorR(tuple(per_u[u])))
-    rooted = Submodule(N.rank, gens, N.ring, pair_limit=N.pair_limit)
-    return prune_generators(rooted)
+    return Submodule(N.rank, gens, N.ring, pair_limit=N.pair_limit)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InternalConsistencyError, ProblemFormatError
-from .frobenius import frobenius_root
+# frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
+# every fsing module that holds it, and its tests expect listmod among them.
+from .frobenius import _root_generators, frobenius_root  # noqa: F401
 from .modgb import Submodule, VectorR, contains_all, module_sum
-from .polyring import CharConfig, Poly, Ring, frobenius_power, poly_parse
+from .polyring import CharConfig, Monomial, Poly, Ring, frobenius_power, poly_parse
 from .rationals import GridRational, detect_chain_limit, frac_ceil
 from .testideal import SeReport
 
@@ -180,11 +182,23 @@ def decompose_A(A: TMatrix, cfg: CharConfig) -> MatrixList:
     return MatrixList(l, cfg, base, entries)
 
 
+def _twisted_chain(A: TMatrix, e_max: int, cfg: CharConfig) -> Iterator[Matrix]:
+    """A^{e-1} for e = 1..e_max+1, each from the one before by one product.
+
+    Step e multiplies A^[q^e] onto the previous product; only the current
+    product is held.
+    """
+    prod = A.mat
+    yield prod
+    for e in range(1, e_max + 1):
+        prod = _mat_mul(_mat_frob(A.mat, e, cfg), prod)
+        yield prod
+
+
 def _twisted_power(A: TMatrix, e: int, cfg: CharConfig) -> Matrix:
     """A^{e-1} = A^[q^{e-1}] ... A^[q] A, with e matrix factors."""
-    prod = A.mat
-    for i in range(1, e):
-        prod = _mat_mul(_mat_frob(A.mat, i, cfg), prod)
+    for prod in _twisted_chain(A, e - 1, cfg):
+        pass
     return prod
 
 
@@ -192,12 +206,16 @@ def h_expand(A: TMatrix, e: int, cfg: CharConfig) -> HFamily:
     """Split A^{e-1} along t-exponents v = q^e k + n into the H^e_n(tau)."""
     if e < 1:
         raise ValueError("e must be positive")
+    return _split_family(A, e, cfg, _twisted_power(A, e, cfg))
+
+
+def _split_family(A: TMatrix, e: int, cfg: CharConfig, prod: Matrix) -> HFamily:
+    """The H^e_n(tau) of prod = A^{e-1}, checked against prod."""
     q_e = cfg.q**e
     l = A.l
     d = A.tdeg
     bound = d // (cfg.q - 1) if cfg.q > 1 else 0
     tau_ring = A.ring.base().with_extra("tau")
-    prod = _twisted_power(A, e, cfg)
 
     table: Dict[int, List[List[Poly]]] = {}
     for i in range(l):
@@ -218,9 +236,19 @@ def h_expand(A: TMatrix, e: int, cfg: CharConfig) -> HFamily:
 
 
 def _validate_family(fam: HFamily, A: TMatrix, prod: Matrix) -> None:
+    """Check the tau-degree bound and that sum_n H^e_n(t^{q^e}) t^n is prod.
+
+    The reassembly re-keys every term x^a tau^k of H^e_n to x^a t^{k q^e + n}
+    in one term map per matrix cell, so it is linear in the size of prod.
+    """
+    q_e = fam.cfg.q**fam.e
+    p = fam.cfg.p
+    rebuilt: List[List[Dict[Monomial, int]]] = [
+        [{} for _ in range(fam.l)] for _ in range(fam.l)
+    ]
     for n, mat in fam.table.items():
-        for row in mat:
-            for entry in row:
+        for i, row in enumerate(mat):
+            for j, entry in enumerate(row):
                 if entry.is_zero():
                     continue
                 tau_slot = entry.ring.width - 1
@@ -228,21 +256,20 @@ def _validate_family(fam: HFamily, A: TMatrix, prod: Matrix) -> None:
                     raise InternalConsistencyError(
                         f"H^{fam.e}_{n} exceeds the tau-degree bound {fam.tau_bound}"
                     )
-    q_e = fam.cfg.q**fam.e
-    t_ring = A.ring
-    rebuilt = _mat_zero(fam.l, t_ring)
-    for n, mat in fam.table.items():
-        lifted = []
-        for row in mat:
-            out_row = []
-            for entry in row:
-                acc = Poly.zero(t_ring)
-                for k, coeff in entry.split_extra().items():
-                    acc = acc + coeff.lift_to(t_ring, k * q_e + n)
-                out_row.append(acc)
-            lifted.append(tuple(out_row))
-        rebuilt = _mat_add(rebuilt, tuple(lifted))
-    if rebuilt != prod:
+                cell = rebuilt[i][j]
+                for mono, c in entry.terms.items():
+                    key = mono[:-1] + (mono[-1] * q_e + n,)
+                    cell[key] = cell.get(key, 0) + c
+    reproduced = len(prod) == fam.l and all(
+        len(prod_row) == fam.l
+        and all(
+            target.ring == A.ring
+            and {m: c % p for m, c in cell.items() if c % p} == target.terms
+            for cell, target in zip(row, prod_row)
+        )
+        for row, prod_row in zip(rebuilt, prod)
+    )
+    if not reproduced:
         raise InternalConsistencyError(
             f"reassembly of H^{fam.e} does not reproduce A^{fam.e - 1}"
         )
@@ -271,26 +298,38 @@ def _column_vectors(
 def ltm_scan(mlist: MatrixList, e: int, cfg: CharConfig) -> List[Submodule]:
     """Cumulative list test modules at the grid points m/q^{e+1}, m = 1..q^{e+1}.
 
-    Index m-1 of the returned list is tau({A_{k,n}}, m/q^{e+1}, e).
+    Index m-1 of the returned list is tau({A_{k,n}}, m/q^{e+1}, e).  The
+    modules are exact (spans and `==` are those of the pruned roots), but
+    their generator lists are not irredundant: each step adds the unpruned
+    coefficient generators of one Frobenius root.
     """
     if e < 0:
         raise ValueError("e must be non-negative")
-    grid = cfg.q ** (e + 1)
     A = assemble_A(mlist)
+    fam = None if A.is_zero() else h_expand(A, e + 1, cfg)
+    return _scan_family(A, e, cfg, fam)
+
+
+def _scan_family(
+    A: TMatrix, e: int, cfg: CharConfig, fam: Optional[HFamily]
+) -> List[Submodule]:
+    """The `ltm_scan` at level e from H^{e+1}; fam is None when A is zero."""
+    grid = cfg.q ** (e + 1)
     N = A.tdeg // (cfg.q - 1) if cfg.q > 1 else 0
-    rank = mlist.l * (N + 1)
-    ring = mlist.base_ring
-    if A.is_zero():
+    rank = A.l * (N + 1)
+    ring = A.ring.base()
+    if fam is None:
         return [Submodule.zero(rank, ring)] * grid
-    fam = h_expand(A, e + 1, cfg)
     out: List[Submodule] = []
     cum = Submodule.zero(rank, ring)
     for m in range(1, grid + 1):
         mat = fam.matrix(m - 1)
         if mat is not None:
-            cols = _column_vectors(mat, mlist.l, rank, ring)
+            cols = _column_vectors(mat, A.l, rank, ring)
             if cols:
-                piece = frobenius_root(
+                # the piece only feeds membership and a sum, so its
+                # generators need no pruning
+                piece = _root_generators(
                     Submodule(rank, tuple(cols), ring), e + 1, cfg
                 )
                 if not contains_all(cum, piece.generators):
@@ -302,7 +341,10 @@ def ltm_scan(mlist: MatrixList, e: int, cfg: CharConfig) -> List[Submodule]:
 def list_test_module(
     mlist: MatrixList, lam: GridRational, e: int, cfg: CharConfig
 ) -> Submodule:
-    """tau({A_{k,n}}, lambda, e) inside R^{l(N+1)}, N = floor(d/(q-1))."""
+    """tau({A_{k,n}}, lambda, e) inside R^{l(N+1)}, N = floor(d/(q-1)).
+
+    As with `ltm_scan`, the generator list of the result is not irredundant.
+    """
     m = frac_ceil(lam.value * cfg.q ** (e + 1))
     if not (0 < m <= cfg.q ** (e + 1)):
         raise ValueError("lambda must lie in (0, 1]")
@@ -313,7 +355,12 @@ def s_set(
     mlist: MatrixList, e: int, cfg: CharConfig, keep_chain: bool = False
 ) -> SeReport:
     """Grid points in (0,1) where the list test module strictly grows next."""
-    scan = ltm_scan(mlist, e, cfg)
+    return _jump_report(ltm_scan(mlist, e, cfg), e, cfg, keep_chain)
+
+
+def _jump_report(
+    scan: List[Submodule], e: int, cfg: CharConfig, keep_chain: bool = False
+) -> SeReport:
     grid = cfg.q ** (e + 1)
     jumps = []
     for m in range(1, grid):
@@ -399,11 +446,23 @@ def estimate_jumping_numbers(
 
     Each chain's numerators satisfy m_{e+b} = q^b m_e + c once periodic; the
     fit window (preperiod and period) is max(1, e_max // 2).  Chains with no
-    fit, or that die out before e_max, are reported unresolved.
+    fit, or that die out before e_max, are reported unresolved.  The levels
+    share one twisted-product chain, one matrix product per level.
     """
     if e_max < 2:
         raise ValueError("e_max must be at least 2")
-    s_sets = {e: s_set(mlist, e, cfg) for e in range(e_max + 1)}
+    A = assemble_A(mlist)
+    if A.is_zero():
+        families = [None] * (e_max + 1)
+    else:
+        families = (
+            _split_family(A, e + 1, cfg, prod)
+            for e, prod in enumerate(_twisted_chain(A, e_max, cfg))
+        )
+    s_sets = {
+        e: _jump_report(_scan_family(A, e, cfg, fam), e, cfg)
+        for e, fam in enumerate(families)
+    }
     window = max(1, e_max // 2)
     chains = []
     for path in _build_chains(s_sets, e_max, cfg):

@@ -118,6 +118,27 @@ class Poly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _trusted(cls, ring: Ring, terms: Dict[Monomial, int]) -> "Poly":
+        """Internal constructor for terms built by arithmetic on valid Polys.
+
+        Reduces coefficients mod p and drops zeros like the public
+        constructor, but trusts that every key is a tuple of `ring.width`
+        non-negative exponents, so it skips the per-term arity and sign
+        checks.
+        """
+        p = ring.p
+        clean: Dict[Monomial, int] = {}
+        for mono, c in terms.items():
+            c %= p
+            if c:
+                clean[mono] = c
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_hash", None)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
@@ -179,10 +200,10 @@ class Poly:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
-        return Poly(self.ring, out)
+        return Poly._trusted(self.ring, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ring, {m: -c for m, c in self.terms.items()})
+        return Poly._trusted(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -194,10 +215,10 @@ class Poly:
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
                 out[m] = out.get(m, 0) + c1 * c2
-        return Poly(self.ring, out)
+        return Poly._trusted(self.ring, out)
 
     def scale(self, c: int) -> "Poly":
-        return Poly(self.ring, {m: cc * c for m, cc in self.terms.items()})
+        return Poly._trusted(self.ring, {m: cc * c for m, cc in self.terms.items()})
 
     def term_mul(self, mono: Monomial, c: int = 1) -> "Poly":
         """Multiply by c * x^mono."""
@@ -232,7 +253,7 @@ class Poly:
         for m, c in self.terms.items():
             k = m[-1]
             out.setdefault(k, {})[m[:-1]] = c
-        return {k: Poly(base, terms) for k, terms in sorted(out.items())}
+        return {k: Poly._trusted(base, terms) for k, terms in sorted(out.items())}
 
     def lift_to(self, ring: Ring, extra_power: int = 0) -> "Poly":
         """Embed a base-ring polynomial into `ring`, times extra^extra_power."""
@@ -244,7 +265,9 @@ class Poly:
             if extra_power:
                 raise ValueError("target ring has no distinguished variable")
             return self
-        return Poly(ring, {m + (extra_power,): c for m, c in self.terms.items()})
+        if extra_power < 0:
+            raise ValueError("negative power of the distinguished variable")
+        return Poly._trusted(ring, {m + (extra_power,): c for m, c in self.terms.items()})
 
     # -- comparisons ---------------------------------------------------------
 
@@ -405,7 +428,7 @@ def frobenius_power(f: Poly, e: int, cfg: CharConfig) -> Poly:
     if e == 0:
         return f
     s = cfg.q ** e
-    return Poly(f.ring, {tuple(v * s for v in m): c for m, c in f.terms.items()})
+    return Poly._trusted(f.ring, {tuple(v * s for v in m): c for m, c in f.terms.items()})
 
 
 def frobenius_decompose(f: Poly, e: int, cfg: CharConfig) -> Dict[Monomial, Poly]:
@@ -428,7 +451,7 @@ def frobenius_decompose(f: Poly, e: int, cfg: CharConfig) -> Dict[Monomial, Poly
         buckets.setdefault(u, {})[w] = buckets.setdefault(u, {}).get(w, 0) + c
     out = {}
     for u, terms in buckets.items():
-        a = Poly(f.ring, terms)
+        a = Poly._trusted(f.ring, terms)
         if not a.is_zero():
             out[u] = a
     return out

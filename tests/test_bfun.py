@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -142,3 +143,21 @@ class TestBFunction:
         cfg = CharConfig(2)
         with pytest.raises(ValueError):
             b_function(tmat(cfg, 0, [["t"]]), cfg, 2)
+
+
+def test_cusp_graph_e_max_5_regression():
+    # The S-sets were recorded once with the quadratic H-family check, under
+    # which this call took about 38 s on a 2-vCPU x86-64 VM; with the linear
+    # check it takes about 1 s there, so the 10 s budget catches a return.
+    cfg = CharConfig(3)
+    A = graph_generator(poly_parse("x0^2 + x1^3", Ring(3, 2)), cfg)
+    start = time.perf_counter()
+    res = b_function(A, cfg, 5)
+    elapsed = time.perf_counter() - start
+    assert res.roots == (Fraction(2, 3),)
+    assert res.unresolved == ()
+    assert res.shift_N == 0
+    assert {e: r.values() for e, r in res.s_sets.items()} == {
+        e: (Fraction(1, 3),) for e in range(6)
+    }
+    assert elapsed < 10, f"b_function took {elapsed:.1f}s, budget 10s"

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from fsing import listmod
 from fsing.cli import run
+from fsing.errors import InternalConsistencyError
 from fsing.modgb import DEFAULT_PAIR_LIMIT, Submodule
 from fsing.polyring import Ring
 
@@ -164,3 +166,33 @@ def test_pair_limit_applies_to_one_call(capsys):
     assert code == 2
     assert "resource limit" in capsys.readouterr().err
     assert Submodule.zero(1, Ring(2, 2)).pair_limit == DEFAULT_PAIR_LIMIT
+
+
+@pytest.mark.parametrize("command", [
+    ["hexpand", "--e", "2"],
+    ["sset", "--e", "1"],
+    ["bfun", "--e-max", "3"],
+])
+def test_internal_error_exit_code(monkeypatch, capsys, tame_problem, command):
+    def broken(*args):
+        raise InternalConsistencyError("reassembly of H^2 does not reproduce A^1")
+
+    monkeypatch.setattr(listmod, "_validate_family", broken)
+    code = run(command[:1] + ["--input", tame_problem] + command[1:])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "fsing: internal error: reassembly of H^2 does not reproduce A^1\n"
+    )
+
+
+def test_hexpand_list_and_matrix_forms_agree(tmp_path, tame_problem):
+    # t at q = 3 is the list entry A_{0,1} = 1
+    path = tmp_path / "tame_list.json"
+    path.write_text(json.dumps({
+        "p": 3, "gamma": 1, "num_vars": 0, "rank": 1,
+        "list": [{"k": 0, "n": 1, "matrix": [["1"]]}],
+    }))
+    for command in (["hexpand", "--e", "2"], ["bfun", "--e-max", "3"]):
+        from_list = run_cli(command[0], "--input", str(path), *command[1:], "--json")
+        from_matrix = run_cli(command[0], "--input", tame_problem, *command[1:], "--json")
+        assert from_list.stdout == from_matrix.stdout

@@ -1,12 +1,19 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fsing.errors import ProblemFormatError
+from fsing.bfun import graph_generator
+from fsing.errors import InternalConsistencyError, ProblemFormatError
+from fsing.frobenius import frobenius_root
 from fsing.listmod import (
     MatrixList,
     TMatrix,
+    _twisted_power,
+    _validate_family,
     assemble_A,
     decompose_A,
     estimate_jumping_numbers,
@@ -16,7 +23,7 @@ from fsing.listmod import (
     ltm_scan,
     s_set,
 )
-from fsing.modgb import Submodule, VectorR
+from fsing.modgb import Submodule, VectorR, module_sum
 from fsing.polyring import CharConfig, Poly, Ring, frobenius_power, poly_parse
 from fsing.rationals import GridRational
 from fsing.testideal import simple_tau_scan
@@ -407,3 +414,177 @@ class TestProblemJson:
         }
         with pytest.raises(ProblemFormatError):
             load_problem(obj)
+
+
+# -- the H-family check ---------------------------------------------------------
+
+
+def cusp_graph():
+    cfg = CharConfig(3)
+    return graph_generator(poly_parse("x0^2 + x1^3", Ring(3, 2)), cfg), cfg
+
+
+def family_and_product(A, e, cfg):
+    return h_expand(A, e, cfg), _twisted_power(A, e, cfg)
+
+
+def with_entry(fam, n, i, j, entry):
+    mat = [list(row) for row in fam.table[n]]
+    mat[i][j] = entry
+    table = dict(fam.table)
+    table[n] = tuple(tuple(row) for row in mat)
+    return dataclasses.replace(fam, table=table)
+
+
+def first_entry(fam, pred=lambda mono: True):
+    """(n, i, j, entry, mono) of the first nonzero term matching pred."""
+    for n, mat in sorted(fam.table.items()):
+        for i, row in enumerate(mat):
+            for j, entry in enumerate(row):
+                for mono in sorted(entry.terms):
+                    if pred(mono):
+                        return n, i, j, entry, mono
+    raise AssertionError("no matching term")
+
+
+class TestValidateFamily:
+    def test_changed_coefficient(self):
+        A, cfg = cusp_graph()
+        fam, prod = family_and_product(A, 2, cfg)
+        n, i, j, entry, mono = first_entry(fam)
+        terms = dict(entry.terms)
+        terms[mono] = terms[mono] % 2 + 1  # 1 <-> 2 in F_3
+        bad = with_entry(fam, n, i, j, Poly(entry.ring, terms))
+        with pytest.raises(InternalConsistencyError, match="reassembly of H\\^2"):
+            _validate_family(bad, A, prod)
+
+    def test_moved_k(self):
+        A, cfg = cusp_graph()
+        fam, prod = family_and_product(A, 2, cfg)
+        assert fam.tau_bound == 1
+        n, i, j, entry, mono = first_entry(fam, lambda m: m[-1] == 0)
+        moved = mono[:-1] + (1,)
+        terms = dict(entry.terms)
+        c = terms.pop(mono)
+        terms[moved] = terms.get(moved, 0) + c
+        bad = with_entry(fam, n, i, j, Poly(entry.ring, terms))
+        with pytest.raises(InternalConsistencyError, match="does not reproduce A\\^1"):
+            _validate_family(bad, A, prod)
+
+    def test_above_tau_bound(self):
+        A, cfg = cusp_graph()
+        fam, prod = family_and_product(A, 2, cfg)
+        n, i, j, entry, mono = first_entry(fam)
+        high = mono[:-1] + (fam.tau_bound + 1,)
+        bad = with_entry(fam, n, i, j, entry + Poly.monomial(entry.ring, high))
+        with pytest.raises(InternalConsistencyError, match="exceeds the tau-degree bound 1"):
+            _validate_family(bad, A, prod)
+
+    def test_dropped_residue(self):
+        A, cfg = cusp_graph()
+        fam, prod = family_and_product(A, 2, cfg)
+        table = dict(fam.table)
+        del table[max(table)]
+        with pytest.raises(InternalConsistencyError, match="reassembly"):
+            _validate_family(dataclasses.replace(fam, table=table), A, prod)
+
+    def test_reassembly_sums_in_f_p(self):
+        # x0 tau at residue 1 and x0 tau^0 at residue 1 + q both land on
+        # x0 t^4; the check compares their sum in F_3 with A^0 = A
+        cfg = CharConfig(3)
+        A = tmat(cfg, 1, [["x0^2 + x0*t^4"]])
+        fam, prod = family_and_product(A, 1, cfg)
+        ring = fam.table[1][0][0].ring
+        table = dict(fam.table)
+        table[1] = ((poly_parse("2*x0*tau", ring),),)
+        table[4] = ((poly_parse("2*x0", ring),),)
+        _validate_family(dataclasses.replace(fam, table=table), A, prod)
+        table[4] = ((poly_parse("x0", ring),),)
+        with pytest.raises(InternalConsistencyError, match="reassembly"):
+            _validate_family(dataclasses.replace(fam, table=table), A, prod)
+
+    @pytest.mark.parametrize("p,gamma,seed", [(2, 1, 3), (3, 1, 5), (2, 2, 7)])
+    def test_rank_two_and_q4_pass(self, p, gamma, seed):
+        rng = random.Random(seed)
+        cfg = CharConfig(p, gamma)
+        for l in (1, 2):
+            for _ in range(4):
+                A, _ = random_tmatrix(rng, p, l, 3)
+                A = TMatrix(A.mat, cfg)
+                for e in (1, 2):
+                    fam, prod = family_and_product(A, e, cfg)
+                    _validate_family(fam, A, prod)
+
+
+# -- scan oracles ------------------------------------------------------------------
+
+
+def oracle_columns(mat, l, rank, ring):
+    cols = []
+    for j in range(l):
+        coords = [Poly.zero(ring)] * rank
+        for i in range(l):
+            for mono, c in mat[i][j].terms.items():
+                slot = mono[-1] * l + i
+                coords[slot] = coords[slot] + Poly.monomial(ring, mono[:-1], c)
+        if any(not x.is_zero() for x in coords):
+            cols.append(VectorR(coords))
+    return cols
+
+
+def reference_scan(ml, e, cfg):
+    """ltm_scan from a fresh h_expand(A, e+1) and pruned public roots."""
+    A = assemble_A(ml)
+    grid = cfg.q ** (e + 1)
+    rank = ml.l * (A.tdeg // (cfg.q - 1) + 1)
+    ring = ml.base_ring
+    cum = Submodule.zero(rank, ring)
+    if A.is_zero():
+        return [cum] * grid
+    fam = h_expand(A, e + 1, cfg)
+    out = []
+    for n in range(grid):
+        if n in fam.table:
+            cols = oracle_columns(fam.table[n], ml.l, rank, ring)
+            if cols:
+                root = frobenius_root(Submodule(rank, cols, ring), e + 1, cfg)
+                cum = module_sum(cum, root)
+        out.append(cum)
+    return out
+
+
+CONFIGS = [CharConfig(2), CharConfig(3), CharConfig(2, 2)]
+
+
+@st.composite
+def matrix_lists(draw):
+    cfg = draw(st.sampled_from(CONFIGS))
+    l = draw(st.integers(1, 2))
+    ring = Ring(cfg.p, 1)
+    nonzero = st.dictionaries(
+        st.tuples(st.integers(0, 2)), st.integers(1, cfg.p - 1), min_size=1, max_size=2
+    ).map(lambda terms: Poly(ring, terms))
+    cells = st.one_of(nonzero, st.just(Poly.zero(ring)))
+    mats = st.tuples(*[st.tuples(*[cells] * l)] * l)
+    keys = st.tuples(st.integers(0, 1), st.integers(0, cfg.q - 1))
+    entries = draw(st.dictionaries(keys, mats, min_size=1, max_size=2))
+    return MatrixList(l, cfg, ring, entries)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(matrix_lists(), st.integers(0, 2))
+def test_ltm_scan_matches_reference(ml, e):
+    got = ltm_scan(ml, e, ml.cfg)
+    want = reference_scan(ml, e, ml.cfg)
+    assert len(got) == len(want)
+    for m, (a, b) in enumerate(zip(got, want), start=1):
+        assert a == b, f"module {m}/{ml.cfg.q ** (e + 1)}"
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(matrix_lists())
+def test_shared_chain_matches_s_set(ml):
+    cfg = ml.cfg
+    report = estimate_jumping_numbers(ml, cfg, 2)
+    for e in range(3):
+        assert report.s_sets[e] == s_set(ml, e, cfg)

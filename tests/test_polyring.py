@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsing.errors import PolyParseError
 from fsing.polyring import (
@@ -144,3 +146,92 @@ def test_power_cache_consistent():
     cache = PowerCache(f)
     for n in [0, 1, 5, 9]:
         assert cache.power(n) == f**n
+
+
+# -- the trusted internal constructor ---------------------------------------------
+# Arithmetic builds its results with Poly._trusted, which skips the arity and
+# sign checks.  Each result must equal what the checked public constructor
+# makes of the same raw term map.
+
+
+@st.composite
+def poly_pairs(draw, extra=None):
+    p = draw(st.sampled_from([2, 3, 5]))
+    ring = Ring(p, 2, extra)
+    monos = st.tuples(*[st.integers(0, 3)] * ring.width)
+    # coefficients outside 1..p-1, zeros included, exercise the reduction
+    polys = st.dictionaries(monos, st.integers(-2 * p, 2 * p), max_size=4).map(
+        lambda terms: Poly(ring, terms)
+    )
+    return draw(polys), draw(polys)
+
+
+def assert_canonical(f, raw):
+    assert f.terms == Poly(f.ring, raw).terms
+    assert all(0 < c < f.ring.p for c in f.terms.values())
+    assert hash(f) == hash(Poly(f.ring, raw))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(poly_pairs(), st.integers(-7, 7))
+def test_trusted_arithmetic(pair, c):
+    f, g = pair
+    raw_sum = dict(f.terms)
+    for m, cc in g.terms.items():
+        raw_sum[m] = raw_sum.get(m, 0) + cc
+    assert_canonical(f + g, raw_sum)
+    assert_canonical(-f, {m: -cc for m, cc in f.terms.items()})
+    raw_prod = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            raw_prod[m] = raw_prod.get(m, 0) + c1 * c2
+    assert_canonical(f * g, raw_prod)
+    assert_canonical(f.scale(c), {m: cc * c for m, cc in f.terms.items()})
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(poly_pairs(extra="t"), st.integers(0, 3))
+def test_trusted_split_and_lift(pair, k):
+    f, _ = pair
+    base = f.ring.base()
+    parts = f.split_extra()
+    for j, c in parts.items():
+        assert_canonical(c, {m[:-1]: cc for m, cc in f.terms.items() if m[-1] == j})
+    assert sorted(parts) == sorted({m[-1] for m in f.terms})
+    for c in parts.values():
+        assert_canonical(
+            c.lift_to(f.ring, k), {m + (k,): cc for m, cc in c.terms.items()}
+        )
+        assert c.ring == base
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(poly_pairs(), st.integers(1, 2))
+def test_trusted_frobenius(pair, e):
+    f, _ = pair
+    cfg = CharConfig(f.ring.p)
+    s = cfg.q**e
+    assert_canonical(
+        frobenius_power(f, e, cfg),
+        {tuple(v * s for v in m): c for m, c in f.terms.items()},
+    )
+    parts = frobenius_decompose(f, e, cfg)
+    for u, a in parts.items():
+        raw = {
+            tuple(v // s for v in m): c
+            for m, c in f.terms.items()
+            if tuple(v % s for v in m) == u
+        }
+        assert_canonical(a, raw)
+    assert sorted(parts) == sorted({tuple(v % s for v in m) for m in f.terms})
+
+
+def test_public_constructor_keeps_checks():
+    ring = Ring(3, 2)
+    with pytest.raises(ValueError, match="arity"):
+        Poly(ring, {(1,): 1})
+    with pytest.raises(ValueError, match="negative"):
+        Poly(ring, {(1, -1): 1})
+    with pytest.raises(ValueError, match="negative"):
+        Poly.monomial(Ring(3, 0), ()).lift_to(Ring(3, 0, "t"), -1)
