@@ -18,10 +18,17 @@ created.  The loop applies the chain (lcm) criterion only.  The coprime
 product criterion is an ideal-theoretic shortcut whose usual proof does not
 carry to module tails, and at this problem scale it buys nothing.
 
-`prune_generators` needs one forward pass.  A generator that is not in the
-span of the others stays outside it when later generators are removed, since
-that span only shrinks; so a pass that restarts after every removal would
-keep exactly the same generators.
+A module can hand over its span as the module generated by its own reduced
+basis (`Submodule._basis_module`), with that basis already in place: later
+equality, membership and sums cost no further Buchberger run.  The test-ideal
+roots are carried this way, one Buchberger run per root level.
+
+`prune_generators` (n Buchberger runs for n generators) now serves only the
+public `frobenius_root`, whose irredundant, degree-bounded generator list is
+part of its contract.  It needs one forward pass.  A generator that is not in
+the span of the others stays outside it when later generators are removed,
+since that span only shrinks; so a pass that restarts after every removal
+would keep exactly the same generators.
 """
 
 from __future__ import annotations
@@ -256,10 +263,15 @@ def _buchberger(gens: List[FlatVec], p: int, pair_limit: int) -> List[FlatVec]:
     return G
 
 
-def _reduce_basis(G: List[FlatVec], p: int) -> List[FlatVec]:
-    """Interreduce to the unique reduced Groebner basis."""
+def _reduce_basis(G: List[FlatVec], p: int) -> List[Tuple[ModTerm, FlatVec]]:
+    """Interreduce the monic basis G to the unique reduced Groebner basis.
+
+    Returns (lead, element) pairs, largest lead first.  The survivors' leads
+    divide no other survivor's lead, so reducing a survivor against the
+    others keeps its monic lead term: each lead is computed once, here.
+    """
     # drop elements whose lead is divisible by another element's lead
-    keep: List[FlatVec] = []
+    keep: List[Tuple[ModTerm, FlatVec]] = []
     leads = [_lead(g) for g in G]
     for i, g in enumerate(G):
         pos_i, mono_i = leads[i]
@@ -273,15 +285,13 @@ def _reduce_basis(G: List[FlatVec], p: int) -> List[FlatVec]:
                     redundant = True
                     break
         if not redundant:
-            keep.append(g)
-    # fully reduce each survivor against the others
-    reduced: List[FlatVec] = []
-    for i, g in enumerate(keep):
-        others = [(_lead(h), h) for j, h in enumerate(keep) if j != i]
-        nf = _normal_form(g, others, p)
-        if nf:
-            reduced.append(_make_monic(nf, p))
-    reduced.sort(key=lambda g: _term_key(_lead(g)), reverse=True)
+            keep.append((leads[i], g))
+    # fully reduce each survivor against the other (unreduced) survivors
+    reduced = [
+        (lead, _normal_form(g, keep[:i] + keep[i + 1 :], p))
+        for i, (lead, g) in enumerate(keep)
+    ]
+    reduced.sort(key=lambda pair: _term_key(pair[0]), reverse=True)
     return reduced
 
 
@@ -299,6 +309,8 @@ class Submodule:
             raise ValueError("rank must be positive")
         if pair_limit is None:
             pair_limit = _default_pair_limit
+        elif pair_limit < 1:
+            raise ValueError("pair limit must be positive")
         gens = []
         seen = set()
         for v in generators:
@@ -336,10 +348,27 @@ class Submodule:
         if self._basis is None:
             flats = [_flatten(v) for v in self.generators]
             G = _buchberger(flats, self.ring.p, self.pair_limit)
-            G = _reduce_basis(G, self.ring.p)
-            self._flat_basis = [(_lead(g), g) for g in G]
-            self._basis = tuple(_unflatten(g, self.rank, self.ring) for g in G)
+            self._flat_basis = _reduce_basis(G, self.ring.p)
+            self._basis = tuple(
+                _unflatten(g, self.rank, self.ring) for _, g in self._flat_basis
+            )
         return self._basis
+
+    def _basis_module(self) -> "Submodule":
+        """The same span, generated by its own reduced basis.
+
+        The basis is computed at most once and handed over, so equality and
+        membership on the result run no further Buchberger.  A reduced basis
+        holds no zero or repeated vector, so the dedupe of `__init__` is
+        skipped.
+        """
+        basis = self.reduced_basis()
+        out = Submodule.__new__(Submodule)
+        out.rank, out.ring, out.pair_limit = self.rank, self.ring, self.pair_limit
+        out.generators = basis
+        out._basis = basis
+        out._flat_basis = self._flat_basis
+        return out
 
     def normal_form(self, v: VectorR) -> VectorR:
         if v.rank != self.rank:

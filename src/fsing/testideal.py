@@ -13,6 +13,12 @@ degrees stay near deg(f) q rather than deg(f) a.  K_i depends on K and the
 low i digits of a only, which lets a scan over many a share its inner roots.
 The simple-list products r_{i_0} r_{i_1}^q ... r_{i_e}^{q^e} are rooted the
 same way, with the factor r_{i_k} in place of f^{a_k}.
+
+Each level K_i is kept as the module generated by its own reduced Groebner
+basis: one Buchberger run per level, reused by every later comparison, sum
+and membership test.  The generators of a test ideal are therefore a reduced
+basis, not a degree-bounded list; only the public `frobenius_root`, which
+prunes instead, promises the bound deg <= floor(maxdeg / q^e).
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import StabilizationError
-from .frobenius import DEFAULT_STABLE_CAP, frobenius_root
+# frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
+# every module that holds it.  The roots below use `_root_generators`.
+from .frobenius import DEFAULT_STABLE_CAP, _root_generators, frobenius_root  # noqa: F401
 from .modgb import Submodule, VectorR, contains_all, module_sum
 from .polyring import CharConfig, Poly, PowerCache
 from .rationals import GridRational, frac_ceil, snap_interval
@@ -66,9 +74,11 @@ def _digit_root(
     n_0 .. n_{e-1} are the low base-q digits of n and N = n // q^e.  With
     factor(i) = f^i this is (f^n K)^[1/q^e].  The root is taken as e single
     levels K <- (factor(n_i) K)^[1/q], lowest digit first, and multiplied by
-    factor(N) at the end.  A caller rooting many n over the same
-    K passes one `prefixes` dict: the level-i value, i < e, is stored there
-    under (n mod q^i, i) and reused.
+    factor(N) at the end.  Each level is the module generated by the root's
+    reduced basis (`Submodule._basis_module`), not a pruned generator list,
+    so its generators carry no degree bound; the span is the same.  A caller
+    rooting many n over the same K passes one `prefixes` dict: the level-i
+    value, i < e, is stored there under (n mod q^i, i) and reused.
     """
     q = cfg.q
     low, scale = 0, 1
@@ -80,7 +90,7 @@ def _digit_root(
         if shared and (low, level) in prefixes:
             K = prefixes[(low, level)]
             continue
-        K = frobenius_root(_scaled(K, factor(digit)), 1, cfg)
+        K = _root_generators(_scaled(K, factor(digit)), 1, cfg)._basis_module()
         if shared:
             prefixes[(low, level)] = K
     return _scaled(K, factor(n)) if n else K

@@ -11,6 +11,8 @@ from fsing.modgb import (
     VectorR,
     _buchberger,
     _flatten,
+    _lead,
+    _reduce_basis,
     contains,
     equals,
     module_sum,
@@ -126,6 +128,14 @@ def test_pair_limit_exceeded():
     )
     with pytest.raises(ResourceLimitExceeded):
         N.reduced_basis()
+
+
+@pytest.mark.parametrize("limit", [0, -3])
+def test_nonpositive_pair_limit_rejected(limit):
+    # a cap below 1 is a caller error, not a resource limit hit later on
+    ring = Ring(2, 2)
+    with pytest.raises(ValueError, match="pair limit must be positive"):
+        Submodule(1, (vec(ring, "x0"),), ring, pair_limit=limit)
 
 
 def random_poly(rng, ring, max_deg):
@@ -244,3 +254,30 @@ def test_pair_limit_boundary():
     with pytest.raises(ResourceLimitExceeded):
         Submodule(1, vectors, ring, pair_limit=27).reduced_basis()
     assert Submodule(1, vectors, ring, pair_limit=28).reduced_basis()
+
+
+REDUCED_BASES = [
+    # rank 1 over F_3
+    [{(0, (0, 2)): 1}, {(0, (1, 0)): 1}],
+    # rank 2 over F_2
+    [
+        {(0, (0, 3)): 1, (1, (2, 0)): 1, (1, (0, 1)): 1},
+        {(0, (2, 0)): 1, (1, (0, 1)): 1},
+        {(0, (1, 1)): 1, (0, (0, 2)): 1, (1, (1, 0)): 1},
+        {(1, (0, 4)): 1, (1, (0, 2)): 1, (1, (0, 1)): 1},
+        {(1, (3, 0)): 1, (1, (0, 2)): 1},
+        {(1, (1, 1)): 1, (1, (0, 2)): 1, (1, (0, 1)): 1},
+    ],
+]
+
+
+@pytest.mark.parametrize(
+    "case, expected", zip(BUCHBERGER_CASES, REDUCED_BASES), ids=["rank1-F3", "rank2-F2"]
+)
+def test_reduce_basis_pinned(case, expected):
+    # the reduced basis is unique, but its order (largest lead first) and
+    # the leads handed back with it are part of the contract
+    ring, _, unreduced = case
+    reduced = _reduce_basis([dict(g) for g in unreduced], ring.p)
+    assert [g for _, g in reduced] == expected
+    assert [lead for lead, _ in reduced] == [_lead(g) for g in expected]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fsing import modgb
 from fsing.frobenius import frobenius_root
 from fsing.modgb import Submodule, VectorR, contains_all, module_sum
 from fsing.polyring import CharConfig, Poly, PowerCache, Ring, frobenius_power, poly_parse
@@ -494,3 +495,68 @@ def test_trinomial_at_five_sevenths():
     got = tau_f_stable(f, Fraction(5, 7), cfg)
     assert time.perf_counter() - start < 5
     assert got == tau_f(f, Fraction(5, 7), 8, cfg)
+
+
+# -- the digit chain against one pruned public root per level --------------
+
+
+def ref_digit_chain(n, e, K, factor, cfg):
+    """(factor(n_0) factor(n_1)^q ... K)^[1/q^e] times factor(N): one public,
+    pruned `frobenius_root` per base-q digit, nothing shared."""
+    for _ in range(e):
+        n, digit = divmod(n, cfg.q)
+        scaled = Submodule(1, tuple(v.poly_mul(factor(digit)) for v in K.generators), K.ring)
+        K = frobenius_root(scaled, 1, cfg)
+    if n:
+        K = Submodule(1, tuple(v.poly_mul(factor(n)) for v in K.generators), K.ring)
+    return K
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    nonconstant_polys(),
+    st.integers(0, 3),
+    st.lists(st.integers(0, 10**4), min_size=1, max_size=6),
+    st.one_of(st.none(), st.tuples(st.integers(0, 8), st.integers(0, 8))),
+    st.booleans(),
+)
+def test_digit_root_matches_pruned_chain(data, e, draws, seed_mono, shared):
+    cfg, f = data
+    ring = f.ring
+    if seed_mono is None:
+        seed = Submodule.full(1, ring)
+    else:
+        seed = Submodule(1, (VectorR((Poly.monomial(ring, seed_mono),)),), ring)
+    powers = PowerCache(f)
+    prefixes = {} if shared else None
+    for n in (d % (cfg.q ** (e + 1)) for d in draws):
+        got = _digit_root(n, e, seed, powers.power, cfg, prefixes)
+        assert got == ref_digit_chain(n, e, seed, powers.power, cfg)
+        if e and n < cfg.q**e:
+            # each level is carried as its reduced basis, the last one too
+            assert got.generators == got.reduced_basis()
+    for level in (prefixes or {}).values():
+        assert level.generators == level.reduced_basis()
+
+
+@pytest.mark.parametrize(
+    "solve, runs",
+    [
+        (lambda: f_jumping_exponents(poly_parse("x0^2+x1^3", Ring(7, 2)), CharConfig(7), 2), 58),
+        (lambda: tau_f_stable(poly_parse("x0^2+x1^3", Ring(5, 2)), Fraction(5, 7), CharConfig(5)), 14),
+    ],
+    ids=["fjump-cusp-p7-e2", "tau-cusp-5/7-p5"],
+)
+def test_buchberger_runs_per_problem(monkeypatch, solve, runs):
+    # one Buchberger run per root level; pruning each root's n generators
+    # would cost n + 1 (249 and 39 runs on these two problems)
+    calls = []
+    buchberger = modgb._buchberger
+
+    def counted(*args):
+        calls.append(None)
+        return buchberger(*args)
+
+    monkeypatch.setattr(modgb, "_buchberger", counted)
+    solve()
+    assert len(calls) == runs
