@@ -60,20 +60,21 @@ def _frac_arg(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _add_common_flags(sub):
+    sub.add_argument("--json", action="store_true", help="emit a JSON report")
+    sub.add_argument("--limit-pairs", type=int, default=None,
+                     help="cap on the Groebner S-pair queue")
+
+
 def _add_char_flags(sub):
     sub.add_argument("-p", type=int, required=True, help="prime characteristic")
     sub.add_argument("--gamma", type=int, default=1, help="q = p^gamma (default 1)")
-    sub.add_argument("--json", action="store_true", help="emit a JSON report")
-    sub.add_argument(
-        "--limit-pairs", type=int, default=None,
-        help="cap on the Groebner S-pair queue",
-    )
+    _add_common_flags(sub)
 
 
 def _add_input_flag(sub):
     sub.add_argument("--input", required=True, help="problem JSON file")
-    sub.add_argument("--json", action="store_true", help="emit a JSON report")
-    sub.add_argument("--limit-pairs", type=int, default=None)
+    _add_common_flags(sub)
 
 
 def _infer_num_vars(texts: List[str], given: Optional[int]) -> int:

@@ -5,7 +5,10 @@ over R[t].  Iterated twisted products A^{e-1} = A^[q^{e-1}] ... A^[q] A split
 along t-exponents v = q^e k + n into matrices H^e_n(tau) over R[tau]; the
 list test modules and their jump sets S_e are read off from Frobenius roots
 of the column spans of the H^{e+1}_n, and the jump sets at successive e feed
-a periodic-digit fit that recovers exact rational jumping numbers.
+a periodic-digit fit that recovers exact rational jumping numbers.  The
+running sum and the jump test are `testideal._cumulative_scan` and
+`_jump_report`, shared with simple lists, which keep their own digit-wise
+roots: the 1x1 case of this scan is 2.5-6.5x slower on them (see `testideal`).
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from .errors import InternalConsistencyError, ProblemFormatError
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
 # every fsing module that holds it, and its tests expect listmod among them.
 from .frobenius import _root_generators, frobenius_root  # noqa: F401
-from .modgb import Submodule, VectorR, contains_all, module_sum
+from .modgb import Submodule, VectorR
 from .polyring import CharConfig, Monomial, Poly, Ring, frobenius_power, poly_parse
-from .rationals import GridRational, detect_chain_limit, frac_ceil
-from .testideal import SeReport
+from .rationals import GridRational, detect_chain_limit
+from .testideal import SeReport, _cumulative_scan, _grid_index, _jump_report
 
 Matrix = Tuple[Tuple[Poly, ...], ...]
 
@@ -214,7 +217,7 @@ def _split_family(A: TMatrix, e: int, cfg: CharConfig, prod: Matrix) -> HFamily:
     q_e = cfg.q**e
     l = A.l
     d = A.tdeg
-    bound = d // (cfg.q - 1) if cfg.q > 1 else 0
+    bound = d // (cfg.q - 1)
     tau_ring = A.ring.base().with_extra("tau")
 
     table: Dict[int, List[List[Poly]]] = {}
@@ -306,36 +309,26 @@ def ltm_scan(mlist: MatrixList, e: int, cfg: CharConfig) -> List[Submodule]:
     if e < 0:
         raise ValueError("e must be non-negative")
     A = assemble_A(mlist)
-    fam = None if A.is_zero() else h_expand(A, e + 1, cfg)
-    return _scan_family(A, e, cfg, fam)
+    return _scan_family(A, h_expand(A, e + 1, cfg))
 
 
-def _scan_family(
-    A: TMatrix, e: int, cfg: CharConfig, fam: Optional[HFamily]
-) -> List[Submodule]:
-    """The `ltm_scan` at level e from H^{e+1}; fam is None when A is zero."""
-    grid = cfg.q ** (e + 1)
-    N = A.tdeg // (cfg.q - 1) if cfg.q > 1 else 0
-    rank = A.l * (N + 1)
+def _scan_family(A: TMatrix, fam: HFamily) -> List[Submodule]:
+    """The `ltm_scan` at level fam.e - 1 from fam = H^{fam.e}.
+
+    The pieces only feed membership tests and sums, so they are unpruned roots.
+    """
+    rank = A.l * (fam.tau_bound + 1)
     ring = A.ring.base()
-    if fam is None:
-        return [Submodule.zero(rank, ring)] * grid
-    out: List[Submodule] = []
-    cum = Submodule.zero(rank, ring)
-    for m in range(1, grid + 1):
-        mat = fam.matrix(m - 1)
-        if mat is not None:
-            cols = _column_vectors(mat, A.l, rank, ring)
-            if cols:
-                # the piece only feeds membership and a sum, so its
-                # generators need no pruning
-                piece = _root_generators(
-                    Submodule(rank, tuple(cols), ring), e + 1, cfg
-                )
-                if not contains_all(cum, piece.generators):
-                    cum = module_sum(cum, piece)
-        out.append(cum)
-    return out
+
+    def piece(n: int) -> Optional[Submodule]:
+        mat = fam.matrix(n)
+        if mat is None:
+            return None
+        cols = _column_vectors(mat, A.l, rank, ring)
+        return _root_generators(Submodule(rank, tuple(cols), ring), fam.e, fam.cfg)
+
+    pieces = map(piece, range(fam.cfg.q**fam.e))
+    return _cumulative_scan(pieces, Submodule.zero(rank, ring))
 
 
 def list_test_module(
@@ -345,33 +338,13 @@ def list_test_module(
 
     As with `ltm_scan`, the generator list of the result is not irredundant.
     """
-    m = frac_ceil(lam.value * cfg.q ** (e + 1))
-    if not (0 < m <= cfg.q ** (e + 1)):
-        raise ValueError("lambda must lie in (0, 1]")
+    m = _grid_index(lam, e, cfg)
     return ltm_scan(mlist, e, cfg)[m - 1]
 
 
-def s_set(
-    mlist: MatrixList, e: int, cfg: CharConfig, keep_chain: bool = False
-) -> SeReport:
+def s_set(mlist: MatrixList, e: int, cfg: CharConfig) -> SeReport:
     """Grid points in (0,1) where the list test module strictly grows next."""
-    return _jump_report(ltm_scan(mlist, e, cfg), e, cfg, keep_chain)
-
-
-def _jump_report(
-    scan: List[Submodule], e: int, cfg: CharConfig, keep_chain: bool = False
-) -> SeReport:
-    grid = cfg.q ** (e + 1)
-    jumps = []
-    for m in range(1, grid):
-        if scan[m] != scan[m - 1]:
-            jumps.append(GridRational(m, e, cfg))
-    chain = None
-    if keep_chain:
-        chain = tuple(
-            (Fraction(m, grid), scan[m - 1]) for m in range(1, grid + 1)
-        )
-    return SeReport(e, tuple(jumps), chain)
+    return _jump_report(ltm_scan(mlist, e, cfg), e, cfg)
 
 
 @dataclass(frozen=True)
@@ -452,16 +425,9 @@ def estimate_jumping_numbers(
     if e_max < 2:
         raise ValueError("e_max must be at least 2")
     A = assemble_A(mlist)
-    if A.is_zero():
-        families = [None] * (e_max + 1)
-    else:
-        families = (
-            _split_family(A, e + 1, cfg, prod)
-            for e, prod in enumerate(_twisted_chain(A, e_max, cfg))
-        )
     s_sets = {
-        e: _jump_report(_scan_family(A, e, cfg, fam), e, cfg)
-        for e, fam in enumerate(families)
+        e: _jump_report(_scan_family(A, _split_family(A, e + 1, cfg, prod)), e, cfg)
+        for e, prod in enumerate(_twisted_chain(A, e_max, cfg))
     }
     window = max(1, e_max // 2)
     chains = []
@@ -541,10 +507,7 @@ def load_problem(obj: dict):
     base = Ring(p, num_vars)
     if has_matrix:
         t_ring = base.with_extra("t")
-        try:
-            mat = _parse_matrix(obj["matrix"], rank, t_ring, "matrix")
-        except ProblemFormatError:
-            raise
+        mat = _parse_matrix(obj["matrix"], rank, t_ring, "matrix")
         return TMatrix(mat, cfg), cfg
     entries = {}
     if not isinstance(obj["list"], list):

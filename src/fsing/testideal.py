@@ -12,7 +12,11 @@ a = a_0 + a_1 q + ... + a_{e-1} q^{e-1} + N q^e in base q, they give
 degrees stay near deg(f) q rather than deg(f) a.  K_i depends on K and the
 low i digits of a only, which lets a scan over many a share its inner roots.
 The simple-list products r_{i_0} r_{i_1}^q ... r_{i_e}^{q^e} are rooted the
-same way, with the factor r_{i_k} in place of f^{a_k}.
+same way, with the factor r_{i_k} in place of f^{a_k}.  Their running sum
+and jump sets S_e come from `_cumulative_scan` and `_jump_report`, shared
+with the matrix-list scan in `listmod`.  Simple lists keep these digit-wise
+roots because that scan is 2.5-6.5x slower on the 1x1 list (0.20 s -> 1.32 s
+for x0^2+x1^3 at p=5, e=3; 0.041 s -> 0.233 s for x0^2*x1+x1^3+x0^4, p=3, e=3).
 
 Each level K_i is kept as the module generated by its own reduced Groebner
 basis: one Buchberger run per level, reused by every later comparison, sum
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import StabilizationError
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
@@ -42,7 +46,6 @@ class SeReport:
 
     e: int
     jumps: Tuple[GridRational, ...]
-    chain: Optional[Tuple[Tuple[Fraction, Submodule], ...]] = None
 
     def values(self) -> Tuple[Fraction, ...]:
         return tuple(j.value for j in self.jumps)
@@ -254,6 +257,34 @@ def simple_list_I(
     return _digit_root(m - 1, e + 1, Submodule.full(1, r[0].ring), r.__getitem__, cfg)
 
 
+def _cumulative_scan(
+    pieces: Iterable[Optional[Submodule]], zero: Submodule
+) -> List[Submodule]:
+    """Running sums zero + pieces[0] + ... + pieces[i], one per piece.
+
+    A None piece counts as zero; a piece the sum contains leaves it unchanged.
+    """
+    out: List[Submodule] = []
+    cum = zero
+    for piece in pieces:
+        if piece is not None and not contains_all(cum, piece.generators):
+            cum = module_sum(cum, piece)
+        out.append(cum)
+    return out
+
+
+def _jump_report(scan: Sequence[Submodule], e: int, cfg: CharConfig) -> SeReport:
+    """Grid points m/q^{e+1} in (0,1) where the cumulative scan strictly grows next.
+
+    scan[m-1] is the value at m/q^{e+1}; by monotonicity in lambda, m/q^{e+1}
+    is in S_e exactly when scan[m] != scan[m-1] (the adjacent-point test).
+    """
+    jumps = tuple(
+        GridRational(m, e, cfg) for m in range(1, len(scan)) if scan[m] != scan[m - 1]
+    )
+    return SeReport(e, jumps)
+
+
 def simple_tau_scan(
     r: Sequence[Poly], e: int, cfg: CharConfig
 ) -> List[Submodule]:
@@ -262,42 +293,21 @@ def simple_tau_scan(
     ring = r[0].ring
     full = Submodule.full(1, ring)
     prefixes: Prefixes = {}
-    out: List[Submodule] = []
-    cum = Submodule.zero(1, ring)
-    for m in range(1, cfg.q ** (e + 1) + 1):
-        piece = _digit_root(m - 1, e + 1, full, r.__getitem__, cfg, prefixes)
-        if not contains_all(cum, piece.generators):
-            cum = module_sum(cum, piece)
-        out.append(cum)
-    return out
+    pieces = (
+        _digit_root(n, e + 1, full, r.__getitem__, cfg, prefixes)
+        for n in range(cfg.q ** (e + 1))
+    )
+    return _cumulative_scan(pieces, Submodule.zero(1, ring))
 
 
 def simple_list_tau(
     r: Sequence[Poly], lam: GridRational, e: int, cfg: CharConfig
 ) -> Submodule:
     """Sum of simple_list_I over all grid points up to lam."""
-    _check_list(r, cfg)
     m = _grid_index(lam, e, cfg)
     return simple_tau_scan(r, e, cfg)[m - 1]
 
 
-def s_set_simple(
-    r: Sequence[Poly], e: int, cfg: CharConfig, keep_chain: bool = False
-) -> SeReport:
-    """Grid points in (0,1) where the cumulative ideal strictly grows next.
-
-    By monotonicity in lambda this is exactly the adjacent-point test:
-    lambda = m/q^{e+1} is in S_e iff tau at m+1 differs from tau at m.
-    """
-    scan = simple_tau_scan(r, e, cfg)
-    jumps = []
-    for m in range(1, cfg.q ** (e + 1)):
-        if scan[m] != scan[m - 1]:
-            jumps.append(GridRational(m, e, cfg))
-    chain = None
-    if keep_chain:
-        chain = tuple(
-            (Fraction(m, cfg.q ** (e + 1)), scan[m - 1])
-            for m in range(1, cfg.q ** (e + 1) + 1)
-        )
-    return SeReport(e, tuple(jumps), chain)
+def s_set_simple(r: Sequence[Poly], e: int, cfg: CharConfig) -> SeReport:
+    """Grid points in (0,1) where the cumulative ideal strictly grows next."""
+    return _jump_report(simple_tau_scan(r, e, cfg), e, cfg)

@@ -196,3 +196,14 @@ def test_hexpand_list_and_matrix_forms_agree(tmp_path, tame_problem):
         from_list = run_cli(command[0], "--input", str(path), *command[1:], "--json")
         from_matrix = run_cli(command[0], "--input", tame_problem, *command[1:], "--json")
         assert from_list.stdout == from_matrix.stdout
+
+
+@pytest.mark.parametrize("command", [
+    "froot", "tau", "fjump", "hexpand", "sset", "jumps", "bfun", "graphgen",
+])
+def test_help_describes_limit_pairs(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--limit-pairs LIMIT_PAIRS cap on the Groebner S-pair queue" in out

@@ -26,7 +26,7 @@ from fsing.listmod import (
 from fsing.modgb import Submodule, VectorR, module_sum
 from fsing.polyring import CharConfig, Poly, Ring, frobenius_power, poly_parse
 from fsing.rationals import GridRational
-from fsing.testideal import simple_tau_scan
+from fsing.testideal import s_set_simple, simple_tau_scan
 
 
 def tmat(cfg, nvars, rows):
@@ -245,12 +245,20 @@ class TestListTestModule:
         assert scan[2] == Submodule.full(1, ring)
 
     def test_zero_list(self):
+        # a zero list takes the general path: its H-families are empty
         cfg = CharConfig(2)
         ring = Ring(2, 0)
-        ml = MatrixList(1, cfg, ring, {})
-        for e in range(2):
-            assert all(m.is_zero() for m in ltm_scan(ml, e, cfg))
-        assert s_set(ml, 1, cfg).jumps == ()
+        for l in (1, 2):
+            ml = MatrixList(l, cfg, ring, {})
+            for e in range(2):
+                scan = ltm_scan(ml, e, cfg)
+                assert len(scan) == cfg.q ** (e + 1)
+                assert all(m.is_zero() and m.rank == l for m in scan)
+            assert s_set(ml, 1, cfg).jumps == ()
+            report = estimate_jumping_numbers(ml, cfg, 2)
+            assert sorted(report.s_sets) == [0, 1, 2]
+            assert all(rep.jumps == () for rep in report.s_sets.values())
+            assert report.chains == () and report.estimates == ()
 
     def test_grid_point_lookup(self):
         cfg = CharConfig(3)
@@ -286,6 +294,7 @@ class TestListTestModule:
                         ring,
                     )
                     assert got == embedded
+                assert s_set(ml, e, cfg).values() == s_set_simple(r, e, cfg).values()
 
     def test_chain_in_e(self):
         cfg = CharConfig(2)

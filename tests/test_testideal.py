@@ -251,13 +251,6 @@ class TestSSetSimple:
                 prev = {h.m for h in reports[e - 1].jumps}
                 assert frac_m in prev
 
-    def test_chain_kept_on_request(self, f3):
-        cfg, ring = f3
-        r = power_list(poly_parse("x0^2", ring), cfg)
-        rep = s_set_simple(r, 0, cfg, keep_chain=True)
-        assert rep.chain is not None and len(rep.chain) == 3
-        assert rep.chain[0][0] == Fraction(1, 3)
-
 
 # -- oracles: f^a built with Poly.__pow__, then one deep Frobenius root -------
 
