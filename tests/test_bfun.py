@@ -161,3 +161,26 @@ def test_cusp_graph_e_max_5_regression():
         e: (Fraction(1, 3),) for e in range(6)
     }
     assert elapsed < 10, f"b_function took {elapsed:.1f}s, budget 10s"
+
+
+@pytest.mark.parametrize("p,e_max", [(3, 6), (5, 4)])
+def test_cusp_graph_deep_regression(p, e_max):
+    # Recorded once from the scan over deep roots of the twisted product,
+    # which took about 7 s (p=3) and 18 s (p=5) on a 2-vCPU x86-64 VM;
+    # the digit-wise walk takes about 0.01 s, so the 2 s budget catches a
+    # return to roots per grid point.
+    cfg = CharConfig(p)
+    A = graph_generator(poly_parse("x0^2 + x1^3", Ring(p, 2)), cfg)
+    start = time.perf_counter()
+    res = b_function(A, cfg, e_max)
+    elapsed = time.perf_counter() - start
+    assert res.roots == (Fraction(p - 1, p),)
+    assert res.unresolved == ()
+    assert res.shift_N == 0
+    assert {e: r.values() for e, r in res.s_sets.items()} == {
+        e: (Fraction(1, p),) for e in range(e_max + 1)
+    }
+    assert {e: [g.m for g in r.jumps] for e, r in res.s_sets.items()} == {
+        e: [p**e] for e in range(e_max + 1)
+    }
+    assert elapsed < 2, f"b_function took {elapsed:.1f}s, budget 2s"

@@ -174,15 +174,19 @@ def test_pair_limit_applies_to_one_call(capsys):
     ["bfun", "--e-max", "3"],
 ])
 def test_internal_error_exit_code(monkeypatch, capsys, tame_problem, command):
-    def broken(*args):
-        raise InternalConsistencyError("reassembly of H^2 does not reproduce A^1")
+    # hexpand checks its H-family; sset and bfun check each state of the walk
+    if command[0] == "hexpand":
+        check, message = "_validate_family", "reassembly of H^2 does not reproduce A^1"
+    else:
+        check, message = "_expand_state", "a Frobenius-root state exceeds the tau-degree bound 0"
 
-    monkeypatch.setattr(listmod, "_validate_family", broken)
+    def broken(*args):
+        raise InternalConsistencyError(message)
+
+    monkeypatch.setattr(listmod, check, broken)
     code = run(command[:1] + ["--input", tame_problem] + command[1:])
     assert code == 3
-    assert capsys.readouterr().err == (
-        "fsing: internal error: reassembly of H^2 does not reproduce A^1\n"
-    )
+    assert capsys.readouterr().err == f"fsing: internal error: {message}\n"
 
 
 def test_hexpand_list_and_matrix_forms_agree(tmp_path, tame_problem):

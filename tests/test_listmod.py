@@ -3,15 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fsing import listmod
 from fsing.bfun import graph_generator
 from fsing.errors import InternalConsistencyError, ProblemFormatError
-from fsing.frobenius import frobenius_root
+from fsing.frobenius import _root_generators, frobenius_root
 from fsing.listmod import (
     MatrixList,
     TMatrix,
+    _expand_state,
     _twisted_power,
     _validate_family,
     assemble_A,
@@ -26,7 +28,13 @@ from fsing.listmod import (
 from fsing.modgb import Submodule, VectorR, module_sum
 from fsing.polyring import CharConfig, Poly, Ring, frobenius_power, poly_parse
 from fsing.rationals import GridRational
-from fsing.testideal import s_set_simple, simple_tau_scan
+from fsing.testideal import (
+    _cumulative_scan,
+    _jump_report,
+    s_set_simple,
+    simple_list_tau,
+    simple_tau_scan,
+)
 
 
 def tmat(cfg, nvars, rows):
@@ -295,6 +303,23 @@ class TestListTestModule:
                     )
                     assert got == embedded
                 assert s_set(ml, e, cfg).values() == s_set_simple(r, e, cfg).values()
+
+    def test_partial_sums_match_full_scan(self):
+        # list_test_module and simple_list_tau root only the pieces up to m
+        cfg = CharConfig(3)
+        ring = Ring(3, 2)
+        f = poly_parse("x0^2 + x1^3", ring)
+        r = [f ** (cfg.q - 1 - n) for n in range(cfg.q)]
+        ml = decompose_A(graph_generator(f, cfg), cfg)
+        wild = decompose_A(wild_matrix(), CharConfig(2))
+        for e in range(3):
+            for mlist in (ml, wild):
+                scan = ltm_scan(mlist, e, mlist.cfg)
+                for m, want in enumerate(scan, start=1):
+                    lam = GridRational(m, e, mlist.cfg)
+                    assert list_test_module(mlist, lam, e, mlist.cfg) == want
+            for m, want in enumerate(simple_tau_scan(r, e, cfg), start=1):
+                assert simple_list_tau(r, GridRational(m, e, cfg), e, cfg) == want
 
     def test_chain_in_e(self):
         cfg = CharConfig(2)
@@ -597,3 +622,128 @@ def test_shared_chain_matches_s_set(ml):
     report = estimate_jumping_numbers(ml, cfg, 2)
     for e in range(3):
         assert report.s_sets[e] == s_set(ml, e, cfg)
+
+
+# -- the digit-wise walk ---------------------------------------------------------
+
+
+def legacy_column_vectors(mat, l, ambient_rank, ring):
+    """Columns of a matrix over R[tau] in R^{l(N+1)}, coordinate taupower * l + slot."""
+    zero = Poly.zero(ring)
+    out = []
+    for j in range(l):
+        coords = [zero] * ambient_rank
+        for i in range(l):
+            for k, coeff in mat[i][j].split_extra().items():
+                coords[k * l + i] = coords[k * l + i] + coeff
+        v = VectorR(coords)
+        if not v.is_zero():
+            out.append(v)
+    return out
+
+
+def legacy_scan(ml, e, cfg):
+    """The scan the walk replaced: deep roots of the column spans of H^{e+1}_n."""
+    A = assemble_A(ml)
+    fam = h_expand(A, e + 1, cfg)
+    rank = A.l * (fam.tau_bound + 1)
+    ring = A.ring.base()
+
+    def piece(n):
+        mat = fam.matrix(n)
+        if mat is None:
+            return None
+        cols = legacy_column_vectors(mat, A.l, rank, ring)
+        return _root_generators(Submodule(rank, tuple(cols), ring), fam.e, fam.cfg)
+
+    pieces = map(piece, range(cfg.q**fam.e))
+    return _cumulative_scan(pieces, Submodule.zero(rank, ring))
+
+
+@st.composite
+def small_matrix_lists(draw):
+    cfg = draw(st.sampled_from(CONFIGS))
+    l = draw(st.integers(1, 2))
+    nvars = draw(st.integers(0, 2))
+    ring = Ring(cfg.p, nvars)
+    monos = st.tuples(*[st.integers(0, 2)] * nvars)
+    nonzero = st.dictionaries(
+        monos, st.integers(1, cfg.p - 1), min_size=1, max_size=2
+    ).map(lambda terms: Poly(ring, terms))
+    cells = st.one_of(nonzero, st.just(Poly.zero(ring)))
+    mats = st.tuples(*[st.tuples(*[cells] * l)] * l)
+    keys = st.tuples(st.integers(0, 1), st.integers(0, cfg.q - 1))
+    entries = draw(st.dictionaries(keys, mats, min_size=1, max_size=2))
+    return MatrixList(l, cfg, ring, entries)
+
+
+def graph_list(text, cfg):
+    return decompose_A(graph_generator(poly_parse(text, Ring(cfg.p, 2)), cfg), cfg)
+
+
+def rank_two_q4_list():
+    cfg = CharConfig(2, 2)
+    ring = Ring(2, 2)
+    mat = lambda rows: tuple(tuple(poly_parse(c, ring) for c in row) for row in rows)
+    return MatrixList(2, cfg, ring, {
+        (0, 1): mat([["x0", "x1^2"], ["0", "x0*x1"]]),
+        (1, 3): mat([["1", "0"], ["x1", "x0^2"]]),
+    })
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(small_matrix_lists(), st.integers(0, 3))
+@example(graph_list("x0^2 + x1^3", CharConfig(2, 2)), 3)
+@example(graph_list("x0^2*x1 + x1^2", CharConfig(3)), 3)
+@example(rank_two_q4_list(), 3)
+def test_walk_matches_legacy_scan(ml, e):
+    cfg = ml.cfg
+    want = legacy_scan(ml, e, cfg)
+    got = ltm_scan(ml, e, cfg)
+    assert len(got) == len(want)
+    for m, (a, b) in enumerate(zip(got, want), start=1):
+        assert a == b, f"module {m}/{cfg.q ** (e + 1)}"
+    report = _jump_report(want, e, cfg)
+    assert s_set(ml, e, cfg) == report
+    assert estimate_jumping_numbers(ml, cfg, max(e, 2)).s_sets[e] == report
+
+
+def count_expansions(monkeypatch):
+    calls = []
+
+    def counting(K, A, cfg):
+        calls.append(K)
+        return _expand_state(K, A, cfg)
+
+    monkeypatch.setattr(listmod, "_expand_state", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_cusp_graph_state_expansions(monkeypatch, p):
+    # the cusp graph has two distinct nonzero states; each is expanded once
+    # for all five levels, against 363 (p=3) and 3905 (p=5) deep roots before
+    cfg = CharConfig(p)
+    A = graph_generator(poly_parse("x0^2 + x1^3", Ring(p, 2)), cfg)
+    calls = count_expansions(monkeypatch)
+    report = estimate_jumping_numbers(decompose_A(A, cfg), cfg, 4)
+    assert report.estimates == (Fraction(1, p),)
+    assert len(calls) == 2
+    assert len({K.reduced_basis() for K in calls}) == 2
+
+
+def test_state_past_tau_bound_raises():
+    # A = t^3 at q = 2 has tau bound 3; a state in R^1 claims the bound 0,
+    # and t^3 * 1 lands on t^1 after one root, past it
+    cfg = CharConfig(2)
+    ring = Ring(2, 0)
+    A = tmat(cfg, 0, [["t^3"]])
+    with pytest.raises(InternalConsistencyError, match="exceeds the tau-degree bound 0"):
+        _expand_state(Submodule.full(1, ring), A, cfg)
+    # in R^4 (bound 3) the children of <1> are 0 and <t>
+    one = Poly.const(ring, 1)
+    zero = Poly.zero(ring)
+    K = Submodule(4, (VectorR((one, zero, zero, zero)),), ring)
+    even, odd = _expand_state(K, A, cfg)
+    assert even.is_zero()
+    assert odd == Submodule(4, (VectorR((zero, one, zero, zero)),), ring)
