@@ -6,11 +6,13 @@ Exit codes: 0 success, 1 user error (bad flags, parse or validation failure),
 check, which signals a bug).  All exact rationals cross the boundary as
 {"num": ..., "den": ...} pairs; floating point is rejected on input.
 JSON output is byte-identical across runs for identical inputs.
+run(argv) may be called repeatedly in one process: it builds its parser once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -263,6 +265,7 @@ def _cmd_graphgen(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fsing", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)

@@ -32,7 +32,7 @@ from .polyring import CharConfig, Monomial, Poly, Ring, frobenius_power, poly_pa
 from .rationals import GridRational, detect_chain_limit
 from .testideal import SeReport, _cumulative_scan, _grid_index, _jump_report
 
-Matrix = Tuple[Tuple[Poly, ...], ...]
+Matrix = tuple[tuple[Poly, ...], ...]
 
 
 def _mat_check(mat: Sequence[Sequence[Poly]], l: int, ring: Ring) -> Matrix:

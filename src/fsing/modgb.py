@@ -55,8 +55,8 @@ def set_default_pair_limit(limit: int) -> int:
     return previous
 
 
-ModTerm = Tuple[int, Monomial]
-FlatVec = Dict[ModTerm, int]
+ModTerm = tuple[int, Monomial]
+FlatVec = dict[ModTerm, int]
 
 
 def _term_key(t: ModTerm):

@@ -21,7 +21,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import PolyParseError
 
-Monomial = Tuple[int, ...]
+Monomial = tuple[int, ...]
 
 
 def _is_prime(n: int) -> bool:

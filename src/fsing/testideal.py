@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import StabilizationError
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
@@ -62,7 +62,7 @@ def _scaled(K: Submodule, g: Poly) -> Submodule:
     return Submodule(K.rank, tuple(v.poly_mul(g) for v in K.generators), K.ring)
 
 
-Prefixes = Dict[Tuple[int, int], Submodule]
+Prefixes = dict[tuple[int, int], Submodule]
 
 
 def _digit_root(
@@ -280,9 +280,13 @@ def _jump_report(scan: Sequence[Submodule], e: int, cfg: CharConfig) -> SeReport
 
     scan[m-1] is the value at m/q^{e+1}; by monotonicity in lambda, m/q^{e+1}
     is in S_e exactly when scan[m] != scan[m-1] (the adjacent-point test).
+    `_cumulative_scan` repeats the same object where the sum did not grow, so
+    identity is tested first.
     """
     jumps = tuple(
-        GridRational(m, e, cfg) for m in range(1, len(scan)) if scan[m] != scan[m - 1]
+        GridRational(m, e, cfg)
+        for m in range(1, len(scan))
+        if scan[m] is not scan[m - 1] and scan[m] != scan[m - 1]
     )
     return SeReport(e, jumps)
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,7 +7,7 @@ import sys
 import pytest
 
 from fsing import listmod
-from fsing.cli import run
+from fsing.cli import _build_parser, run
 from fsing.errors import InternalConsistencyError
 from fsing.modgb import DEFAULT_PAIR_LIMIT, Submodule
 from fsing.polyring import Ring
@@ -211,3 +213,104 @@ def test_help_describes_limit_pairs(capsys, command):
     assert exc.value.code == 0
     out = " ".join(capsys.readouterr().out.split())
     assert "--limit-pairs LIMIT_PAIRS cap on the Groebner S-pair queue" in out
+
+
+def all_commands(problem):
+    return [
+        ["froot", "--gens", "x0^3", "--e", "1", "-p", "2", "--json"],
+        ["tau", "--f", "x0^3", "--alpha", "1/3", "-p", "2", "--json"],
+        ["fjump", "--f", "x0^3", "-p", "2", "--e-max", "3", "--json"],
+        ["hexpand", "--input", problem, "--e", "2", "--json"],
+        ["sset", "--input", problem, "--e", "1", "--json"],
+        ["jumps", "--input", problem, "--e-max", "3", "--json"],
+        ["bfun", "--input", problem, "--e-max", "3", "--json"],
+        ["graphgen", "--f", "x0^2", "-p", "3"],
+    ]
+
+
+def test_parser_is_built_once(capsys, tame_problem):
+    _build_parser.cache_clear()
+    commands = all_commands(tame_problem)
+    for i in range(20):
+        assert run(commands[i % len(commands)]) == 0
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 19)
+
+
+def exit_code(argv):
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+TAU = ["tau", "--f", "x0^2+x1^3", "--alpha", "5/6", "-p", "3", "--json"]
+FROOT = ["froot", "--gens", "x0^4;x0^2*x1^2 + x1^4", "--e", "1", "-p", "2"]
+
+
+@pytest.mark.parametrize("failing, code, following", [
+    (TAU + ["--bogus"], 1, TAU),
+    (["tau", "--f", "x0 - 1", "--alpha", "1/2", "-p", "3"], 1, TAU),
+    (FROOT + ["--limit-pairs", "1"], 2, FROOT),
+])
+def test_call_after_a_failure_matches_a_fresh_process(capsys, failing, code, following):
+    assert exit_code(failing) == code
+    capsys.readouterr()
+    assert run(following) == 0
+    assert capsys.readouterr().out == run_cli(*following).stdout
+
+
+def test_parser_writes_to_the_current_streams(capsys):
+    # the first calls build the parser under other streams; later calls
+    # must still write to the streams current at call time
+    _build_parser.cache_clear()
+    first_out, first_err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(first_out), contextlib.redirect_stderr(first_err):
+        assert exit_code(["tau", "--help"]) == 0
+        assert exit_code(["tau"]) == 1
+    help_text, usage_error = first_out.getvalue(), first_err.getvalue()
+    assert "--alpha" in help_text
+    assert "error: the following arguments are required" in usage_error
+    assert exit_code(["tau", "--help"]) == 0
+    assert capsys.readouterr() == (help_text, "")
+    assert exit_code(["tau"]) == 1
+    assert capsys.readouterr() == ("", usage_error)
+    assert (first_out.getvalue(), first_err.getvalue()) == (help_text, usage_error)
+    assert _build_parser.cache_info().misses == 1
+
+
+def test_defaults_do_not_carry_over(capsys):
+    # at p = 2 the cusp's level-2 ideal at 1/3 is (x0, x1); the stable one is 1
+    tau = ["tau", "--f", "x0^2+x1^3", "--alpha", "1/3", "-p", "2", "--json"]
+    assert run(tau + ["--e", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"generators": ["x0", "x1"]}
+    assert run(tau) == 0
+    assert json.loads(capsys.readouterr().out) == {"generators": ["1"]}
+
+
+REIMPORT_PROBE = """
+import gc, importlib, json, sys, weakref
+cli = importlib.import_module("fsing.cli")
+assert cli.run(["tau", "--f", "x0^3", "--alpha", "1/3", "-p", "2"]) == 0
+first = {
+    "modgb.Submodule": weakref.ref(sys.modules["fsing.modgb"].Submodule),
+    "polyring.Poly": weakref.ref(sys.modules["fsing.polyring"].Poly),
+    "cli": weakref.ref(cli),
+}
+del cli
+for name in [n for n in sys.modules if n == "fsing" or n.startswith("fsing.")]:
+    del sys.modules[name]
+importlib.import_module("fsing.cli")
+gc.collect()
+print(json.dumps(sorted(name for name, ref in first.items() if ref() is not None)))
+"""
+
+
+def test_reimport_frees_the_first_copy():
+    # in a child process: purging fsing from sys.modules here would break
+    # the isinstance checks of every later test
+    proc = subprocess.run(
+        [sys.executable, "-c", REIMPORT_PROBE], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

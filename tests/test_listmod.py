@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsing import listmod
-from fsing.bfun import graph_generator
+from fsing.bfun import b_function, graph_generator
 from fsing.errors import InternalConsistencyError, ProblemFormatError
 from fsing.frobenius import _root_generators, frobenius_root
 from fsing.listmod import (
@@ -747,3 +747,30 @@ def test_state_past_tau_bound_raises():
     even, odd = _expand_state(K, A, cfg)
     assert even.is_zero()
     assert odd == Submodule(4, (VectorR((zero, one, zero, zero)),), ring)
+
+
+def test_jump_report_compares_only_distinct_neighbours(monkeypatch):
+    # _cumulative_scan repeats one object wherever the sum did not grow; the
+    # adjacent-point test skips those pairs and compares only the others
+    cfg = CharConfig(3)
+    A = graph_generator(poly_parse("x0^2 + x1^3", Ring(3, 2)), cfg)
+    scans, compared = [], []
+    plain_eq, plain_report = Submodule.__eq__, listmod._jump_report
+
+    def counting_eq(self, other):
+        compared.append(other)
+        return plain_eq(self, other)
+
+    def recording_report(scan, e, cfg):
+        scans.append(scan)
+        with monkeypatch.context() as m:
+            m.setattr(Submodule, "__eq__", counting_eq)
+            return plain_report(scan, e, cfg)
+
+    monkeypatch.setattr(listmod, "_jump_report", recording_report)
+    b_function(A, cfg, 4)
+    pairs = [(s[m - 1], s[m]) for s in scans for m in range(1, len(s))]
+    distinct = sum(a is not b for a, b in pairs)
+    # five levels of q^{e+1} - 1 pairs each; one distinct pair per jump
+    assert (len(scans), len(pairs), distinct) == (5, 358, 5)
+    assert len(compared) == distinct
