@@ -6,12 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsing import modgb
+from fsing import modgb, testideal
 from fsing.frobenius import frobenius_root
 from fsing.modgb import Submodule, VectorR, contains_all, module_sum
 from fsing.polyring import CharConfig, Poly, PowerCache, Ring, frobenius_power, poly_parse
 from fsing.rationals import GridRational, frac_ceil, snap_interval
 from fsing.testideal import (
+    Prefixes,
     _digit_root,
     f_jumping_exponents,
     s_set_simple,
@@ -535,14 +536,15 @@ def test_digit_root_matches_pruned_chain(data, e, draws, seed_mono, shared):
 @pytest.mark.parametrize(
     "solve, runs",
     [
-        (lambda: f_jumping_exponents(poly_parse("x0^2+x1^3", Ring(7, 2)), CharConfig(7), 2), 58),
+        (lambda: f_jumping_exponents(poly_parse("x0^2+x1^3", Ring(7, 2)), CharConfig(7), 2), 18),
         (lambda: tau_f_stable(poly_parse("x0^2+x1^3", Ring(5, 2)), Fraction(5, 7), CharConfig(5)), 14),
     ],
     ids=["fjump-cusp-p7-e2", "tau-cusp-5/7-p5"],
 )
 def test_buchberger_runs_per_problem(monkeypatch, solve, runs):
     # one Buchberger run per root level; pruning each root's n generators
-    # would cost n + 1 (249 and 39 runs on these two problems)
+    # would cost n + 1 (249 and 39 runs on these two problems).  The fjump
+    # bisection roots 16 levels where a scan of all 49 grid points took 56.
     calls = []
     buchberger = modgb._buchberger
 
@@ -553,3 +555,95 @@ def test_buchberger_runs_per_problem(monkeypatch, solve, runs):
     monkeypatch.setattr(modgb, "_buchberger", counted)
     solve()
     assert len(calls) == runs
+
+
+def test_bisection_roots_few_grid_points(monkeypatch):
+    # the cusp at p=13, e_max=3 has 2197 grid points; a scan of all of them
+    # takes 2379 one-level roots, the bisection 54
+    calls = []
+    root_generators = testideal._root_generators
+
+    def counted(*args):
+        calls.append(None)
+        return root_generators(*args)
+
+    monkeypatch.setattr(testideal, "_root_generators", counted)
+    f = poly_parse("x0^2+x1^3", Ring(13, 2))
+    assert f_jumping_exponents(f, CharConfig(13), 3) == [Fraction(5, 6), Fraction(1)]
+    assert len(calls) == 54
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_cusp_f_jumping_exponents_closed_form(p):
+    f = poly_parse("x0^2+x1^3", Ring(p, 2))
+    assert f_jumping_exponents(f, CharConfig(p), 3) == [cusp_fpt(p), Fraction(1)]
+
+
+# -- the bisection against the linear scan it replaced ----------------------
+
+
+def linear_f_jumping_exponents(f, cfg, e_max):
+    """Every grid point k/q^e_max rooted in turn, each compared with the last."""
+    if f.is_zero() or f.is_constant():
+        raise ValueError("f must be nonzero and not a unit")
+    if e_max < 1:
+        raise ValueError("e_max must be positive")
+    q = cfg.q
+    grid = q**e_max
+    window = max(1, -(-e_max // 2))
+    powers = PowerCache(f)
+    full = Submodule.full(1, f.ring)
+    prefixes: Prefixes = {}
+
+    out = []
+    prev = full
+    for k in range(1, grid + 1):
+        cur = _digit_root(k, e_max, full, powers.power, cfg, prefixes)
+        if cur != prev:
+            lo = Fraction(k - 1, grid)
+            hi = Fraction(k, grid)
+            snapped = snap_interval(lo, hi, q, window, window)
+            out.append(snapped if snapped is not None else hi)
+        prev = cur
+    return out
+
+
+@st.composite
+def jump_cases(draw, max_grid=343):
+    """p in {2, 3, 5, 7}, e with p^e <= max_grid, f of degree <= 4 in two
+    variables, not a constant."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    e = draw(st.integers(1, max(e for e in range(1, 9) if p**e <= max_grid)))
+    ring = Ring(p, 2)
+    monos = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda m: sum(m) <= 4)
+    terms = draw(
+        st.dictionaries(monos, st.integers(1, p - 1), min_size=1, max_size=4).filter(
+            lambda t: any(sum(m) for m in t)
+        )
+    )
+    return CharConfig(p), Poly(ring, terms), e
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(jump_cases())
+@example((CharConfig(7), poly_parse("x0^2+x1^3", Ring(7, 2)), 3))
+@example((CharConfig(2), poly_parse("x0^4+x0*x1^2+x1^3", Ring(2, 2)), 8))
+@example((CharConfig(3), poly_parse("x0^2*x1+x1^2+1", Ring(3, 2)), 5))
+def test_f_jumping_exponents_match_linear_scan(data):
+    cfg, f, e_max = data
+    assert f_jumping_exponents(f, cfg, e_max) == linear_f_jumping_exponents(f, cfg, e_max)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(jump_cases(max_grid=125), st.data())
+def test_grid_roots_never_grow(data, draw):
+    # the premise of the bisection: (f^k)^[1/q^e] contains (f^k')^[1/q^e]
+    # for k < k'
+    cfg, f, e = data
+    grid = cfg.q**e
+    k = draw.draw(st.integers(0, grid - 1))
+    k2 = draw.draw(st.integers(k + 1, grid))
+    full = Submodule.full(1, f.ring)
+    power = PowerCache(f).power
+    low, high = (_digit_root(n, e, full, power, cfg) for n in (k, k2))
+    assert contains_all(low, high.generators)
