@@ -140,7 +140,7 @@ def _unflatten(flat: FlatVec, rank: int, ring: Ring) -> VectorR:
     per_pos: List[Dict[Monomial, int]] = [{} for _ in range(rank)]
     for (pos, mono), c in flat.items():
         per_pos[pos][mono] = c
-    return VectorR(tuple(Poly(ring, terms) for terms in per_pos))
+    return VectorR(tuple(Poly._trusted(ring, terms) for terms in per_pos))
 
 
 def _lead(flat: FlatVec) -> ModTerm:

@@ -9,16 +9,18 @@ rules (Blickle-Mustata-Smith, Michigan Math. J. 57, 2008) make that exact:
 (I^[1/q])^[1/q^{e-1}] = I^[1/q^e], and (g^q h)^[1/q] = g h^[1/q].  Writing
 a = a_0 + a_1 q + ... + a_{e-1} q^{e-1} + N q^e in base q, they give
 (f^a K)^[1/q^e] = f^N K_e with K_0 = K and K_{i+1} = (f^{a_i} K_i)^[1/q], so
-degrees stay near deg(f) q rather than deg(f) a.  K_i depends on K and the
-low i digits of a only, which lets a scan over many a share its inner roots.
-The simple-list products r_{i_0} r_{i_1}^q ... r_{i_e}^{q^e} are rooted the
+degrees stay near deg(f) q rather than deg(f) a.  The step
+K_i -> K_{i+1} depends only on the span of K_i and the digit a_i, so a call
+that roots many a keeps each step under (reduced basis of K_i, a_i) and
+takes it once, however many digit prefixes reach the same ideal; the steps
+form a small graph on the distinct ideals, as in `listmod._RootWalk`.  The
+simple-list products r_{i_0} r_{i_1}^q ... r_{i_e}^{q^e} are rooted the
 same way, with the factor r_{i_k} in place of f^{a_k}.  Their running sum
 and jump sets S_e come from `_cumulative_scan` and `_jump_report`, shared
-with the matrix-list scan in `listmod`.  That scan's state walk, which keeps
-each level by its span rather than by its digits, is now faster on the 1x1
-list than these roots (0.003 s against 0.12 s for r_n = f^{4-n},
-f = x0^2+x1^3, at p=5, e=3; 0.0013 s against 0.022 s for r_n = f^{2-n},
-f = x0^2*x1+x1^3+x0^4, at p=3, e=3, on a 2-vCPU x86-64 VM).
+with the matrix-list scan in `listmod`.  On a 1x1 list that walk is still
+the faster path, but no longer by much: S_e of r_n = f^{4-n},
+f = x0^2+x1^3, at p=5, e=3 takes 0.008 s here and 0.003 s by the walk
+(2-vCPU x86-64 VM).
 
 F-jumping exponents are found by bisecting the grid k/q^e, not by rooting
 all of its points.  k -> (f^k)^[1/q^e] never grows (f^{k+1} lies in (f^k),
@@ -29,10 +31,11 @@ cumulative list scans gain nothing from this, since a running sum at a
 point costs every piece below it.
 
 Each level K_i is kept as the module generated by its own reduced Groebner
-basis: one Buchberger run per level, reused by every later comparison, sum
-and membership test.  The generators of a test ideal are therefore a reduced
-basis, not a degree-bounded list; only the public `frobenius_root`, which
-prunes instead, promises the bound deg <= floor(maxdeg / q^e).
+basis: one Buchberger run per distinct step, reused by every later
+comparison, sum, membership test and memo lookup.  The generators of a test
+ideal are therefore a reduced basis, not a degree-bounded list; only the
+public `frobenius_root`, which prunes instead, promises the bound
+deg <= floor(maxdeg / q^e).
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ def _scaled(K: Submodule, g: Poly) -> Submodule:
     return Submodule(K.rank, tuple(v.poly_mul(g) for v in K.generators), K.ring)
 
 
-Prefixes = dict[tuple[int, int], Submodule]
+# (reduced basis of K, digit d) -> (factor(d) K)^[1/q], for one `factor`
+Children = dict[tuple[tuple[VectorR, ...], int], Submodule]
 
 
 def _digit_root(
@@ -79,7 +83,7 @@ def _digit_root(
     K: Submodule,
     factor: Callable[[int], Poly],
     cfg: CharConfig,
-    prefixes: Optional[Prefixes] = None,
+    children: Optional[Children] = None,
 ) -> Submodule:
     """(g K)^[1/q^e] for g = factor(n_0) factor(n_1)^q ... factor(n_{e-1})^{q^{e-1}},
     times factor(N)^{q^e} when N > 0.
@@ -89,23 +93,23 @@ def _digit_root(
     levels K <- (factor(n_i) K)^[1/q], lowest digit first, and multiplied by
     factor(N) at the end.  Each level is the module generated by the root's
     reduced basis (`Submodule._basis_module`), not a pruned generator list,
-    so its generators carry no degree bound; the span is the same.  A caller
-    rooting many n over the same K passes one `prefixes` dict: the level-i
-    value, i < e, is stored there under (n mod q^i, i) and reused.
+    so its generators carry no degree bound; the span is the same.
+
+    A level depends only on the span of K, the digit and `factor`, so it is
+    kept in `children` under (K.reduced_basis(), digit) and rooted once per
+    distinct pair, whatever digits led to K and on every level, the last
+    included.  A caller rooting many n with one `factor` passes one dict for
+    the whole call; the seeds K may differ.
     """
-    q = cfg.q
-    low, scale = 0, 1
-    for level in range(1, e + 1):
-        n, digit = divmod(n, q)
-        low += digit * scale
-        scale *= q
-        shared = level < e and prefixes is not None
-        if shared and (low, level) in prefixes:
-            K = prefixes[(low, level)]
-            continue
-        K = _root_generators(_scaled(K, factor(digit)), 1, cfg)._basis_module()
-        if shared:
-            prefixes[(low, level)] = K
+    children = {} if children is None else children
+    for _ in range(e):
+        n, digit = divmod(n, cfg.q)
+        key = (K.reduced_basis(), digit)
+        child = children.get(key)
+        if child is None:
+            child = _root_generators(_scaled(K, factor(digit)), 1, cfg)._basis_module()
+            children[key] = child
+        K = child
     return _scaled(K, factor(n)) if n else K
 
 
@@ -153,7 +157,13 @@ def _pe_decompose(alpha: Fraction, cfg: CharConfig) -> Tuple[int, int, int]:
 
 
 def _ascend(
-    a: int, d: int, seed: Submodule, cfg: CharConfig, powers: PowerCache, cap: int,
+    a: int,
+    d: int,
+    seed: Submodule,
+    cfg: CharConfig,
+    powers: PowerCache,
+    cap: int,
+    children: Children,
 ) -> Submodule:
     """Smallest K containing seed with (f^a K)^[1/q^d] inside K.
 
@@ -162,7 +172,7 @@ def _ascend(
     """
     cur = seed
     for _ in range(cap):
-        step = _digit_root(a, d, cur, powers.power, cfg)
+        step = _digit_root(a, d, cur, powers.power, cfg, children)
         if contains_all(cur, step.generators):
             return cur
         cur = module_sum(cur, step)
@@ -202,8 +212,9 @@ def tau_f_stable(
         return _digit_root(a, c, full, powers.power, cfg)
     m, a = divmod(a, cfg.q**d - 1)
     seed = _ideal(powers.power(frac_ceil(Fraction(a, cfg.q**d - 1))))
-    fixed = _ascend(a, d, seed, cfg, powers, e_cap)
-    return _digit_root(m, c, fixed, powers.power, cfg)
+    children: Children = {}
+    fixed = _ascend(a, d, seed, cfg, powers, e_cap, children)
+    return _digit_root(m, c, fixed, powers.power, cfg, children)
 
 
 def f_jumping_exponents(f: Poly, cfg: CharConfig, e_max: int) -> List[Fraction]:
@@ -233,12 +244,12 @@ def f_jumping_exponents(f: Poly, cfg: CharConfig, e_max: int) -> List[Fraction]:
     window = max(1, -(-e_max // 2))
     powers = PowerCache(f)
     full = Submodule.full(1, f.ring)
-    prefixes: Prefixes = {}
+    children: Children = {}
     roots = {0: full}
 
     def root(k: int) -> Submodule:
         if k not in roots:
-            roots[k] = _digit_root(k, e_max, full, powers.power, cfg, prefixes)
+            roots[k] = _digit_root(k, e_max, full, powers.power, cfg, children)
         return roots[k]
 
     out: List[Fraction] = []
@@ -291,12 +302,18 @@ def _cumulative_scan(
     """Running sums zero + pieces[0] + ... + pieces[i], one per piece.
 
     A None piece counts as zero; a piece the sum contains leaves it unchanged.
+    A piece object seen before adds nothing and is not tested again: the
+    memoized roots hand back one object per state.  Seen pieces are kept
+    alive, since a freed piece's id may be reused by a new one.
     """
     out: List[Submodule] = []
     cum = zero
+    seen: dict[int, Submodule] = {}
     for piece in pieces:
-        if piece is not None and not contains_all(cum, piece.generators):
-            cum = module_sum(cum, piece)
+        if piece is not None and id(piece) not in seen:
+            seen[id(piece)] = piece
+            if not contains_all(cum, piece.generators):
+                cum = module_sum(cum, piece)
         out.append(cum)
     return out
 
@@ -327,9 +344,9 @@ def simple_tau_scan(
     _check_list(r, cfg)
     ring = r[0].ring
     full = Submodule.full(1, ring)
-    prefixes: Prefixes = {}
+    children: Children = {}
     pieces = (
-        _digit_root(n, e + 1, full, r.__getitem__, cfg, prefixes)
+        _digit_root(n, e + 1, full, r.__getitem__, cfg, children)
         for n in range(cfg.q ** (e + 1) if count is None else count)
     )
     return _cumulative_scan(pieces, Submodule.zero(1, ring))

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,7 @@ from fsing.modgb import Submodule, VectorR, contains_all, module_sum
 from fsing.polyring import CharConfig, Poly, PowerCache, Ring, frobenius_power, poly_parse
 from fsing.rationals import GridRational, frac_ceil, snap_interval
 from fsing.testideal import (
-    Prefixes,
+    Children,
     _digit_root,
     f_jumping_exponents,
     s_set_simple,
@@ -506,45 +507,119 @@ def ref_digit_chain(n, e, K, factor, cfg):
     return K
 
 
+def monomial_ideal(ring, mono):
+    if mono is None:
+        return Submodule.full(1, ring)
+    return Submodule(1, (VectorR((Poly.monomial(ring, mono),)),), ring)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     nonconstant_polys(),
     st.integers(0, 3),
     st.lists(st.integers(0, 10**4), min_size=1, max_size=6),
     st.one_of(st.none(), st.tuples(st.integers(0, 8), st.integers(0, 8))),
+    st.one_of(st.none(), st.tuples(st.integers(0, 8), st.integers(0, 8))),
     st.booleans(),
 )
-def test_digit_root_matches_pruned_chain(data, e, draws, seed_mono, shared):
+def test_digit_root_matches_pruned_chain(data, e, draws, seed_mono, other_mono, shared):
+    # a shared dict serves two seeds at once: its keys are spans, so a state
+    # reached from either seed is rooted once and right for both
     cfg, f = data
     ring = f.ring
-    if seed_mono is None:
-        seed = Submodule.full(1, ring)
-    else:
-        seed = Submodule(1, (VectorR((Poly.monomial(ring, seed_mono),)),), ring)
+    seeds = [monomial_ideal(ring, seed_mono), monomial_ideal(ring, other_mono)]
     powers = PowerCache(f)
-    prefixes = {} if shared else None
+    children = {} if shared else None
     for n in (d % (cfg.q ** (e + 1)) for d in draws):
-        got = _digit_root(n, e, seed, powers.power, cfg, prefixes)
-        assert got == ref_digit_chain(n, e, seed, powers.power, cfg)
-        if e and n < cfg.q**e:
-            # each level is carried as its reduced basis, the last one too
-            assert got.generators == got.reduced_basis()
-    for level in (prefixes or {}).values():
+        for seed in seeds:
+            got = _digit_root(n, e, seed, powers.power, cfg, children)
+            assert got == ref_digit_chain(n, e, seed, powers.power, cfg)
+            if e and n < cfg.q**e:
+                # each level is carried as its reduced basis, the last one too
+                assert got.generators == got.reduced_basis()
+    for level in (children or {}).values():
         assert level.generators == level.reduced_basis()
+
+
+def counting_roots(monkeypatch):
+    calls = []
+    root_generators = testideal._root_generators
+
+    def counted(*args):
+        calls.append(None)
+        return root_generators(*args)
+
+    monkeypatch.setattr(testideal, "_root_generators", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "p, text, e, seeds",
+    [
+        (2, "x0^2+x1^3", 4, [None, (1, 0)]),
+        (3, "x0^2*x1+x1^2", 3, [None, (0, 2)]),
+        (5, "x0^2+x1^3", 2, [None]),
+    ],
+)
+def test_one_root_per_distinct_state_and_digit(monkeypatch, p, text, e, seeds):
+    # the pruned reference chain visits the same spans; every distinct
+    # (reduced basis, digit) pair it meets costs exactly one root
+    cfg = CharConfig(p)
+    f = poly_parse(text, Ring(p, 2))
+    power = PowerCache(f).power
+    keys = set()
+    for mono in seeds:
+        seed = monomial_ideal(f.ring, mono)
+        for n in range(cfg.q**e):
+            K = seed
+            for _ in range(e):
+                n, digit = divmod(n, cfg.q)
+                keys.add((K.reduced_basis(), digit))
+                K = ref_digit_chain(digit, 1, K, power, cfg)
+    calls = counting_roots(monkeypatch)
+    children = {}
+    for mono in seeds:
+        seed = monomial_ideal(f.ring, mono)
+        for n in range(cfg.q**e):
+            _digit_root(n, e, seed, power, cfg, children)
+    assert len(calls) == len(keys) == len(children)
+    assert len(keys) < len(seeds) * sum(cfg.q**i for i in range(1, e + 1))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(exponent_cases())
+@example(case(5, "x0^2+x1^3", Fraction(5, 7)))
+@example(case(2, "x0^2+x1^3", Fraction(1, 3)))
+@example(case(2, "x0^3", Fraction(2, 7)))
+@example(case(3, "x0^2+x1^3", Fraction(5, 8)))
+def test_tau_f_stable_shared_children_match_fresh(data):
+    # every _ascend step and the final root share one dict; giving each call
+    # its own must not change the ideal.  Each ascent step roots the same
+    # digits over a larger seed, so a dict keyed by the digits read so far
+    # would hand back the first step's levels: the examples above catch that.
+    cfg, f, alpha = data
+    shared = tau_f_stable(f, alpha, cfg)
+
+    def unshared(n, e, K, factor, cfg, children=None):
+        return _digit_root(n, e, K, factor, cfg)
+
+    with mock.patch.object(testideal, "_digit_root", unshared):
+        fresh = tau_f_stable(f, alpha, cfg)
+    assert shared == fresh
 
 
 @pytest.mark.parametrize(
     "solve, runs",
     [
-        (lambda: f_jumping_exponents(poly_parse("x0^2+x1^3", Ring(7, 2)), CharConfig(7), 2), 18),
-        (lambda: tau_f_stable(poly_parse("x0^2+x1^3", Ring(5, 2)), Fraction(5, 7), CharConfig(5)), 14),
+        (lambda: f_jumping_exponents(poly_parse("x0^2+x1^3", Ring(7, 2)), CharConfig(7), 2), 10),
+        (lambda: tau_f_stable(poly_parse("x0^2+x1^3", Ring(5, 2)), Fraction(5, 7), CharConfig(5)), 9),
     ],
     ids=["fjump-cusp-p7-e2", "tau-cusp-5/7-p5"],
 )
 def test_buchberger_runs_per_problem(monkeypatch, solve, runs):
-    # one Buchberger run per root level; pruning each root's n generators
-    # would cost n + 1 (249 and 39 runs on these two problems).  The fjump
-    # bisection roots 16 levels where a scan of all 49 grid points took 56.
+    # one Buchberger run per distinct (state, digit) root; pruning each
+    # root's n generators would cost n + 1 (249 and 39 runs on these two
+    # problems)
     calls = []
     buchberger = modgb._buchberger
 
@@ -559,18 +634,12 @@ def test_buchberger_runs_per_problem(monkeypatch, solve, runs):
 
 def test_bisection_roots_few_grid_points(monkeypatch):
     # the cusp at p=13, e_max=3 has 2197 grid points; a scan of all of them
-    # takes 2379 one-level roots, the bisection 54
-    calls = []
-    root_generators = testideal._root_generators
-
-    def counted(*args):
-        calls.append(None)
-        return root_generators(*args)
-
-    monkeypatch.setattr(testideal, "_root_generators", counted)
+    # takes 2379 one-level roots, the bisection with one root per distinct
+    # state and digit 16
+    calls = counting_roots(monkeypatch)
     f = poly_parse("x0^2+x1^3", Ring(13, 2))
     assert f_jumping_exponents(f, CharConfig(13), 3) == [Fraction(5, 6), Fraction(1)]
-    assert len(calls) == 54
+    assert len(calls) == 16
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
@@ -593,7 +662,7 @@ def linear_f_jumping_exponents(f, cfg, e_max):
     window = max(1, -(-e_max // 2))
     powers = PowerCache(f)
     full = Submodule.full(1, f.ring)
-    prefixes: Prefixes = {}
+    prefixes: Children = {}
 
     out = []
     prev = full
