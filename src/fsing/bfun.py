@@ -18,8 +18,8 @@ from .listmod import (
     ChainEstimate,
     JumpReport,
     TMatrix,
+    _estimate_jumping_numbers,
     decompose_A,
-    estimate_jumping_numbers,
     s_set,
 )
 from .polyring import CharConfig, Poly
@@ -115,12 +115,13 @@ def _shift_witness(report: JumpReport, cfg: CharConfig, e_max: int) -> Optional[
     limits = [c.limit for c in report.chains if c.limit is not None]
     if not limits:
         return 0 if all(not r.jumps for r in report.s_sets.values()) else None
+    values = {e: rep.values() for e, rep in report.s_sets.items()}
     for n_shift in range(0, e_max + 1):
         ok = True
-        for e, rep in report.s_sets.items():
+        for e, level in values.items():
             slack = Fraction(cfg.q**n_shift, cfg.q ** (e + 1))
-            for g in rep.jumps:
-                if not any(0 <= lam - g.value < slack for lam in limits):
+            for value in level:
+                if not any(0 <= lam - value < slack for lam in limits):
                     ok = False
                     break
             if not ok:
@@ -135,8 +136,7 @@ def b_function(A: TMatrix, cfg: CharConfig, e_max: int = 5) -> BFunctionResult:
     if e_max < 3:
         raise ValueError("e_max must be at least 3")
     diagnostics: List[str] = []
-    mlist = decompose_A(A, cfg)
-    report = estimate_jumping_numbers(mlist, cfg, e_max)
+    report = _estimate_jumping_numbers(A, cfg, e_max)
     if A.is_zero():
         diagnostics.append("zero matrix: b = 1 with no roots")
         return BFunctionResult((), 0, (), report.s_sets, tuple(diagnostics))

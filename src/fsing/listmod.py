@@ -11,9 +11,17 @@ digit-wise walk (`_RootWalk`) reaches each one in e+1 one-level steps along
 the base-q digits of n, through finitely many states that are each expanded
 once per call.  The running sum and the jump test are
 `testideal._cumulative_scan` and `_jump_report`, shared with simple lists.
-Those keep their own digit-wise roots, also one per distinct state and
-digit: on the 1x1 list f^{4-n}, f = x0^2+x1^3, at p=5, e=3, S_e takes
-0.003 s by the walk and 0.008 s by the simple-list roots (2-vCPU x86-64 VM).
+The walk also owns the memo of the running sums (`testideal._RunningSums`):
+a step is keyed by the identities of the sum and the piece, and each span
+of a sum is one object, found by its reduced basis.  The levels
+e = 0..e_max of `estimate_jumping_numbers` share it, so a sum that several
+levels reach costs one Buchberger run in all, and a level's scan is
+lookups over its q^{e+1} pieces: b_function of the cusp graph at p=3
+runs Buchberger 10 times at e_max 4 and 10 alike (18 and 30 with a fresh
+sum per level).  Simple lists keep their own digit-wise roots, also one per
+distinct state and digit: on the 1x1 list f^{4-n}, f = x0^2+x1^3, at p=5,
+e=3, S_e takes 0.003 s by the walk and 0.008 s by the simple-list roots
+(2-vCPU x86-64 VM).
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from .frobenius import frobenius_root  # noqa: F401
 from .modgb import Submodule, VectorR
 from .polyring import CharConfig, Monomial, Poly, Ring, frobenius_power, poly_parse
 from .rationals import GridRational, detect_chain_limit
-from .testideal import SeReport, _cumulative_scan, _grid_index, _jump_report
+from .testideal import SeReport, _cumulative_scan, _grid_index, _jump_report, _RunningSums
 
 Matrix = tuple[tuple[Poly, ...], ...]
 
@@ -316,8 +324,10 @@ def _expand_state(K: Submodule, A: TMatrix, cfg: CharConfig) -> List[Submodule]:
                 for coord, terms in per_u[u].items():
                     coords[coord] = Poly._trusted(ring, terms)
                 gens[r].append(VectorR(coords))
+    # the generators go straight to Buchberger: a zero one is skipped there,
+    # a repeated one reduces to zero, so the dedupe of `Submodule` is not needed
     return [
-        Submodule(K.rank, g, ring, pair_limit=K.pair_limit)._basis_module() for g in gens
+        Submodule._trusted(K.rank, g, ring, K.pair_limit)._basis_module() for g in gens
     ]
 
 
@@ -332,15 +342,20 @@ class _RootWalk:
     root of B^[q] K is B times the root of K, and roots compose.  A state's
     children depend on its span only, so they are kept by its reduced basis
     for the life of the walk, and every prefix is shared by all levels.
+    `sums` memoizes the steps of the running sums over its pieces in the
+    same way, for every scan of the walk's levels.
     """
 
     def __init__(self, A: TMatrix, cfg: CharConfig):
         self.A, self.cfg = A, cfg
         rank = A.l * (A.tdeg // (cfg.q - 1) + 1)
         ring = A.ring.base()
-        self.zero = Submodule.zero(rank, ring)
-        units = Submodule.full(rank, ring).generators[: A.l]
+        one, zero = Poly.const(ring, 1), Poly.zero(ring)
+        units = [
+            VectorR(tuple(one if i == j else zero for j in range(rank))) for i in range(A.l)
+        ]
         self.start = Submodule(rank, units, ring)._basis_module()
+        self.sums = _RunningSums(Submodule.zero(rank, ring))
         self._known = {self.start.reduced_basis(): self.start}
         self._children: Dict[Tuple[VectorR, ...], Tuple[Submodule, ...]] = {}
 
@@ -391,7 +406,7 @@ def ltm_scan(mlist: MatrixList, e: int, cfg: CharConfig) -> List[Submodule]:
     walk = _RootWalk(assemble_A(mlist), cfg)
     for pieces in walk.levels(e):
         pass
-    return _cumulative_scan(pieces, walk.zero)
+    return _cumulative_scan(pieces, walk.sums)
 
 
 def list_test_module(
@@ -404,7 +419,7 @@ def list_test_module(
     """
     m = _grid_index(lam, e, cfg)
     walk = _RootWalk(assemble_A(mlist), cfg)
-    return _cumulative_scan((walk.piece(n, e) for n in range(m)), walk.zero)[-1]
+    return _cumulative_scan((walk.piece(n, e) for n in range(m)), walk.sums)[-1]
 
 
 def s_set(mlist: MatrixList, e: int, cfg: CharConfig) -> SeReport:
@@ -448,19 +463,18 @@ def _build_chains(
     Returns root-to-leaf paths of (e, numerator) pairs.
     """
     parents: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
+    prev: List[Tuple[int, Fraction]] = []
     for e in range(e_max + 1):
-        cur = s_sets[e].jumps
-        prev = s_sets[e - 1].jumps if e > 0 else ()
-        for g in cur:
-            node = (e, g.m)
+        # (numerator, value) of each jump, the value computed once per level
+        cur = [(g.m, g.value) for g in s_sets[e].jumps]
+        for m, value in cur:
+            node = (e, m)
             if not prev:
                 parents[node] = None
                 continue
-            best = min(
-                prev,
-                key=lambda h: (abs(h.value - g.value), -h.value),
-            )
-            parents[node] = (e - 1, best.m)
+            best = min(prev, key=lambda h: (abs(h[1] - value), -h[1]))
+            parents[node] = (e - 1, best[0])
+        prev = cur
     children: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
     for node, par in parents.items():
         if par is not None:
@@ -485,13 +499,24 @@ def estimate_jumping_numbers(
     Each chain's numerators satisfy m_{e+b} = q^b m_e + c once periodic; the
     fit window (preperiod and period) is max(1, e_max // 2).  Chains with no
     fit, or that die out before e_max, are reported unresolved.  The levels
-    share one `_RootWalk`, so each state is expanded once for all levels.
+    e = 0..e_max share one `_RootWalk`: each state is expanded once for all
+    levels, and the running sums of all level scans share the walk's memo,
+    which keys each step by the identities of the running sum and the piece
+    and keeps one object per span of a sum, found by its reduced basis.  A
+    sum two levels reach is computed once, so the Buchberger runs do not
+    grow with e_max (10 for the cusp graph at p=3, at e_max 4 and 10 alike).
+    The memo is freed when the call returns.
     """
+    return _estimate_jumping_numbers(assemble_A(mlist), cfg, e_max)
+
+
+def _estimate_jumping_numbers(A: TMatrix, cfg: CharConfig, e_max: int) -> JumpReport:
+    """`estimate_jumping_numbers` of the list assembled into A."""
     if e_max < 2:
         raise ValueError("e_max must be at least 2")
-    walk = _RootWalk(assemble_A(mlist), cfg)
+    walk = _RootWalk(A, cfg)
     s_sets = {
-        e: _jump_report(_cumulative_scan(pieces, walk.zero), e, cfg)
+        e: _jump_report(_cumulative_scan(pieces, walk.sums), e, cfg)
         for e, pieces in enumerate(walk.levels(e_max))
     }
     window = max(1, e_max // 2)

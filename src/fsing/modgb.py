@@ -328,6 +328,24 @@ class Submodule:
         self._basis: Optional[Tuple[VectorR, ...]] = None
         self._flat_basis: List[Tuple[ModTerm, FlatVec]] = []
 
+    @classmethod
+    def _trusted(
+        cls, rank: int, generators: Sequence[VectorR], ring: Ring, pair_limit: int
+    ) -> "Submodule":
+        """Internal constructor for generators built from valid vectors of R^rank.
+
+        Skips the rank and ring checks and the dedupe of `__init__`, so zero
+        and repeated generators stay in the list.  Buchberger needs no dedupe:
+        `_buchberger` skips a zero vector, a repeat reduces to zero against
+        its first copy, and `_reduce_basis` drops a repeated lead.
+        """
+        out = cls.__new__(cls)
+        out.rank, out.ring, out.pair_limit = rank, ring, pair_limit
+        out.generators = tuple(generators)
+        out._basis = None
+        out._flat_basis = []
+        return out
+
     @staticmethod
     def zero(rank: int, ring: Ring) -> "Submodule":
         return Submodule(rank, (), ring)
@@ -363,9 +381,7 @@ class Submodule:
         skipped.
         """
         basis = self.reduced_basis()
-        out = Submodule.__new__(Submodule)
-        out.rank, out.ring, out.pair_limit = self.rank, self.ring, self.pair_limit
-        out.generators = basis
+        out = Submodule._trusted(self.rank, basis, self.ring, self.pair_limit)
         out._basis = basis
         out._flat_basis = self._flat_basis
         return out

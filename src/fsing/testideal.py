@@ -296,24 +296,60 @@ def simple_list_I(
     return _digit_root(m - 1, e + 1, Submodule.full(1, r[0].ring), r.__getitem__, cfg)
 
 
+class _RunningSums:
+    """The steps sum -> sum + piece of the cumulative scans over one family of pieces.
+
+    A step is keyed by the identities of the running sum and the piece and
+    maps to the next sum: the sum itself when it contains the piece, else
+    the module generated by the reduced basis of the two together.  Each
+    span of a sum is kept as one object, found by its reduced basis, so one
+    Buchberger run serves every scan that reaches it, and a step taken by one
+    scan is a dict lookup for every later scan that shares the memo.  Every
+    keyed object is kept alive with its step, since a freed object's id may
+    be reused by a new one.  The memo lives as long as its owner; nothing is
+    kept at module level.
+    """
+
+    def __init__(self, zero: Submodule):
+        self.zero = zero
+        self._known: dict[tuple[VectorR, ...], Submodule] = {}
+        self._steps: dict[tuple[int, int], tuple[Submodule, Submodule, Submodule]] = {}
+
+    def add(self, cum: Submodule, piece: Submodule) -> Submodule:
+        """cum + piece, as the one object kept for its span."""
+        key = (id(cum), id(piece))
+        step = self._steps.get(key)
+        if step is None:
+            nxt = cum
+            if not contains_all(cum, piece.generators):
+                total = module_sum(cum, piece)._basis_module()
+                nxt = self._known.setdefault(total.reduced_basis(), total)
+            step = self._steps[key] = (nxt, cum, piece)
+        return step[0]
+
+
 def _cumulative_scan(
-    pieces: Iterable[Optional[Submodule]], zero: Submodule
+    pieces: Iterable[Optional[Submodule]], sums: _RunningSums
 ) -> List[Submodule]:
-    """Running sums zero + pieces[0] + ... + pieces[i], one per piece.
+    """Running sums sums.zero + pieces[0] + ... + pieces[i], one per piece.
 
     A None piece counts as zero; a piece the sum contains leaves it unchanged.
-    A piece object seen before adds nothing and is not tested again: the
-    memoized roots hand back one object per state.  Seen pieces are kept
-    alive, since a freed piece's id may be reused by a new one.
+    A piece object seen before adds nothing and is not looked up again: the
+    memoized roots hand back one object per state, and a level holds
+    q^{e+1} pieces but only a few states.  Each new piece goes through
+    `sums`, which takes each distinct (sum, piece) step once; scans that
+    share `sums` (the levels e = 0..e_max of one
+    `listmod.estimate_jumping_numbers` call) share their steps too, and a
+    caller scanning one level passes a fresh `_RunningSums`.  Equal sums are
+    the same object.
     """
     out: List[Submodule] = []
-    cum = zero
-    seen: dict[int, Submodule] = {}
+    cum = sums.zero
+    seen: set[int] = set()  # kept alive by the steps of `sums`
     for piece in pieces:
         if piece is not None and id(piece) not in seen:
-            seen[id(piece)] = piece
-            if not contains_all(cum, piece.generators):
-                cum = module_sum(cum, piece)
+            seen.add(id(piece))
+            cum = sums.add(cum, piece)
         out.append(cum)
     return out
 
@@ -349,7 +385,7 @@ def simple_tau_scan(
         _digit_root(n, e + 1, full, r.__getitem__, cfg, children)
         for n in range(cfg.q ** (e + 1) if count is None else count)
     )
-    return _cumulative_scan(pieces, Submodule.zero(1, ring))
+    return _cumulative_scan(pieces, _RunningSums(Submodule.zero(1, ring)))
 
 
 def simple_list_tau(

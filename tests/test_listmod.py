@@ -1,12 +1,13 @@
 import dataclasses
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsing import listmod
+from fsing import listmod, modgb
 from fsing.bfun import b_function, graph_generator
 from fsing.errors import InternalConsistencyError, ProblemFormatError
 from fsing.frobenius import _root_generators, frobenius_root
@@ -31,6 +32,7 @@ from fsing.rationals import GridRational
 from fsing.testideal import (
     _cumulative_scan,
     _jump_report,
+    _RunningSums,
     s_set_simple,
     simple_list_tau,
     simple_tau_scan,
@@ -657,7 +659,7 @@ def legacy_scan(ml, e, cfg):
         return _root_generators(Submodule(rank, tuple(cols), ring), fam.e, fam.cfg)
 
     pieces = map(piece, range(cfg.q**fam.e))
-    return _cumulative_scan(pieces, Submodule.zero(rank, ring))
+    return _cumulative_scan(pieces, _RunningSums(Submodule.zero(rank, ring)))
 
 
 @st.composite
@@ -730,6 +732,56 @@ def test_cusp_graph_state_expansions(monkeypatch, p):
     assert report.estimates == (Fraction(1, p),)
     assert len(calls) == 2
     assert len({K.reduced_basis() for K in calls}) == 2
+
+
+@pytest.mark.parametrize("e_max", [4, 10])
+def test_cusp_graph_buchberger_runs_do_not_grow_with_e_max(monkeypatch, e_max):
+    # one run for the start state, q = 3 for each of the two expansions, one
+    # for the zero sum and one for each of the two distinct nonzero sums: the
+    # levels share their running sums, where each level once summed afresh
+    # (18 runs at e_max=4, 30 at e_max=10)
+    cfg = CharConfig(3)
+    A = graph_generator(poly_parse("x0^2 + x1^3", Ring(3, 2)), cfg)
+    calls = []
+    buchberger = modgb._buchberger
+
+    def counted(*args):
+        calls.append(None)
+        return buchberger(*args)
+
+    monkeypatch.setattr(modgb, "_buchberger", counted)
+    assert b_function(A, cfg, e_max).roots == (Fraction(2, 3),)
+    assert len(calls) == 10
+
+
+def test_running_sums_freed_when_call_returns(monkeypatch):
+    # the memo belongs to one call; nothing keeps it, or its sums, alive after
+    memos = []
+    plain_init = _RunningSums.__init__
+
+    def recording_init(self, zero):
+        memos.append(weakref.ref(self))
+        plain_init(self, zero)
+
+    monkeypatch.setattr(_RunningSums, "__init__", recording_init)
+    cfg = CharConfig(3)
+    b_function(graph_generator(poly_parse("x0^2 + x1^3", Ring(3, 2)), cfg), cfg, 4)
+    assert len(memos) == 1
+    assert memos[0]() is None
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_matrix_lists(), st.integers(2, 4))
+@example(graph_list("x0^2 + x1^3", CharConfig(3)), 4)
+@example(rank_two_q4_list(), 3)
+def test_shared_sums_match_fresh_levels(ml, e_max):
+    # the running sums of one call are shared by all its levels; each level
+    # must still equal a scan of that level alone
+    cfg = ml.cfg
+    report = estimate_jumping_numbers(ml, cfg, e_max)
+    assert sorted(report.s_sets) == list(range(e_max + 1))
+    for e in range(e_max + 1):
+        assert report.s_sets[e] == s_set(ml, e, cfg), f"level {e}"
 
 
 def test_state_past_tau_bound_raises():
