@@ -38,7 +38,12 @@ def frobenius_root(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
     replaced by a Groebner basis, preserving the degree bound
     deg <= floor(maxdeg(N)/q^e).
     """
-    return prune_generators(_root_generators(N, e, cfg))
+    root = _root_generators(N, e, cfg)
+    # which copy of a repeated vector pruning keeps depends on the list
+    # order, so the first copy of each is kept here, before pruning
+    return prune_generators(
+        Submodule(N.rank, root.generators, N.ring, pair_limit=N.pair_limit)
+    )
 
 
 def _root_generators(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
@@ -46,7 +51,10 @@ def _root_generators(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
 
     The span and the degree bound are those of `frobenius_root`; only the
     irredundancy of the generator list is missing, which callers that use
-    the root for membership and sums alone do not need.
+    the root for membership and sums alone do not need.  The list is not
+    deduped either: two generators can give the same coefficient vector
+    (x0^2 and x0^3 at q = 2 both give x0), and both copies stay.
+    `frobenius_root` dedupes before it prunes.
     """
     if e < 1:
         raise ValueError("e must be positive")
@@ -61,7 +69,7 @@ def _root_generators(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
                 per_u[u][pos] = a_u
         for u in sorted(per_u):
             gens.append(VectorR(tuple(per_u[u])))
-    return Submodule(N.rank, gens, N.ring, pair_limit=N.pair_limit)
+    return Submodule._trusted(N.rank, gens, N.ring, N.pair_limit)
 
 
 @dataclass(frozen=True)

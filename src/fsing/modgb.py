@@ -14,7 +14,11 @@ The Buchberger loop takes S-pairs in the normal selection strategy: the pair
 whose lcm is smallest in grevlex comes first, ties broken by the indices
 (i, j) of the pair.  The key of a pair never changes once the pair exists, so
 the queue is a heap of (key, i, j) entries, each pushed once when its pair is
-created.  The loop applies the chain (lcm) criterion only.  The coprime
+created.  The loop applies the chain (lcm) criterion and one shortcut: when
+every generator is a term (one coefficient times one module term), each
+S-pair is 0, so the monic generators are returned as they are and no pair
+queue is built; `--limit-pairs` never trips on such a module.  Most modules
+that the test-ideal and list scans hand over are of that kind.  The coprime
 product criterion is an ideal-theoretic shortcut whose usual proof does not
 carry to module tails, and at this problem scale it buys nothing.
 
@@ -144,6 +148,8 @@ def _unflatten(flat: FlatVec, rank: int, ring: Ring) -> VectorR:
 
 
 def _lead(flat: FlatVec) -> ModTerm:
+    if len(flat) == 1:
+        return next(iter(flat))
     return max(flat, key=_term_key)
 
 
@@ -211,6 +217,9 @@ def _buchberger(gens: List[FlatVec], p: int, pair_limit: int) -> List[FlatVec]:
             mg = _make_monic(g, p)
             G.append(mg)
             leads.append(_lead(mg))
+    # every S-pair of two terms in one position is 0
+    if all(len(g) == 1 for g in G):
+        return G
 
     pairs: List[Tuple[tuple, int, int]] = []
 
@@ -286,9 +295,11 @@ def _reduce_basis(G: List[FlatVec], p: int) -> List[Tuple[ModTerm, FlatVec]]:
                     break
         if not redundant:
             keep.append((leads[i], g))
-    # fully reduce each survivor against the other (unreduced) survivors
+    # fully reduce each survivor against the other (unreduced) survivors; a
+    # term survivor is already reduced, since no other survivor's lead
+    # divides its one term
     reduced = [
-        (lead, _normal_form(g, keep[:i] + keep[i + 1 :], p))
+        (lead, g if len(g) == 1 else _normal_form(g, keep[:i] + keep[i + 1 :], p))
         for i, (lead, g) in enumerate(keep)
     ]
     reduced.sort(key=lambda pair: _term_key(pair[0]), reverse=True)

@@ -69,8 +69,10 @@ def _ideal(gen: Poly) -> Submodule:
 
 
 def _scaled(K: Submodule, g: Poly) -> Submodule:
-    """The submodule g K."""
-    return Submodule(K.rank, tuple(v.poly_mul(g) for v in K.generators), K.ring)
+    """The submodule g K, with the pair limit of K."""
+    return Submodule._trusted(
+        K.rank, [v.poly_mul(g) for v in K.generators], K.ring, K.pair_limit
+    )
 
 
 # (reduced basis of K, digit d) -> (factor(d) K)^[1/q], for one `factor`
@@ -322,7 +324,12 @@ class _RunningSums:
         if step is None:
             nxt = cum
             if not contains_all(cum, piece.generators):
-                total = module_sum(cum, piece)._basis_module()
+                total = Submodule._trusted(
+                    cum.rank,
+                    cum.generators + piece.generators,
+                    cum.ring,
+                    max(cum.pair_limit, piece.pair_limit),
+                )._basis_module()
                 nxt = self._known.setdefault(total.reduced_basis(), total)
             step = self._steps[key] = (nxt, cum, piece)
         return step[0]

@@ -38,6 +38,17 @@ def test_froot(tmp_path):
     assert json.loads(proc.stdout) == {"generators": ["x0"]}
 
 
+@pytest.mark.parametrize("gens, expected", [
+    ("x0^3+x0^2*x1", "x0\n"),
+    ("x0^2+x1^3;x0^3", "x0\nx1\n"),
+    ("x0^2+x1^3,x0^3;x0^3,x1^2", "(x0, 0)\n(x1, 0)\n(0, x0)\n(0, x1)\n"),
+])
+def test_froot_with_repeated_root_vector(capsys, gens, expected):
+    # each root repeats a coefficient vector: x0 comes from x0^2 and x0^3
+    assert run(["froot", "--gens", gens, "--e", "1", "-p", "2"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_froot_vector_generators():
     proc = run_cli(
         "froot", "--gens", "x0^2,0;0,x0^2", "--e", "1", "-p", "2", "--json"

@@ -34,6 +34,23 @@ def test_frobenius_root_mixed_terms():
     assert root == ideal(ring, "x0", "x1")
 
 
+@pytest.mark.parametrize("gens, expected", [
+    ([("x0^2 + x1^3",), ("x0^3",)], ["x0", "x1"]),
+    (
+        [("x0^2 + x1^3", "x0^3"), ("x0^3", "x1^2")],
+        ["(x0, 0)", "(x1, 0)", "(0, x0)", "(0, x1)"],
+    ),
+])
+def test_frobenius_root_prunes_first_copy_of_repeated_vector(gens, expected):
+    # (x0, 0) comes from x0^2 and again from x0^3; pruning the list with both
+    # copies would drop the first and move the vector to the end
+    ring = Ring(2, 2)
+    vectors = [VectorR(tuple(poly_parse(t, ring) for t in g)) for g in gens]
+    N = Submodule(len(gens[0]), vectors, ring)
+    root = frobenius_root(N, 1, CharConfig(2))
+    assert [str(v) for v in root.generators] == expected
+
+
 def test_root_of_vector_module():
     ring = Ring(2, 1)
     cfg = CharConfig(2)

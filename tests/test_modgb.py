@@ -1,9 +1,12 @@
+import heapq
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsing import modgb
 from fsing.errors import RankMismatchError, ResourceLimitExceeded
 from fsing.modgb import (
     DEFAULT_PAIR_LIMIT,
@@ -13,6 +16,8 @@ from fsing.modgb import (
     _flatten,
     _lead,
     _reduce_basis,
+    _term_key,
+    _unflatten,
     contains,
     equals,
     module_sum,
@@ -281,3 +286,212 @@ def test_reduce_basis_pinned(case, expected):
     reduced = _reduce_basis([dict(g) for g in unreduced], ring.p)
     assert [g for _, g in reduced] == expected
     assert [lead for lead, _ in reduced] == [_lead(g) for g in expected]
+
+
+# -- reference pair loop and interreduction -------------------------------------
+# A copy of the kernel before its term shortcuts: every S-pair is queued and
+# reduced, every survivor is reduced, and a lead is always a max over the
+# vector's terms.
+
+
+def ref_lead(flat):
+    return max(flat, key=_term_key)
+
+
+def ref_divides(m1, m2):
+    return all(a <= b for a, b in zip(m1, m2))
+
+
+def ref_shift(flat, mono, c, p):
+    out = {}
+    for (pos, m), cc in flat.items():
+        v = (cc * c) % p
+        if v:
+            out[(pos, tuple(a + b for a, b in zip(m, mono)))] = v
+    return out
+
+
+def ref_sub_into(target, other, p):
+    for term, c in other.items():
+        v = (target.get(term, 0) - c) % p
+        if v:
+            target[term] = v
+        else:
+            target.pop(term, None)
+
+
+def ref_normal_form(flat, basis, p):
+    remainder, work = {}, dict(flat)
+    while work:
+        term = ref_lead(work)
+        pos, mono = term
+        c = work[term]
+        for (gpos, gmono), gflat in basis:
+            if gpos == pos and ref_divides(gmono, mono):
+                quot = tuple(b - a for a, b in zip(gmono, mono))
+                ref_sub_into(work, ref_shift(gflat, quot, c, p), p)
+                break
+        else:
+            remainder[term] = c
+            del work[term]
+    return remainder
+
+
+def ref_monic(flat, p):
+    inv = pow(flat[ref_lead(flat)], -1, p)
+    return {t: (c * inv) % p for t, c in flat.items()}
+
+
+def ref_buchberger(gens, p):
+    G = [ref_monic(g, p) for g in gens if g]
+    leads = [ref_lead(g) for g in G]
+    pairs = []
+
+    def push(i, j):
+        lcm = tuple(max(a, b) for a, b in zip(leads[i][1], leads[j][1]))
+        heapq.heappush(pairs, (modgb.grevlex_key(lcm), i, j))
+
+    for i in range(len(G)):
+        for j in range(i):
+            if leads[i][0] == leads[j][0]:
+                push(j, i)
+    processed = set()
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        processed.add((i, j))
+        (pi, mi), (_, mj) = leads[i], leads[j]
+        lcm = tuple(max(a, b) for a, b in zip(mi, mj))
+        if any(
+            k not in (i, j)
+            and leads[k][0] == pi
+            and ref_divides(leads[k][1], lcm)
+            and (min(i, k), max(i, k)) in processed
+            and (min(j, k), max(j, k)) in processed
+            for k in range(len(G))
+        ):
+            continue
+        s = ref_shift(G[i], tuple(b - a for a, b in zip(mi, lcm)), 1, p)
+        ref_sub_into(s, ref_shift(G[j], tuple(b - a for a, b in zip(mj, lcm)), 1, p), p)
+        nf = ref_normal_form(s, list(zip(leads, G)), p)
+        if nf:
+            G.append(ref_monic(nf, p))
+            leads.append(ref_lead(G[-1]))
+            for k in range(len(G) - 1):
+                if leads[k][0] == leads[-1][0]:
+                    push(k, len(G) - 1)
+    return G
+
+
+def ref_reduce_basis(G, p):
+    leads = [ref_lead(g) for g in G]
+    keep = [
+        (leads[i], g)
+        for i, g in enumerate(G)
+        if not any(
+            j != i
+            and leads[j][0] == leads[i][0]
+            and ref_divides(leads[j][1], leads[i][1])
+            and (leads[j][1] != leads[i][1] or j < i)
+            for j in range(len(G))
+        )
+    ]
+    reduced = [
+        (lead, ref_normal_form(g, keep[:i] + keep[i + 1 :], p))
+        for i, (lead, g) in enumerate(keep)
+    ]
+    reduced.sort(key=lambda pair: _term_key(pair[0]), reverse=True)
+    return reduced
+
+
+@st.composite
+def flat_generator_lists(draw, mixed):
+    """Flat generator lists at rank 1-3 over F_2, F_3 or F_5 in two variables:
+    terms with zero, repeated and scaled copies, and with `mixed` also
+    polynomial vectors of two to four terms."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    rank = draw(st.integers(1, 3))
+    terms = st.tuples(
+        st.integers(0, rank - 1), st.tuples(st.integers(0, 3), st.integers(0, 3))
+    )
+    coeffs = st.integers(1, p - 1)
+    kinds = ["term", "zero", "repeat", "scaled"] + (["vector"] if mixed else [])
+    gens = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            gens.append({})
+        elif kind in ("repeat", "scaled") and gens:
+            c = 1 if kind == "repeat" else draw(coeffs)
+            gens.append({t: (v * c) % p for t, v in draw(st.sampled_from(gens)).items()})
+        elif kind == "vector":
+            gens.append(draw(st.dictionaries(terms, coeffs, min_size=2, max_size=4)))
+        else:
+            gens.append({draw(terms): draw(coeffs)})
+    if mixed:
+        gens.append(draw(st.dictionaries(terms, coeffs, min_size=2, max_size=4)))
+    return Ring(p, 2), rank, gens
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(flat_generator_lists(mixed=False), flat_generator_lists(mixed=True)))
+def test_buchberger_and_reduced_basis_match_reference(case):
+    ring, rank, gens = case
+    p = ring.p
+    expected = ref_buchberger([dict(g) for g in gens], p)
+    G = _buchberger([dict(g) for g in gens], p, DEFAULT_PAIR_LIMIT)
+    assert G == expected
+    assert _reduce_basis(G, p) == ref_reduce_basis(expected, p)
+    vectors = [_unflatten(g, rank, ring) for g in gens]
+    N = Submodule._trusted(rank, vectors, ring, DEFAULT_PAIR_LIMIT)
+    assert N.reduced_basis() == tuple(
+        _unflatten(g, rank, ring) for _, g in ref_reduce_basis(expected, p)
+    )
+
+
+def count_kernel_work(monkeypatch):
+    """Count the S-pairs `modgb` queues and its `_normal_form` calls."""
+    counts = {"pairs": 0, "normal_forms": 0}
+
+    def heappush(heap, item):
+        counts["pairs"] += 1
+        heapq.heappush(heap, item)
+
+    def normal_form(*args):
+        counts["normal_forms"] += 1
+        return real_normal_form(*args)
+
+    real_normal_form = modgb._normal_form
+    monkeypatch.setattr(
+        modgb, "heapq", SimpleNamespace(heappush=heappush, heappop=heapq.heappop)
+    )
+    monkeypatch.setattr(modgb, "_normal_form", normal_form)
+    return counts
+
+
+def test_term_generators_queue_no_pair(monkeypatch):
+    ring = Ring(3, 2)
+    gens = [
+        vec(ring, "x0^2", "0"),
+        vec(ring, "2*x0*x1", "0"),
+        vec(ring, "0", "0"),
+        vec(ring, "0", "x1^3"),
+        vec(ring, "x0^2", "0"),
+        vec(ring, "2*x0^2*x1", "0"),
+        vec(ring, "0", "2*x1^3"),
+    ]
+    counts = count_kernel_work(monkeypatch)
+    flats = [_flatten(v) for v in gens]
+    assert _buchberger(flats, ring.p, 1) == [
+        {(0, (2, 0)): 1},
+        {(0, (1, 1)): 1},
+        {(1, (0, 3)): 1},
+        {(0, (2, 0)): 1},
+        {(0, (2, 1)): 1},
+        {(1, (0, 3)): 1},
+    ]
+    basis = Submodule._trusted(2, gens, ring, 1).reduced_basis()
+    assert basis == (vec(ring, "x0^2", "0"), vec(ring, "x0*x1", "0"), vec(ring, "0", "x1^3"))
+    assert counts == {"pairs": 0, "normal_forms": 0}
+    # the counters see the pair loop whenever one generator has two terms
+    _buchberger(flats + [_flatten(vec(ring, "x0 + x1", "0"))], ring.p, DEFAULT_PAIR_LIMIT)
+    assert counts["pairs"] > 0 and counts["normal_forms"] > 0
