@@ -33,7 +33,7 @@ from .listmod import (
     s_set,
 )
 from .modgb import Submodule, VectorR, set_default_pair_limit
-from .polyring import CharConfig, Ring, poly_parse
+from .polyring import MAX_VARS, CharConfig, Ring, poly_parse
 from .testideal import tau_f, tau_f_stable, f_jumping_exponents
 
 _ALPHA_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
@@ -80,10 +80,12 @@ def _add_input_flag(sub):
 
 
 def _infer_num_vars(texts: List[str], given: Optional[int]) -> int:
-    if given is not None:
-        return given
-    indices = [int(m) for t in texts for m in re.findall(r"x(\d+)", t)]
-    return max(indices, default=-1) + 1
+    if given is None:
+        indices = [int(m) for t in texts for m in re.findall(r"x(\d+)", t)]
+        given = max(indices, default=-1) + 1
+    if given > MAX_VARS:
+        raise FsingError(f"{given} ring variables exceed the cap of {MAX_VARS}")
+    return given
 
 
 def _parse_gens(text: str, ring: Ring) -> List[VectorR]:

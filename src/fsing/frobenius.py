@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from .errors import StabilizationError
-from .modgb import Submodule, VectorR, contains_all, prune_generators
-from .polyring import CharConfig, Monomial, Poly, frobenius_decompose, frobenius_power
+from .modgb import FlatVec, Submodule, VectorR, contains_all, prune_generators
+from .polyring import CharConfig, Monomial, frobenius_power
 
 DEFAULT_STABLE_CAP = 16
 
@@ -38,6 +38,10 @@ def frobenius_root(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
     replaced by a Groebner basis, preserving the degree bound
     deg <= floor(maxdeg(N)/q^e).
     """
+    if e < 1:
+        raise ValueError("e must be positive")
+    if N.ring.extra is not None or N.ring.p != cfg.p:
+        raise ValueError("frobenius roots need a module over R in the characteristic of cfg")
     root = _root_generators(N, e, cfg)
     # which copy of a repeated vector pruning keeps depends on the list
     # order, so the first copy of each is kept here, before pruning
@@ -54,22 +58,17 @@ def _root_generators(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
     the root for membership and sums alone do not need.  The list is not
     deduped either: two generators can give the same coefficient vector
     (x0^2 and x0^3 at q = 2 both give x0), and both copies stay.
-    `frobenius_root` dedupes before it prunes.
+    `frobenius_root` dedupes before it prunes.  On flat generators, a term
+    c x^m in position i, m = q^e w + u, goes to c x^w in position i of u.
     """
-    if e < 1:
-        raise ValueError("e must be positive")
-    gens: List[VectorR] = []
-    zero = Poly.zero(N.ring)
-    for v in N.generators:
-        per_u: Dict[Monomial, List[Poly]] = {}
-        for pos, entry in enumerate(v.entries):
-            for u, a_u in frobenius_decompose(entry, e, cfg).items():
-                if u not in per_u:
-                    per_u[u] = [zero] * N.rank
-                per_u[u][pos] = a_u
-        for u in sorted(per_u):
-            gens.append(VectorR(tuple(per_u[u])))
-    return Submodule._trusted(N.rank, gens, N.ring, N.pair_limit)
+    s = cfg.q**e
+    out: List[FlatVec] = []
+    for g in N._flats:
+        per_u: Dict[Monomial, FlatVec] = {}
+        for (pos, m), c in g.items():
+            per_u.setdefault(tuple(v % s for v in m), {})[(pos, tuple(v // s for v in m))] = c
+        out.extend(per_u[u] for u in sorted(per_u))
+    return Submodule._from_flats(N.rank, N.ring, out, N.pair_limit)
 
 
 @dataclass(frozen=True)

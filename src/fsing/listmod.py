@@ -13,7 +13,7 @@ once per call.  The running sum and the jump test are
 `testideal._cumulative_scan` and `_jump_report`, shared with simple lists.
 The walk also owns the memo of the running sums (`testideal._RunningSums`):
 a step is keyed by the identities of the sum and the piece, and each span
-of a sum is one object, found by its reduced basis.  The levels
+of a sum is one object, found by its canonical key.  The levels
 e = 0..e_max of `estimate_jumping_numbers` share it, so a sum that several
 levels reach costs one Buchberger run in all, and a level's scan is
 lookups over its q^{e+1} pieces: b_function of the cusp graph at p=3
@@ -35,8 +35,8 @@ from .errors import InternalConsistencyError, ProblemFormatError
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
 # every fsing module that holds it, and its tests expect listmod among them.
 from .frobenius import frobenius_root  # noqa: F401
-from .modgb import Submodule, VectorR
-from .polyring import CharConfig, Monomial, Poly, Ring, frobenius_power, poly_parse
+from .modgb import FlatVec, Submodule
+from .polyring import MAX_VARS, CharConfig, Monomial, Poly, Ring, frobenius_power, poly_parse
 from .rationals import GridRational, detect_chain_limit
 from .testideal import SeReport, _cumulative_scan, _grid_index, _jump_report, _RunningSums
 
@@ -287,47 +287,43 @@ def _expand_state(K: Submodule, A: TMatrix, cfg: CharConfig) -> List[Submodule]:
     Coordinate s*l + i of K is slot i of t^s.  step(K, r) multiplies each
     generator v(t) by A(t), keeps the terms x^a t^m with m = r (mod q) and
     roots them one level in x and t: x^a t^m goes to the x-residue a mod q
-    with coefficient x^(a div q) t^(m div q), one vector per generator and
-    residue as in `_root_generators`.  A child's t-degree is at most
-    floor((d + N)/q) <= N; a term past N is an internal error.
+    with coefficient x^(a div q) t^(m div q), one flat vector per generator
+    and residue as in `_root_generators`.  A child's t-degree is at most
+    floor((d + N)/q) <= N; a coordinate of K, zero or not, that A(t) would
+    carry past N is an internal error once K has a generator.
     """
-    q, l = cfg.q, A.l
+    q, l, p = cfg.q, A.l, cfg.p
     bound = K.rank // l - 1
-    ring = K.ring
-    zero = Poly.zero(ring)
     columns = [
         [(i, mono[:-1], mono[-1], c) for i in range(l) for mono, c in A.mat[i][j].terms.items()]
         for j in range(l)
     ]
-    gens: List[List[VectorR]] = [[] for _ in range(q)]
-    for v in K.generators:
-        # per digit r: x-residue u -> coordinate -> root monomial -> coefficient
-        acc: List[Dict[Monomial, Dict[int, Dict[Monomial, int]]]] = [{} for _ in range(q)]
-        for idx, entry in enumerate(v.entries):
+    if K._flats and any(
+        (m + idx // l) // q > bound for idx in range(K.rank) for _, _, m, _ in columns[idx % l]
+    ):
+        raise InternalConsistencyError(
+            f"a Frobenius-root state exceeds the tau-degree bound {bound}"
+        )
+    gens: List[List[FlatVec]] = [[] for _ in range(q)]
+    for v in K._flats:
+        # per digit r: x-residue u -> flat vector of the root
+        acc: List[Dict[Monomial, FlatVec]] = [{} for _ in range(q)]
+        for (idx, b), cb in v.items():
             s, j = divmod(idx, l)
             for i, a, m, c in columns[j]:
                 shift, r = divmod(m + s, q)
-                if shift > bound:
-                    raise InternalConsistencyError(
-                        f"a Frobenius-root state exceeds the tau-degree bound {bound}"
-                    )
-                coord = shift * l + i
-                for b, cb in entry.terms.items():
-                    split = [divmod(x + y, q) for x, y in zip(a, b)]
-                    u = tuple(lo for _, lo in split)
-                    w = tuple(hi for hi, _ in split)
-                    cell = acc[r].setdefault(u, {}).setdefault(coord, {})
-                    cell[w] = cell.get(w, 0) + c * cb
+                split = [divmod(x + y, q) for x, y in zip(a, b)]
+                u = tuple(lo for _, lo in split)
+                t = (shift * l + i, tuple(hi for hi, _ in split))
+                cell = acc[r].setdefault(u, {})
+                cell[t] = cell.get(t, 0) + c * cb
         for r, per_u in enumerate(acc):
             for u in sorted(per_u):
-                coords = [zero] * K.rank
-                for coord, terms in per_u[u].items():
-                    coords[coord] = Poly._trusted(ring, terms)
-                gens[r].append(VectorR(coords))
+                gens[r].append({t: c for t, c0 in per_u[u].items() if (c := c0 % p)})
     # the generators go straight to Buchberger: a zero one is skipped there,
-    # a repeated one reduces to zero, so the dedupe of `Submodule` is not needed
+    # a repeated one reduces to zero, so no dedupe is needed
     return [
-        Submodule._trusted(K.rank, g, ring, K.pair_limit)._basis_module() for g in gens
+        Submodule._from_flats(K.rank, K.ring, g, K.pair_limit)._basis_module() for g in gens
     ]
 
 
@@ -340,7 +336,7 @@ class _RootWalk:
     n, lowest first (see `_expand_state`).  That is exact: the level-e
     product is P_e = P_{e-1}^[q] A with Frobenius acting on t as well, a
     root of B^[q] K is B times the root of K, and roots compose.  A state's
-    children depend on its span only, so they are kept by its reduced basis
+    children depend on its span only, so they are kept by its canonical key
     for the life of the walk, and every prefix is shared by all levels.
     `sums` memoizes the steps of the running sums over its pieces in the
     same way, for every scan of the walk's levels.
@@ -350,23 +346,21 @@ class _RootWalk:
         self.A, self.cfg = A, cfg
         rank = A.l * (A.tdeg // (cfg.q - 1) + 1)
         ring = A.ring.base()
-        one, zero = Poly.const(ring, 1), Poly.zero(ring)
-        units = [
-            VectorR(tuple(one if i == j else zero for j in range(rank))) for i in range(A.l)
-        ]
-        self.start = Submodule(rank, units, ring)._basis_module()
-        self.sums = _RunningSums(Submodule.zero(rank, ring))
-        self._known = {self.start.reduced_basis(): self.start}
-        self._children: Dict[Tuple[VectorR, ...], Tuple[Submodule, ...]] = {}
+        zero = Submodule.zero(rank, ring)
+        units = [{(i, (0,) * ring.width): 1} for i in range(A.l)]
+        self.start = Submodule._from_flats(rank, ring, units, zero.pair_limit)._basis_module()
+        self.sums = _RunningSums(zero)
+        self._known = {self.start._canonical(): self.start}
+        self._children: Dict[Tuple[frozenset, ...], Tuple[Submodule, ...]] = {}
 
     def children(self, K: Submodule) -> Tuple[Submodule, ...]:
         """step(K, r) for r = 0..q-1; one object per distinct span."""
-        key = K.reduced_basis()
+        key = K._canonical()
         kids = self._children.get(key)
         if kids is None:
             if key:
                 kids = tuple(
-                    self._known.setdefault(child.reduced_basis(), child)
+                    self._known.setdefault(child._canonical(), child)
                     for child in _expand_state(K, self.A, self.cfg)
                 )
             else:
@@ -502,7 +496,7 @@ def estimate_jumping_numbers(
     e = 0..e_max share one `_RootWalk`: each state is expanded once for all
     levels, and the running sums of all level scans share the walk's memo,
     which keys each step by the identities of the running sum and the piece
-    and keeps one object per span of a sum, found by its reduced basis.  A
+    and keeps one object per span of a sum, found by its canonical key.  A
     sum two levels reach is computed once, so the Buchberger runs do not
     grow with e_max (10 for the cusp graph at p=3, at e_max 4 and 10 alike).
     The memo is freed when the call returns.
@@ -586,6 +580,8 @@ def load_problem(obj: dict):
         raise ProblemFormatError("field 'rank' must be positive")
     if num_vars < 0:
         raise ProblemFormatError("field 'num_vars' must be non-negative")
+    if num_vars > MAX_VARS:
+        raise ProblemFormatError(f"field 'num_vars' exceeds the cap of {MAX_VARS}")
     try:
         cfg = CharConfig(p, gamma)
     except ValueError as exc:

@@ -6,19 +6,23 @@ compare by position first (index 0 largest), then by monomial.  Reduced
 Groebner bases are unique for a fixed order, so submodule equality is
 equality of reduced bases.
 
-Internally a vector is flattened to a map (position, monomial) -> coefficient
-for the division loop; the public representation is `VectorR`, a tuple of
-`Poly` entries.
+A `Submodule` keeps its generators and reduced basis as flat vectors, maps
+(position, monomial) -> coefficient, and builds the public `VectorR` tuples
+(`generators`, `reduced_basis()`) on first access.  Internal callers build
+modules from flats (`Submodule._from_flats`), test membership on flats
+(`_contains_flats`) and key memos by `_canonical()`, one frozenset of flat
+items per reduced basis element, which `==` and `hash` use too.
 
 The Buchberger loop takes S-pairs in the normal selection strategy: the pair
 whose lcm is smallest in grevlex comes first, ties broken by the indices
 (i, j) of the pair.  The key of a pair never changes once the pair exists, so
 the queue is a heap of (key, i, j) entries, each pushed once when its pair is
-created.  The loop applies the chain (lcm) criterion and one shortcut: when
-every generator is a term (one coefficient times one module term), each
-S-pair is 0, so the monic generators are returned as they are and no pair
-queue is built; `--limit-pairs` never trips on such a module.  Most modules
-that the test-ideal and list scans hand over are of that kind.  The coprime
+created.  The loop applies the chain (lcm) criterion and two shortcuts, as
+the S-pair of two monic terms (one coefficient times one module term) is 0:
+when every generator is a term, the monic generators are returned as they
+are and no pair queue is built (`--limit-pairs` never trips on such a
+module, the kind most scans hand over), and a popped pair of two terms is
+marked processed, for the chain criterion, but not reduced.  The coprime
 product criterion is an ideal-theoretic shortcut whose usual proof does not
 carry to module tails, and at this problem scale it buys nothing.
 
@@ -240,6 +244,8 @@ def _buchberger(gens: List[FlatVec], p: int, pair_limit: int) -> List[FlatVec]:
             )
         _, i, j = heapq.heappop(pairs)
         processed.add((i, j))
+        if len(G[i]) == 1 and len(G[j]) == 1:
+            continue  # the S-pair of two monic terms is 0
         pi, mi = leads[i]
         pj, mj = leads[j]
         lcm = _mono_lcm(mi, mj)
@@ -332,30 +338,34 @@ class Submodule:
             if not v.is_zero() and v not in seen:
                 gens.append(v)
                 seen.add(v)
-        self.rank = rank
-        self.ring = ring
-        self.generators: Tuple[VectorR, ...] = tuple(gens)
-        self.pair_limit = pair_limit
+        self._init(rank, ring, [_flatten(v) for v in gens], pair_limit)
+        self._generators = tuple(gens)
+
+    def _init(self, rank: int, ring: Ring, flats: List[FlatVec], pair_limit: int) -> None:
+        self.rank, self.ring, self.pair_limit = rank, ring, pair_limit
+        self._flats = flats
+        self._generators: Optional[Tuple[VectorR, ...]] = None
+        self._flat_basis: Optional[List[Tuple[ModTerm, FlatVec]]] = None
         self._basis: Optional[Tuple[VectorR, ...]] = None
-        self._flat_basis: List[Tuple[ModTerm, FlatVec]] = []
+        self._key: Optional[Tuple[frozenset, ...]] = None
 
     @classmethod
-    def _trusted(
-        cls, rank: int, generators: Sequence[VectorR], ring: Ring, pair_limit: int
+    def _from_flats(
+        cls, rank: int, ring: Ring, flats: List[FlatVec], pair_limit: int
     ) -> "Submodule":
-        """Internal constructor for generators built from valid vectors of R^rank.
-
-        Skips the rank and ring checks and the dedupe of `__init__`, so zero
-        and repeated generators stay in the list.  Buchberger needs no dedupe:
-        `_buchberger` skips a zero vector, a repeat reduces to zero against
-        its first copy, and `_reduce_basis` drops a repeated lead.
-        """
+        """Internal constructor from flat vectors of R^rank, kept as given and
+        never mutated.  Zero and repeated generators may stay: `_buchberger`
+        skips a zero vector, a repeat reduces to zero against its first copy,
+        and `_reduce_basis` drops a repeated lead."""
         out = cls.__new__(cls)
-        out.rank, out.ring, out.pair_limit = rank, ring, pair_limit
-        out.generators = tuple(generators)
-        out._basis = None
-        out._flat_basis = []
+        out._init(rank, ring, flats, pair_limit)
         return out
+
+    @property
+    def generators(self) -> Tuple[VectorR, ...]:
+        if self._generators is None:
+            self._generators = tuple(_unflatten(g, self.rank, self.ring) for g in self._flats)
+        return self._generators
 
     @staticmethod
     def zero(rank: int, ring: Ring) -> "Submodule":
@@ -363,45 +373,53 @@ class Submodule:
 
     @staticmethod
     def full(rank: int, ring: Ring) -> "Submodule":
-        one = Poly.const(ring, 1)
-        z = Poly.zero(ring)
-        gens = [
-            VectorR(tuple(one if i == j else z for j in range(rank))) for i in range(rank)
-        ]
-        return Submodule(rank, gens, ring)
+        if rank < 1:
+            raise ValueError("rank must be positive")
+        units = [{(i, (0,) * ring.width): 1} for i in range(rank)]
+        return Submodule._from_flats(rank, ring, units, _default_pair_limit)
 
     def is_zero(self) -> bool:
-        return not self.reduced_basis()
+        return not self._reduced()
+
+    def _reduced(self) -> List[Tuple[ModTerm, FlatVec]]:
+        """The flat reduced basis as (lead, element) pairs, largest lead first."""
+        if self._flat_basis is None:
+            G = _buchberger(self._flats, self.ring.p, self.pair_limit)
+            self._flat_basis = _reduce_basis(G, self.ring.p)
+        return self._flat_basis
 
     def reduced_basis(self) -> Tuple[VectorR, ...]:
         if self._basis is None:
-            flats = [_flatten(v) for v in self.generators]
-            G = _buchberger(flats, self.ring.p, self.pair_limit)
-            self._flat_basis = _reduce_basis(G, self.ring.p)
-            self._basis = tuple(
-                _unflatten(g, self.rank, self.ring) for _, g in self._flat_basis
-            )
+            self._basis = tuple(_unflatten(g, self.rank, self.ring) for _, g in self._reduced())
         return self._basis
+
+    def _canonical(self) -> Tuple[frozenset, ...]:
+        """The reduced basis as a key, equal exactly for equal spans of one rank and ring."""
+        if self._key is None:
+            self._key = tuple(frozenset(g.items()) for _, g in self._reduced())
+        return self._key
 
     def _basis_module(self) -> "Submodule":
         """The same span, generated by its own reduced basis.
 
         The basis is computed at most once and handed over, so equality and
         membership on the result run no further Buchberger.  A reduced basis
-        holds no zero or repeated vector, so the dedupe of `__init__` is
-        skipped.
+        holds no zero or repeated vector.
         """
-        basis = self.reduced_basis()
-        out = Submodule._trusted(self.rank, basis, self.ring, self.pair_limit)
-        out._basis = basis
-        out._flat_basis = self._flat_basis
+        basis = self._reduced()
+        out = Submodule._from_flats(self.rank, self.ring, [g for _, g in basis], self.pair_limit)
+        out._flat_basis, out._basis, out._key = basis, self._basis, self._key
         return out
+
+    def _contains_flats(self, flats: Iterable[FlatVec]) -> bool:
+        """Whether every flat vector lies in the span."""
+        basis, p = self._reduced(), self.ring.p
+        return all(not _normal_form(g, basis, p) for g in flats)
 
     def normal_form(self, v: VectorR) -> VectorR:
         if v.rank != self.rank:
             raise RankMismatchError(f"vector rank {v.rank}, module rank {self.rank}")
-        self.reduced_basis()
-        nf = _normal_form(_flatten(v), self._flat_basis, self.ring.p)
+        nf = _normal_form(_flatten(v), self._reduced(), self.ring.p)
         return _unflatten(nf, self.rank, self.ring)
 
     def max_generator_degree(self) -> int:
@@ -415,10 +433,10 @@ class Submodule:
             return NotImplemented
         if self.rank != other.rank or self.ring != other.ring:
             return False
-        return self.reduced_basis() == other.reduced_basis()
+        return self._canonical() == other._canonical()
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.ring, self.reduced_basis()))
+        return hash((self.rank, self.ring, self._canonical()))
 
     def __le__(self, other: "Submodule") -> bool:
         return contains_all(other, self.generators)
@@ -453,12 +471,14 @@ def module_sum(N1: Submodule, N2: Submodule) -> Submodule:
         raise RankMismatchError(f"rank {N1.rank} vs {N2.rank}")
     if N1.ring != N2.ring:
         raise ValueError("ring mismatch")
-    return Submodule(
-        N1.rank,
-        N1.generators + N2.generators,
-        N1.ring,
-        pair_limit=max(N1.pair_limit, N2.pair_limit),
-    )
+    # as the public constructor, keep no zero vector and one copy of each
+    flats, seen = [], set()
+    for g in N1._flats + N2._flats:
+        key = frozenset(g.items())
+        if g and key not in seen:
+            flats.append(g)
+            seen.add(key)
+    return Submodule._from_flats(N1.rank, N1.ring, flats, max(N1.pair_limit, N2.pair_limit))
 
 
 def prune_generators(N: Submodule) -> Submodule:

@@ -23,6 +23,10 @@ from .errors import PolyParseError
 
 Monomial = tuple[int, ...]
 
+# Cap on the ring variables of a problem file or command line: every monomial
+# is a tuple of that many exponents, so a huge count exhausts memory first.
+MAX_VARS = 64
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:

@@ -11,7 +11,7 @@ a = a_0 + a_1 q + ... + a_{e-1} q^{e-1} + N q^e in base q, they give
 (f^a K)^[1/q^e] = f^N K_e with K_0 = K and K_{i+1} = (f^{a_i} K_i)^[1/q], so
 degrees stay near deg(f) q rather than deg(f) a.  The step
 K_i -> K_{i+1} depends only on the span of K_i and the digit a_i, so a call
-that roots many a keeps each step under (reduced basis of K_i, a_i) and
+that roots many a keeps each step under (canonical key of K_i, a_i) and
 takes it once, however many digit prefixes reach the same ideal; the steps
 form a small graph on the distinct ideals, as in `listmod._RootWalk`.  The
 simple-list products r_{i_0} r_{i_1}^q ... r_{i_e}^{q^e} are rooted the
@@ -32,7 +32,9 @@ point costs every piece below it.
 
 Each level K_i is kept as the module generated by its own reduced Groebner
 basis: one Buchberger run per distinct step, reused by every later
-comparison, sum, membership test and memo lookup.  The generators of a test
+comparison, sum, membership test and memo lookup.  The steps multiply,
+root, sum and test membership on the flat vectors of `modgb`, so a `Poly`
+is built only when a caller reads a result.  The generators of a test
 ideal are therefore a reduced basis, not a degree-bounded list; only the
 public `frobenius_root`, which prunes instead, promises the bound
 deg <= floor(maxdeg / q^e).
@@ -48,7 +50,7 @@ from .errors import StabilizationError
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
 # every module that holds it.  The roots below use `_root_generators`.
 from .frobenius import DEFAULT_STABLE_CAP, _root_generators, frobenius_root  # noqa: F401
-from .modgb import Submodule, VectorR, contains_all, module_sum
+from .modgb import FlatVec, Submodule, VectorR, module_sum
 from .polyring import CharConfig, Poly, PowerCache
 from .rationals import GridRational, frac_ceil, snap_interval
 
@@ -69,14 +71,21 @@ def _ideal(gen: Poly) -> Submodule:
 
 
 def _scaled(K: Submodule, g: Poly) -> Submodule:
-    """The submodule g K, with the pair limit of K."""
-    return Submodule._trusted(
-        K.rank, [v.poly_mul(g) for v in K.generators], K.ring, K.pair_limit
-    )
+    """The submodule g K, with the pair limit of K, from the flat generators of K."""
+    p, g_terms = g.ring.p, g.terms.items()
+    gens = []
+    for v in K._flats:
+        acc: FlatVec = {}
+        for (pos, m1), c1 in v.items():
+            for m2, c2 in g_terms:
+                t = (pos, tuple(a + b for a, b in zip(m1, m2)))
+                acc[t] = acc.get(t, 0) + c1 * c2
+        gens.append({t: r for t, c in acc.items() if (r := c % p)})
+    return Submodule._from_flats(K.rank, K.ring, gens, K.pair_limit)
 
 
-# (reduced basis of K, digit d) -> (factor(d) K)^[1/q], for one `factor`
-Children = dict[tuple[tuple[VectorR, ...], int], Submodule]
+# (canonical key of K, digit d) -> (factor(d) K)^[1/q], for one `factor`
+Children = dict[tuple[tuple[frozenset, ...], int], Submodule]
 
 
 def _digit_root(
@@ -98,7 +107,7 @@ def _digit_root(
     so its generators carry no degree bound; the span is the same.
 
     A level depends only on the span of K, the digit and `factor`, so it is
-    kept in `children` under (K.reduced_basis(), digit) and rooted once per
+    kept in `children` under (K._canonical(), digit) and rooted once per
     distinct pair, whatever digits led to K and on every level, the last
     included.  A caller rooting many n with one `factor` passes one dict for
     the whole call; the seeds K may differ.
@@ -106,7 +115,7 @@ def _digit_root(
     children = {} if children is None else children
     for _ in range(e):
         n, digit = divmod(n, cfg.q)
-        key = (K.reduced_basis(), digit)
+        key = (K._canonical(), digit)
         child = children.get(key)
         if child is None:
             child = _root_generators(_scaled(K, factor(digit)), 1, cfg)._basis_module()
@@ -175,7 +184,7 @@ def _ascend(
     cur = seed
     for _ in range(cap):
         step = _digit_root(a, d, cur, powers.power, cfg, children)
-        if contains_all(cur, step.generators):
+        if cur._contains_flats(step._flats):
             return cur
         cur = module_sum(cur, step)
     raise StabilizationError(
@@ -304,7 +313,7 @@ class _RunningSums:
     A step is keyed by the identities of the running sum and the piece and
     maps to the next sum: the sum itself when it contains the piece, else
     the module generated by the reduced basis of the two together.  Each
-    span of a sum is kept as one object, found by its reduced basis, so one
+    span of a sum is kept as one object, found by its canonical key, so one
     Buchberger run serves every scan that reaches it, and a step taken by one
     scan is a dict lookup for every later scan that shares the memo.  Every
     keyed object is kept alive with its step, since a freed object's id may
@@ -314,7 +323,7 @@ class _RunningSums:
 
     def __init__(self, zero: Submodule):
         self.zero = zero
-        self._known: dict[tuple[VectorR, ...], Submodule] = {}
+        self._known: dict[tuple[frozenset, ...], Submodule] = {}
         self._steps: dict[tuple[int, int], tuple[Submodule, Submodule, Submodule]] = {}
 
     def add(self, cum: Submodule, piece: Submodule) -> Submodule:
@@ -323,14 +332,11 @@ class _RunningSums:
         step = self._steps.get(key)
         if step is None:
             nxt = cum
-            if not contains_all(cum, piece.generators):
-                total = Submodule._trusted(
-                    cum.rank,
-                    cum.generators + piece.generators,
-                    cum.ring,
-                    max(cum.pair_limit, piece.pair_limit),
-                )._basis_module()
-                nxt = self._known.setdefault(total.reduced_basis(), total)
+            if not cum._contains_flats(piece._flats):
+                limit = max(cum.pair_limit, piece.pair_limit)
+                total = Submodule._from_flats(cum.rank, cum.ring, cum._flats + piece._flats, limit)
+                total = total._basis_module()
+                nxt = self._known.setdefault(total._canonical(), total)
             step = self._steps[key] = (nxt, cum, piece)
         return step[0]
 

@@ -10,7 +10,7 @@ from fsing import listmod
 from fsing.cli import _build_parser, run
 from fsing.errors import InternalConsistencyError
 from fsing.modgb import DEFAULT_PAIR_LIMIT, Submodule
-from fsing.polyring import Ring
+from fsing.polyring import MAX_VARS, Ring
 
 FSING = [sys.executable, "-m", "fsing.cli"]
 
@@ -325,3 +325,36 @@ def test_reimport_frees_the_first_copy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("num_vars", [65, 100000])
+def test_problem_file_num_vars_cap(capsys, tmp_path, num_vars):
+    # every monomial holds num_vars exponents, so the count is capped before
+    # any ring is built
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "p": 3, "gamma": 1, "num_vars": num_vars, "rank": 1, "matrix": [["x0 + t"]],
+    }))
+    assert run(["bfun", "--input", str(path), "--e-max", "2"]) == 1
+    assert capsys.readouterr().err == (
+        f"fsing: error: field 'num_vars' exceeds the cap of {MAX_VARS}\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau", "--f", "x0", "--alpha", "1/2", "-p", "2", "--num-vars", "65"],
+    ["fjump", "--f", "x0", "-p", "2", "--e-max", "1", "--num-vars", "100000"],
+    ["froot", "--gens", "x64", "--e", "1", "-p", "2"],
+    ["graphgen", "--f", "x99999", "-p", "3"],
+])
+def test_command_line_num_vars_cap(capsys, argv):
+    assert run(argv) == 1
+    count = argv[-1] if "--num-vars" in argv else int(argv[2][1:]) + 1
+    assert capsys.readouterr().err == (
+        f"fsing: error: {count} ring variables exceed the cap of {MAX_VARS}\n"
+    )
+
+
+def test_num_vars_at_the_cap(capsys):
+    assert run(["froot", "--gens", "x63^2", "--e", "1", "-p", "2"]) == 0
+    assert capsys.readouterr().out == "x63\n"

@@ -1,0 +1,224 @@
+"""The flat root steps against their VectorR reference copies.
+
+`testideal._scaled`, `frobenius._root_generators` and `listmod._expand_state`
+multiply and root the flat generators of a `Submodule` directly.  The
+`ref_*` functions below are the versions that built `VectorR`s of `Poly`
+entries instead; each flat step must give the same generators (where the
+step hands them back) and the same reduced basis.
+"""
+
+from fractions import Fraction
+from typing import Dict, List
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fsing.errors import InternalConsistencyError
+from fsing.frobenius import _root_generators, frobenius_root
+from fsing.listmod import TMatrix, _expand_state
+from fsing.modgb import Submodule, VectorR, prune_generators
+from fsing.polyring import CharConfig, Monomial, Poly, Ring, frobenius_decompose, poly_parse
+from fsing.testideal import _scaled, tau_f_stable
+
+
+def ref_scaled(K: Submodule, g: Poly) -> List[VectorR]:
+    return [v.poly_mul(g) for v in K.generators]
+
+
+def ref_root_generators(N: Submodule, e: int, cfg: CharConfig) -> List[VectorR]:
+    gens: List[VectorR] = []
+    zero = Poly.zero(N.ring)
+    for v in N.generators:
+        per_u: Dict[Monomial, List[Poly]] = {}
+        for pos, entry in enumerate(v.entries):
+            for u, a_u in frobenius_decompose(entry, e, cfg).items():
+                if u not in per_u:
+                    per_u[u] = [zero] * N.rank
+                per_u[u][pos] = a_u
+        for u in sorted(per_u):
+            gens.append(VectorR(tuple(per_u[u])))
+    return gens
+
+
+def ref_expand_state(K: Submodule, A: TMatrix, cfg: CharConfig) -> List[List[VectorR]]:
+    q, l = cfg.q, A.l
+    bound = K.rank // l - 1
+    ring = K.ring
+    zero = Poly.zero(ring)
+    columns = [
+        [(i, mono[:-1], mono[-1], c) for i in range(l) for mono, c in A.mat[i][j].terms.items()]
+        for j in range(l)
+    ]
+    gens: List[List[VectorR]] = [[] for _ in range(q)]
+    for v in K.generators:
+        acc: List[Dict[Monomial, Dict[int, Dict[Monomial, int]]]] = [{} for _ in range(q)]
+        for idx, entry in enumerate(v.entries):
+            s, j = divmod(idx, l)
+            for i, a, m, c in columns[j]:
+                shift, r = divmod(m + s, q)
+                if shift > bound:
+                    raise InternalConsistencyError(
+                        f"a Frobenius-root state exceeds the tau-degree bound {bound}"
+                    )
+                coord = shift * l + i
+                for b, cb in entry.terms.items():
+                    split = [divmod(x + y, q) for x, y in zip(a, b)]
+                    u = tuple(lo for _, lo in split)
+                    w = tuple(hi for hi, _ in split)
+                    cell = acc[r].setdefault(u, {}).setdefault(coord, {})
+                    cell[w] = cell.get(w, 0) + c * cb
+        for r, per_u in enumerate(acc):
+            for u in sorted(per_u):
+                coords = [zero] * K.rank
+                for coord, terms in per_u[u].items():
+                    coords[coord] = Poly(ring, terms)
+                gens[r].append(VectorR(coords))
+    return gens
+
+
+def polys(ring: Ring, top: int, max_terms: int = 3):
+    monos = st.tuples(*[st.integers(0, top)] * ring.width)
+    coeffs = st.integers(1, ring.p - 1)
+    return st.dictionaries(monos, coeffs, max_size=max_terms).map(lambda t: Poly(ring, t))
+
+
+def vectors(ring: Ring, rank: int, top: int):
+    return st.tuples(*[polys(ring, top)] * rank).map(VectorR)
+
+
+@st.composite
+def modules(draw, max_gens: int = 3):
+    """A module of rank 1-3 over F_2, F_3 or F_5 in two variables, given by
+    flat generators that may repeat or vanish, as the internal steps build
+    them."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    rank = draw(st.integers(1, 3))
+    ring = Ring(p, 2)
+    gens = draw(st.lists(vectors(ring, rank, 6), max_size=max_gens))
+    flats = [
+        {(pos, m): c for pos, entry in enumerate(v.entries) for m, c in entry.terms.items()}
+        for v in gens
+    ]
+    if flats and draw(st.booleans()):
+        flats.append(dict(draw(st.sampled_from(flats))))
+    return Submodule._from_flats(rank, ring, flats, 10_000)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(modules(), st.data())
+def test_scaled_matches_reference(K, data):
+    g = data.draw(polys(K.ring, 3))
+    got = _scaled(K, g)
+    want = ref_scaled(K, g)
+    assert got.generators == tuple(want)
+    assert got.reduced_basis() == Submodule(K.rank, want, K.ring).reduced_basis()
+    assert got.pair_limit == K.pair_limit
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(modules(), st.integers(1, 2))
+def test_root_generators_match_reference(N, e):
+    cfg = CharConfig(N.ring.p)
+    got = _root_generators(N, e, cfg)
+    want = ref_root_generators(N, e, cfg)
+    assert got.generators == tuple(want)
+    assert got.reduced_basis() == Submodule(N.rank, want, N.ring).reduced_basis()
+    # the public root dedupes and prunes the same list as before
+    public = Submodule(N.rank, N.generators, N.ring)
+    pruned = prune_generators(Submodule(N.rank, ref_root_generators(public, e, cfg), N.ring))
+    assert frobenius_root(public, e, cfg).generators == pruned.generators
+
+
+@st.composite
+def states(draw):
+    """A matrix A(t) over R[t] and a state K of rank 1-3, the rank not
+    always the one A's t-degree asks for, so the bound check can fire."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    cfg = CharConfig(p)
+    l = draw(st.integers(1, 2))
+    t_ring = Ring(p, 2, "t")
+    mat = tuple(tuple(draw(polys(t_ring, 3, 2)) for _ in range(l)) for _ in range(l))
+    rank = draw(st.integers(l, 3))
+    ring = Ring(p, 2)
+    K = Submodule(rank, draw(st.lists(vectors(ring, rank, 4), max_size=3)), ring)
+    return TMatrix(mat, cfg), cfg, K
+
+
+def outcome(children):
+    try:
+        return [child.reduced_basis() for child in children()]
+    except InternalConsistencyError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(states())
+def test_expand_state_matches_reference(case):
+    A, cfg, K = case
+    got = outcome(lambda: _expand_state(K, A, cfg))
+    want = outcome(
+        lambda: [Submodule(K.rank, g, K.ring) for g in ref_expand_state(K, A, cfg)]
+    )
+    assert got == want
+
+
+def test_expand_state_checks_zero_coordinates():
+    # coordinate 1 (t^1) is zero in the only generator, but A = t^3 would
+    # carry it to t^2, past the bound 1 of a rank-2 state at q = 2
+    cfg = CharConfig(2)
+    ring = Ring(2, 0)
+    A = TMatrix(((Poly(Ring(2, 0, "t"), {(3,): 1}),),), cfg)
+    K = Submodule(2, (VectorR((Poly.const(ring, 1), Poly.zero(ring))),), ring)
+    with pytest.raises(InternalConsistencyError, match="tau-degree bound 1"):
+        _expand_state(K, A, cfg)
+    with pytest.raises(InternalConsistencyError, match="tau-degree bound 1"):
+        ref_expand_state(K, A, cfg)
+
+
+@st.composite
+def module_pairs(draw):
+    """Two modules of one rank and ring: the second spans the same module as
+    the first (reordered, scaled and with sums of its generators added), or
+    drops one generator, or adds a new one."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    rank = draw(st.integers(1, 3))
+    ring = Ring(p, 2)
+    gens = draw(st.lists(vectors(ring, rank, 4), max_size=3))
+    kind = draw(st.sampled_from(["same", "drop", "add"]))
+    other = list(draw(st.permutations(gens)))
+    if kind == "same" and gens:
+        c = draw(st.integers(1, p - 1))
+        other = [v.scale(c) for v in other] + [gens[0] + gens[-1]]
+    elif kind == "drop" and gens:
+        other.pop(draw(st.integers(0, len(other) - 1)))
+    elif kind == "add":
+        other.append(draw(vectors(ring, rank, 4)))
+    return Submodule(rank, gens, ring), Submodule(rank, other, ring)
+
+
+def ideal_pair(p, a, b):
+    ring = Ring(p, 2)
+    return tuple(Submodule(1, (VectorR((poly_parse(t, ring),)),), ring) for t in (a, b))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(module_pairs())
+@example(ideal_pair(3, "x0 + x1", "x0 + 2*x1"))  # same support, other coefficients
+@example(ideal_pair(5, "x0^2 + 3*x1", "2*x0^2 + x1"))
+def test_canonical_key_equality_is_basis_equality(pair):
+    M, N = pair
+    same_basis = M.reduced_basis() == N.reduced_basis()
+    assert (M._canonical() == N._canonical()) == same_basis
+    assert (M == N) == same_basis
+    if same_basis:
+        assert hash(M) == hash(N)
+
+
+def test_ascent_sum_keeps_one_copy_of_a_generator():
+    # the second ascent step for x0^4*x1 + x1^2 at 2/3 over F_2 roots x1
+    # again; the flat `module_sum` keeps one copy, so the fixed point,
+    # returned as it is, lists x1 once
+    f = poly_parse("x0^4*x1 + x1^2", Ring(2, 2))
+    fixed = tau_f_stable(f, Fraction(2, 3), CharConfig(2))
+    assert [str(v) for v in fixed.generators] == ["x0^4*x1 + x1^2", "x0^3", "x1", "x0^2"]

@@ -441,8 +441,7 @@ def test_buchberger_and_reduced_basis_match_reference(case):
     G = _buchberger([dict(g) for g in gens], p, DEFAULT_PAIR_LIMIT)
     assert G == expected
     assert _reduce_basis(G, p) == ref_reduce_basis(expected, p)
-    vectors = [_unflatten(g, rank, ring) for g in gens]
-    N = Submodule._trusted(rank, vectors, ring, DEFAULT_PAIR_LIMIT)
+    N = Submodule._from_flats(rank, ring, [dict(g) for g in gens], DEFAULT_PAIR_LIMIT)
     assert N.reduced_basis() == tuple(
         _unflatten(g, rank, ring) for _, g in ref_reduce_basis(expected, p)
     )
@@ -489,7 +488,7 @@ def test_term_generators_queue_no_pair(monkeypatch):
         {(0, (2, 1)): 1},
         {(1, (0, 3)): 1},
     ]
-    basis = Submodule._trusted(2, gens, ring, 1).reduced_basis()
+    basis = Submodule._from_flats(2, ring, flats, 1).reduced_basis()
     assert basis == (vec(ring, "x0^2", "0"), vec(ring, "x0*x1", "0"), vec(ring, "0", "x1^3"))
     assert counts == {"pairs": 0, "normal_forms": 0}
     # the counters see the pair loop whenever one generator has two terms
