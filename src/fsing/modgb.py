@@ -26,6 +26,12 @@ marked processed, for the chain criterion, but not reduced.  The coprime
 product criterion is an ideal-theoretic shortcut whose usual proof does not
 carry to module tails, and at this problem scale it buys nothing.
 
+`_buchberger` hands its basis to `_reduce_basis` as (lead, element) pairs,
+so no lead is computed twice.  The interreduction visits the leads by
+(position, degree), ascending, and tests each only against the leads kept
+before it, as no later lead can divide it; of equal leads the first is kept.
+Only a survivor with more than one term is reduced against the others.
+
 A module can hand over its span as the module generated by its own reduced
 basis (`Submodule._basis_module`), with that basis already in place: later
 equality, membership and sums cost no further Buchberger run.  The test-ideal
@@ -42,6 +48,7 @@ would keep exactly the same generators.
 from __future__ import annotations
 
 import heapq
+import operator
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import RankMismatchError, ResourceLimitExceeded
@@ -158,7 +165,7 @@ def _lead(flat: FlatVec) -> ModTerm:
 
 
 def _divides(m1: Monomial, m2: Monomial) -> bool:
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(operator.le, m1, m2))
 
 
 def _mono_div(m2: Monomial, m1: Monomial) -> Monomial:
@@ -213,7 +220,10 @@ def _make_monic(flat: FlatVec, p: int) -> FlatVec:
     return {t: (c * inv) % p for t, c in flat.items()}
 
 
-def _buchberger(gens: List[FlatVec], p: int, pair_limit: int) -> List[FlatVec]:
+def _buchberger(
+    gens: List[FlatVec], p: int, pair_limit: int
+) -> List[Tuple[ModTerm, FlatVec]]:
+    """A monic Groebner basis of the span of `gens`, as (lead, element) pairs."""
     G: List[FlatVec] = []
     leads: List[ModTerm] = []
     for g in gens:
@@ -223,7 +233,7 @@ def _buchberger(gens: List[FlatVec], p: int, pair_limit: int) -> List[FlatVec]:
             leads.append(_lead(mg))
     # every S-pair of two terms in one position is 0
     if all(len(g) == 1 for g in G):
-        return G
+        return list(zip(leads, G))
 
     pairs: List[Tuple[tuple, int, int]] = []
 
@@ -275,32 +285,26 @@ def _buchberger(gens: List[FlatVec], p: int, pair_limit: int) -> List[FlatVec]:
             for k in range(n):
                 if leads[k][0] == new_lead[0]:
                     push(k, n)
-    return G
+    return list(zip(leads, G))
 
 
-def _reduce_basis(G: List[FlatVec], p: int) -> List[Tuple[ModTerm, FlatVec]]:
-    """Interreduce the monic basis G to the unique reduced Groebner basis.
+def _reduce_basis(
+    G: List[Tuple[ModTerm, FlatVec]], p: int
+) -> List[Tuple[ModTerm, FlatVec]]:
+    """Interreduce the monic basis G, (lead, element) pairs from `_buchberger`,
+    to the unique reduced Groebner basis.
 
-    Returns (lead, element) pairs, largest lead first.  The survivors' leads
-    divide no other survivor's lead, so reducing a survivor against the
-    others keeps its monic lead term: each lead is computed once, here.
+    Returns (lead, element) pairs, largest lead first.  Leads are visited by
+    (position, degree), ascending, so a lead can be divided only by one kept
+    before it; of equal leads the first is kept.  The survivors' leads divide
+    no other survivor's lead, so reducing a survivor against the others
+    keeps its monic lead term.
     """
-    # drop elements whose lead is divisible by another element's lead
     keep: List[Tuple[ModTerm, FlatVec]] = []
-    leads = [_lead(g) for g in G]
-    for i, g in enumerate(G):
-        pos_i, mono_i = leads[i]
-        redundant = False
-        for j in range(len(G)):
-            if i == j:
-                continue
-            pos_j, mono_j = leads[j]
-            if pos_j == pos_i and _divides(mono_j, mono_i):
-                if mono_j != mono_i or j < i:
-                    redundant = True
-                    break
-        if not redundant:
-            keep.append((leads[i], g))
+    for lead, g in sorted(G, key=lambda pair: (pair[0][0], sum(pair[0][1]))):
+        pos, mono = lead
+        if not any(kpos == pos and _divides(kmono, mono) for (kpos, kmono), _ in keep):
+            keep.append((lead, g))
     # fully reduce each survivor against the other (unreduced) survivors; a
     # term survivor is already reduced, since no other survivor's lead
     # divides its one term

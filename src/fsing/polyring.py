@@ -483,7 +483,14 @@ class PowerCache:
             return cached
         high, low = divmod(n, self._prime_cfg.p)
         if high == 0:
-            result = self.power(low - 1) * self.f
+            # f^low = f^k f ... f from the largest cached k below low, every
+            # power on the way cached: a loop, so the depth does not grow with p
+            k = low - 1
+            while k not in self._cache:
+                k -= 1
+            result = self._cache[k]
+            for j in range(k + 1, low + 1):
+                result = self._cache[j] = result * self.f
         else:
             result = frobenius_power(self.power(high), 1, self._prime_cfg)
             if low:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .polyring import CharConfig
@@ -55,20 +56,26 @@ def snap_interval(
 
     Ties between reduced candidates of equal denominator break toward the
     larger value.  Returns None when no candidate fits in the window.
+
+    For each den = q^a (q^b - 1) the numerators in (lo, hi] are exactly
+    floor(lo den) < c <= floor(hi den), so no candidate needs a test.  The
+    search runs in integers, on the key (den // g, -(c // g)) of the reduced
+    fraction with g = gcd(c, den), and builds one `Fraction` at the end.
     """
-    candidates = []
+    best = None
     for a in range(max_a + 1):
         for b in range(1, max_b + 1):
             den = q**a * (q**b - 1)
             c_hi = (hi.numerator * den) // hi.denominator
             c_lo = (lo.numerator * den) // lo.denominator
             for c in range(c_lo + 1, c_hi + 1):
-                val = Fraction(c, den)
-                if lo < val <= hi:
-                    candidates.append(val)
-    if not candidates:
+                g = gcd(c, den)
+                key = (den // g, -(c // g))
+                if best is None or key < best:
+                    best = key
+    if best is None:
         return None
-    return min(candidates, key=lambda v: (v.denominator, -v))
+    return Fraction(-best[1], best[0])
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,13 @@ endpoints of each interval is an exact test for a drop inside it.  The
 cumulative list scans gain nothing from this, since a running sum at a
 point costs every piece below it.
 
+A stable test ideal tau(f^{a/(q^d-1)}) is the least fixed point of
+K -> K + Phi(K), Phi(K) = (f^a K)^[1/q^d], over a seed.  A root is taken
+generator by generator, so Phi(M + N) = Phi(M) + Phi(N), and the ascent is
+semi-naive: each step roots only the step found last, Phi^{i+1}(seed), and
+adds it to the running sum, which gives the same sums and stop test as
+rooting the whole sum every time.
+
 Each level K_i is kept as the module generated by its own reduced Groebner
 basis: one Buchberger run per distinct step, reused by every later
 comparison, sum, membership test and memo lookup.  The steps multiply,
@@ -178,15 +185,22 @@ def _ascend(
 ) -> Submodule:
     """Smallest K containing seed with (f^a K)^[1/q^d] inside K.
 
-    The iteration K <- K + (f^a K)^[1/q^d] is ascending by construction and
-    monotone in K, so the first repeated value is the true fixed point.
+    The iteration K_{i+1} = K_i + Phi(K_i), Phi(K) = (f^a K)^[1/q^d], is
+    ascending by construction and monotone in K, so the first repeated value
+    is the true fixed point.  Phi is additive, (M + N)^[1/q] = M^[1/q] +
+    N^[1/q] since a root is taken generator by generator, so K_i is the sum
+    of Phi^j(seed) for j = 0..i and Phi(K_i) lies in K_i + Phi^{i+1}(seed).
+    Only the newest step Phi^{i+1}(seed) = Phi(Phi^i(seed)) is therefore
+    rooted, from the reduced basis of the last step rather than from the raw
+    generators of the running sum; the sums, the stop test and the number of
+    steps before `StabilizationError` are those of the plain iteration.
     """
-    cur = seed
+    cur = new = seed
     for _ in range(cap):
-        step = _digit_root(a, d, cur, powers.power, cfg, children)
+        step = _digit_root(a, d, new, powers.power, cfg, children)
         if cur._contains_flats(step._flats):
             return cur
-        cur = module_sum(cur, step)
+        cur, new = module_sum(cur, step), step
     raise StabilizationError(
         f"test-ideal ascent did not stabilize within {cap} steps"
     )
@@ -206,7 +220,9 @@ def tau_f_stable(
     gives tau(f^{a/(q^d-1)}) = f^m tau(f^{a'/(q^d-1)}); the latter is the
     smallest fixed point of K -> K + (f^{a'} K)^[1/q^d] over the seed
     (f^ceil), and dividing the exponent by q^c is a Frobenius root, taken
-    digit by digit over the multiplier f^m.  Consecutive equal chain members
+    digit by digit over the multiplier f^m.  The map K -> (f^{a'} K)^[1/q^d]
+    is additive, so each ascent step roots only the step found before it, not
+    the whole running sum (`_ascend`).  Consecutive equal chain members
     are not a stopping proof: the ascending chain can pause and grow again
     (f = x0^3 over F_2 at alpha = 8/25 pauses at e = 1, 2).
     """

@@ -68,6 +68,12 @@ def test_tau_stable():
     assert json.loads(proc.stdout) == {"generators": ["x0"]}
 
 
+def test_tau_at_a_large_prime():
+    # the ascent multiplies by f^995 at p = 997: a base-p digit near p
+    proc = run_cli("tau", "--f", "x0", "-p", "997", "--alpha", "995/996", check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
 def test_tau_rejects_float_alpha():
     proc = run_cli(
         "tau", "--f", "x0^2", "--alpha", "0.5", "-p", "3", check=False

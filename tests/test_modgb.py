@@ -250,7 +250,7 @@ BUCHBERGER_CASES = [
 def test_buchberger_unreduced_basis_pinned(ring, gens, expected):
     # the unreduced basis records the order in which S-pairs were taken
     flats = [_flatten(vec(ring, *g)) for g in gens]
-    assert _buchberger(flats, ring.p, DEFAULT_PAIR_LIMIT) == expected
+    assert [g for _, g in _buchberger(flats, ring.p, DEFAULT_PAIR_LIMIT)] == expected
 
 
 def test_pair_limit_boundary():
@@ -283,7 +283,7 @@ def test_reduce_basis_pinned(case, expected):
     # the reduced basis is unique, but its order (largest lead first) and
     # the leads handed back with it are part of the contract
     ring, _, unreduced = case
-    reduced = _reduce_basis([dict(g) for g in unreduced], ring.p)
+    reduced = _reduce_basis([(_lead(g), dict(g)) for g in unreduced], ring.p)
     assert [g for _, g in reduced] == expected
     assert [lead for lead, _ in reduced] == [_lead(g) for g in expected]
 
@@ -439,12 +439,45 @@ def test_buchberger_and_reduced_basis_match_reference(case):
     p = ring.p
     expected = ref_buchberger([dict(g) for g in gens], p)
     G = _buchberger([dict(g) for g in gens], p, DEFAULT_PAIR_LIMIT)
-    assert G == expected
+    assert [g for _, g in G] == expected
     assert _reduce_basis(G, p) == ref_reduce_basis(expected, p)
     N = Submodule._from_flats(rank, ring, [dict(g) for g in gens], DEFAULT_PAIR_LIMIT)
     assert N.reduced_basis() == tuple(
         _unflatten(g, rank, ring) for _, g in ref_reduce_basis(expected, p)
     )
+
+
+RANK2_TERMS = [(pos, (i, j)) for pos in (0, 1) for i in range(4) for j in range(4)]
+
+
+@st.composite
+def generators_with_shared_leads(draw):
+    """Rank-2 flat generator lists over F_2, F_3 or F_5 in two variables, in
+    shuffled order, where two generators share a lead with different tails
+    and two leads of equal degree sit in positions 0 and 1."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    coeffs = st.integers(1, p - 1)
+    deg = draw(st.integers(1, 3))
+    monos = st.integers(0, deg).map(lambda i: (i, deg - i))
+    leads = [(0, draw(monos)), (1, draw(monos))]
+    leads.append(draw(st.sampled_from(leads)))
+    leads += draw(st.lists(st.sampled_from(RANK2_TERMS), max_size=3))
+    gens = []
+    for lead in leads:
+        below = [t for t in RANK2_TERMS if _term_key(t) < _term_key(lead)]
+        tail = draw(st.dictionaries(st.sampled_from(below), coeffs, max_size=3)) if below else {}
+        gens.append({lead: draw(coeffs), **tail})
+    return p, draw(st.permutations(gens))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(generators_with_shared_leads())
+def test_shared_and_equal_degree_leads_match_reference(case):
+    p, gens = case
+    G = _buchberger([dict(g) for g in gens], p, DEFAULT_PAIR_LIMIT)
+    assert [g for _, g in G] == ref_buchberger([dict(g) for g in gens], p)
+    assert [lead for lead, _ in G] == [ref_lead(g) for _, g in G]
+    assert _reduce_basis(G, p) == ref_reduce_basis([g for _, g in G], p)
 
 
 def count_kernel_work(monkeypatch):
@@ -480,7 +513,7 @@ def test_term_generators_queue_no_pair(monkeypatch):
     ]
     counts = count_kernel_work(monkeypatch)
     flats = [_flatten(v) for v in gens]
-    assert _buchberger(flats, ring.p, 1) == [
+    assert [g for _, g in _buchberger(flats, ring.p, 1)] == [
         {(0, (2, 0)): 1},
         {(0, (1, 1)): 1},
         {(1, (0, 3)): 1},

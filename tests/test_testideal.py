@@ -4,10 +4,11 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fsing import modgb, testideal
+from fsing.errors import StabilizationError
 from fsing.frobenius import frobenius_root
 from fsing.modgb import Submodule, VectorR, contains_all, module_sum
 from fsing.polyring import CharConfig, Poly, PowerCache, Ring, frobenius_power, poly_parse
@@ -458,6 +459,14 @@ def test_power_cache_all_small_powers():
         want = want * f
 
 
+def test_power_cache_large_prime_digit():
+    # a base-p digit near p = 1511 is built by a loop, not 1500 nested calls
+    ring = Ring(1511, 2)
+    cache = PowerCache(poly_parse("x0", ring))
+    assert cache.power(1500) == Poly.monomial(ring, (1500, 0))
+    assert cache.power(1510 * 1511 + 1499) == Poly.monomial(ring, (1510 * 1511 + 1499, 0))
+
+
 # -- closed forms -------------------------------------------------------------
 
 
@@ -608,7 +617,7 @@ def test_one_root_per_distinct_state_and_digit(monkeypatch, p, text, e, seeds):
 def test_tau_f_stable_shared_children_match_fresh(data):
     # every _ascend step and the final root share one dict; giving each call
     # its own must not change the ideal.  Each ascent step roots the same
-    # digits over a larger seed, so a dict keyed by the digits read so far
+    # digits over a new seed, so a dict keyed by the digits read so far
     # would hand back the first step's levels: the examples above catch that.
     cfg, f, alpha = data
     shared = tau_f_stable(f, alpha, cfg)
@@ -619,6 +628,92 @@ def test_tau_f_stable_shared_children_match_fresh(data):
     with mock.patch.object(testideal, "_digit_root", unshared):
         fresh = tau_f_stable(f, alpha, cfg)
     assert shared == fresh
+
+
+# -- the semi-naive ascent against the plain one --------------------------------
+
+
+def naive_ascend(a, d, seed, cfg, powers, cap, children):
+    """`testideal._ascend` as it was: every step roots the whole running sum."""
+    cur = seed
+    for _ in range(cap):
+        step = testideal._digit_root(a, d, cur, powers.power, cfg, children)
+        if cur._contains_flats(step._flats):
+            return cur
+        cur = module_sum(cur, step)
+    raise StabilizationError(f"test-ideal ascent did not stabilize within {cap} steps")
+
+
+def ascent_seed(f, alpha, cfg):
+    """(a, d, seed) of the ascent in `tau_f_stable(f, alpha)`."""
+    a, _, d = testideal._pe_decompose(alpha, cfg)
+    a %= cfg.q**d - 1
+    return a, d, testideal._ideal(PowerCache(f).power(frac_ceil(Fraction(a, cfg.q**d - 1))))
+
+
+def ascent_outcome(ascend, f, alpha, cfg, cap):
+    """The fixed point's generators, or StabilizationError, and the roots taken."""
+    a, d, seed = ascent_seed(f, alpha, cfg)
+    calls = []
+    digit_root = testideal._digit_root
+
+    def counted(*args):
+        calls.append(None)
+        return digit_root(*args)
+
+    with mock.patch.object(testideal, "_digit_root", counted):
+        try:
+            out = ascend(a, d, seed, cfg, PowerCache(f), cap, {}).generators
+        except StabilizationError:
+            out = StabilizationError
+    return out, len(calls)
+
+
+@st.composite
+def ascent_cases(draw):
+    """f over F_2, F_3 or F_5 and alpha = a / (q^c (q^d - 1)) with d >= 1."""
+    cfg, f = draw(nonconstant_polys().filter(lambda data: data[0].gamma == 1))
+    q = cfg.q
+    c, d = draw(
+        st.sampled_from([(c, d) for c in range(3) for d in (1, 2) if q ** (c + d) <= 25])
+    )
+    den = q**c * (q**d - 1)
+    alpha = Fraction(draw(st.integers(1, 2 * den)), den)
+    assume(testideal._pe_decompose(alpha, cfg)[2] >= 1)
+    return cfg, f, alpha
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ascent_cases(), st.sampled_from([1, 2, 64]))
+@example(case(5, "x0^2+x1^3", Fraction(3, 4)), 2)  # stops at the third root
+@example(case(5, "x0^2+x1^3", Fraction(3, 4)), 3)
+@example(case(5, "x0^3+x1^4", Fraction(19, 24)), 64)
+def test_ascent_matches_plain_iteration(data, cap):
+    # the same fixed point, generator for generator, after the same number of
+    # roots; or StabilizationError from both
+    cfg, f, alpha = data
+    got = ascent_outcome(testideal._ascend, f, alpha, cfg, cap)
+    assert got == ascent_outcome(naive_ascend, f, alpha, cfg, cap)
+
+
+def test_ascent_roots_only_the_newest_step(monkeypatch):
+    # every root after the first is taken over the step found last, not over
+    # the running sum; this ascent takes three roots
+    cfg = CharConfig(5)
+    f = poly_parse("x0^2+x1^3", Ring(5, 2))
+    a, d, seed = ascent_seed(f, Fraction(3, 4), cfg)
+    calls = []
+    digit_root = testideal._digit_root
+
+    def recorded(n, e, K, *args):
+        out = digit_root(n, e, K, *args)
+        calls.append((K, out))
+        return out
+
+    monkeypatch.setattr(testideal, "_digit_root", recorded)
+    testideal._ascend(a, d, seed, cfg, PowerCache(f), 8, {})
+    assert len(calls) == 3 and calls[0][0] is seed
+    assert all(K is step for (_, step), (K, _) in zip(calls, calls[1:]))
 
 
 @pytest.mark.parametrize(
