@@ -32,7 +32,7 @@ from .listmod import (
     load_problem_file,
     s_set,
 )
-from .modgb import Submodule, VectorR, set_default_pair_limit
+from .modgb import DEFAULT_PAIR_LIMIT, Submodule, VectorR, pair_limit
 from .polyring import MAX_VARS, CharConfig, Ring, poly_parse
 from .testideal import tau_f, tau_f_stable, f_jumping_exponents
 
@@ -64,7 +64,7 @@ def _frac_arg(text: str) -> Fraction:
 
 def _add_common_flags(sub):
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
-    sub.add_argument("--limit-pairs", type=int, default=None,
+    sub.add_argument("--limit-pairs", type=int, default=DEFAULT_PAIR_LIMIT,
                      help="cap on the Groebner S-pair queue")
 
 
@@ -329,12 +329,10 @@ def _build_parser() -> _Parser:
 def run(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    limit = getattr(args, "limit_pairs", None)
-    previous = None
     try:
-        if limit is not None:
-            previous = set_default_pair_limit(limit)
-        return args.func(args)
+        # --limit-pairs caps this call only
+        with pair_limit(args.limit_pairs):
+            return args.func(args)
     except ResourceLimitExceeded as exc:
         print(f"fsing: resource limit: {exc}", file=sys.stderr)
         return 2
@@ -344,10 +342,6 @@ def run(argv: Optional[List[str]] = None) -> int:
     except (FsingError, ValueError) as exc:
         print(f"fsing: error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        # --limit-pairs caps this call only
-        if previous is not None:
-            set_default_pair_limit(previous)
 
 
 def main() -> None:

@@ -26,7 +26,7 @@ def bracket_power(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
         VectorR(tuple(frobenius_power(p, e, cfg) for p in v.entries))
         for v in N.generators
     ]
-    return Submodule(N.rank, gens, N.ring, pair_limit=N.pair_limit)
+    return Submodule(N.rank, gens, N.ring)
 
 
 def frobenius_root(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
@@ -45,9 +45,7 @@ def frobenius_root(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
     root = _root_generators(N, e, cfg)
     # which copy of a repeated vector pruning keeps depends on the list
     # order, so the first copy of each is kept here, before pruning
-    return prune_generators(
-        Submodule(N.rank, root.generators, N.ring, pair_limit=N.pair_limit)
-    )
+    return prune_generators(Submodule(N.rank, root.generators, N.ring))
 
 
 def _root_generators(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
@@ -68,7 +66,7 @@ def _root_generators(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
         for (pos, m), c in g.items():
             per_u.setdefault(tuple(v % s for v in m), {})[(pos, tuple(v // s for v in m))] = c
         out.extend(per_u[u] for u in sorted(per_u))
-    return Submodule._from_flats(N.rank, N.ring, out, N.pair_limit)
+    return Submodule._from_flats(N.rank, N.ring, out)
 
 
 @dataclass(frozen=True)

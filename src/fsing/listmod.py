@@ -198,6 +198,11 @@ def decompose_A(A: TMatrix, cfg: CharConfig) -> MatrixList:
     return MatrixList(l, cfg, base, entries)
 
 
+def _check_cfg(A: TMatrix, cfg: CharConfig) -> None:
+    if cfg != A.cfg:
+        raise ValueError("characteristic mismatch between matrix and config")
+
+
 def _twisted_power(A: TMatrix, e: int, cfg: CharConfig) -> Matrix:
     """A^{e-1} = A^[q^{e-1}] ... A^[q] A, with e matrix factors."""
     prod = A.mat
@@ -211,6 +216,7 @@ def h_expand(A: TMatrix, e: int, cfg: CharConfig) -> HFamily:
 
     The family is checked against A^{e-1} by `_validate_family`.
     """
+    _check_cfg(A, cfg)
     if e < 1:
         raise ValueError("e must be positive")
     prod = _twisted_power(A, e, cfg)
@@ -322,9 +328,7 @@ def _expand_state(K: Submodule, A: TMatrix, cfg: CharConfig) -> List[Submodule]:
                 gens[r].append({t: c for t, c0 in per_u[u].items() if (c := c0 % p)})
     # the generators go straight to Buchberger: a zero one is skipped there,
     # a repeated one reduces to zero, so no dedupe is needed
-    return [
-        Submodule._from_flats(K.rank, K.ring, g, K.pair_limit)._basis_module() for g in gens
-    ]
+    return [Submodule._from_flats(K.rank, K.ring, g)._basis_module() for g in gens]
 
 
 class _RootWalk:
@@ -343,13 +347,13 @@ class _RootWalk:
     """
 
     def __init__(self, A: TMatrix, cfg: CharConfig):
+        _check_cfg(A, cfg)
         self.A, self.cfg = A, cfg
         rank = A.l * (A.tdeg // (cfg.q - 1) + 1)
         ring = A.ring.base()
-        zero = Submodule.zero(rank, ring)
         units = [{(i, (0,) * ring.width): 1} for i in range(A.l)]
-        self.start = Submodule._from_flats(rank, ring, units, zero.pair_limit)._basis_module()
-        self.sums = _RunningSums(zero)
+        self.start = Submodule._from_flats(rank, ring, units)._basis_module()
+        self.sums = _RunningSums(Submodule.zero(rank, ring))
         self._known = {self.start._canonical(): self.start}
         self._children: Dict[Tuple[frozenset, ...], Tuple[Submodule, ...]] = {}
 

@@ -26,6 +26,12 @@ marked processed, for the chain criterion, but not reduced.  The coprime
 product criterion is an ideal-theoretic shortcut whose usual proof does not
 carry to module tails, and at this problem scale it buys nothing.
 
+The queue's one cap, `DEFAULT_PAIR_LIMIT` unless a `with pair_limit(n):`
+block sets another, is held in a context variable, so it applies to one
+thread or task and is restored when the block exits.  A module uses the cap
+in force when its basis is first computed; a basis already computed is
+never recomputed under another cap.
+
 `_buchberger` hands its basis to `_reduce_basis` as (lead, element) pairs,
 so no lead is computed twice.  The interreduction visits the leads by
 (position, degree), ascending, and tests each only against the leads kept
@@ -49,25 +55,30 @@ from __future__ import annotations
 
 import heapq
 import operator
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import RankMismatchError, ResourceLimitExceeded
 from .polyring import Monomial, Poly, Ring, grevlex_key
 
 DEFAULT_PAIR_LIMIT = 200_000
-_default_pair_limit = DEFAULT_PAIR_LIMIT
+_pair_limit: ContextVar[int] = ContextVar("pair_limit", default=DEFAULT_PAIR_LIMIT)
 
 
-def set_default_pair_limit(limit: int) -> int:
-    """Cap the S-pair queue for submodules built without an explicit limit.
+@contextmanager
+def pair_limit(limit: int) -> Iterator[None]:
+    """Cap the S-pair queue of every Buchberger run inside the block.
 
-    Returns the previous default, so that a caller can restore it.
+    The cap is held per context (thread or task) and restored on exit.
     """
-    global _default_pair_limit
     if limit < 1:
         raise ValueError("pair limit must be positive")
-    previous, _default_pair_limit = _default_pair_limit, limit
-    return previous
+    token = _pair_limit.set(limit)
+    try:
+        yield
+    finally:
+        _pair_limit.reset(token)
 
 
 ModTerm = tuple[int, Monomial]
@@ -319,19 +330,9 @@ def _reduce_basis(
 class Submodule:
     """Finitely generated submodule of R^l with an on-demand reduced basis."""
 
-    def __init__(
-        self,
-        rank: int,
-        generators: Iterable[VectorR],
-        ring: Ring,
-        pair_limit: Optional[int] = None,
-    ):
+    def __init__(self, rank: int, generators: Iterable[VectorR], ring: Ring):
         if rank < 1:
             raise ValueError("rank must be positive")
-        if pair_limit is None:
-            pair_limit = _default_pair_limit
-        elif pair_limit < 1:
-            raise ValueError("pair limit must be positive")
         gens = []
         seen = set()
         for v in generators:
@@ -342,11 +343,11 @@ class Submodule:
             if not v.is_zero() and v not in seen:
                 gens.append(v)
                 seen.add(v)
-        self._init(rank, ring, [_flatten(v) for v in gens], pair_limit)
+        self._init(rank, ring, [_flatten(v) for v in gens])
         self._generators = tuple(gens)
 
-    def _init(self, rank: int, ring: Ring, flats: List[FlatVec], pair_limit: int) -> None:
-        self.rank, self.ring, self.pair_limit = rank, ring, pair_limit
+    def _init(self, rank: int, ring: Ring, flats: List[FlatVec]) -> None:
+        self.rank, self.ring = rank, ring
         self._flats = flats
         self._generators: Optional[Tuple[VectorR, ...]] = None
         self._flat_basis: Optional[List[Tuple[ModTerm, FlatVec]]] = None
@@ -354,15 +355,13 @@ class Submodule:
         self._key: Optional[Tuple[frozenset, ...]] = None
 
     @classmethod
-    def _from_flats(
-        cls, rank: int, ring: Ring, flats: List[FlatVec], pair_limit: int
-    ) -> "Submodule":
+    def _from_flats(cls, rank: int, ring: Ring, flats: List[FlatVec]) -> "Submodule":
         """Internal constructor from flat vectors of R^rank, kept as given and
         never mutated.  Zero and repeated generators may stay: `_buchberger`
         skips a zero vector, a repeat reduces to zero against its first copy,
         and `_reduce_basis` drops a repeated lead."""
         out = cls.__new__(cls)
-        out._init(rank, ring, flats, pair_limit)
+        out._init(rank, ring, flats)
         return out
 
     @property
@@ -380,7 +379,7 @@ class Submodule:
         if rank < 1:
             raise ValueError("rank must be positive")
         units = [{(i, (0,) * ring.width): 1} for i in range(rank)]
-        return Submodule._from_flats(rank, ring, units, _default_pair_limit)
+        return Submodule._from_flats(rank, ring, units)
 
     def is_zero(self) -> bool:
         return not self._reduced()
@@ -388,7 +387,7 @@ class Submodule:
     def _reduced(self) -> List[Tuple[ModTerm, FlatVec]]:
         """The flat reduced basis as (lead, element) pairs, largest lead first."""
         if self._flat_basis is None:
-            G = _buchberger(self._flats, self.ring.p, self.pair_limit)
+            G = _buchberger(self._flats, self.ring.p, _pair_limit.get())
             self._flat_basis = _reduce_basis(G, self.ring.p)
         return self._flat_basis
 
@@ -411,7 +410,7 @@ class Submodule:
         holds no zero or repeated vector.
         """
         basis = self._reduced()
-        out = Submodule._from_flats(self.rank, self.ring, [g for _, g in basis], self.pair_limit)
+        out = Submodule._from_flats(self.rank, self.ring, [g for _, g in basis])
         out._flat_basis, out._basis, out._key = basis, self._basis, self._key
         return out
 
@@ -482,7 +481,7 @@ def module_sum(N1: Submodule, N2: Submodule) -> Submodule:
         if g and key not in seen:
             flats.append(g)
             seen.add(key)
-    return Submodule._from_flats(N1.rank, N1.ring, flats, max(N1.pair_limit, N2.pair_limit))
+    return Submodule._from_flats(N1.rank, N1.ring, flats)
 
 
 def prune_generators(N: Submodule) -> Submodule:
@@ -495,9 +494,9 @@ def prune_generators(N: Submodule) -> Submodule:
     i = 0
     while i < len(gens):
         rest = gens[:i] + gens[i + 1 :]
-        M = Submodule(N.rank, rest, N.ring, pair_limit=N.pair_limit)
+        M = Submodule(N.rank, rest, N.ring)
         if contains(M, gens[i]):
             gens = rest
         else:
             i += 1
-    return Submodule(N.rank, gens, N.ring, pair_limit=N.pair_limit)
+    return Submodule(N.rank, gens, N.ring)

@@ -58,7 +58,7 @@ from .errors import StabilizationError
 # every module that holds it.  The roots below use `_root_generators`.
 from .frobenius import DEFAULT_STABLE_CAP, _root_generators, frobenius_root  # noqa: F401
 from .modgb import FlatVec, Submodule, VectorR, module_sum
-from .polyring import CharConfig, Poly, PowerCache
+from .polyring import CharConfig, Poly, PowerCache, Ring
 from .rationals import GridRational, frac_ceil, snap_interval
 
 
@@ -73,12 +73,17 @@ class SeReport:
         return tuple(j.value for j in self.jumps)
 
 
+def _check_char(ring: Ring, cfg: CharConfig) -> None:
+    if ring.p != cfg.p:
+        raise ValueError("characteristic mismatch between polynomial and config")
+
+
 def _ideal(gen: Poly) -> Submodule:
     return Submodule(1, (VectorR((gen,)),), gen.ring)
 
 
 def _scaled(K: Submodule, g: Poly) -> Submodule:
-    """The submodule g K, with the pair limit of K, from the flat generators of K."""
+    """The submodule g K, from the flat generators of K."""
     p, g_terms = g.ring.p, g.terms.items()
     gens = []
     for v in K._flats:
@@ -88,7 +93,7 @@ def _scaled(K: Submodule, g: Poly) -> Submodule:
                 t = (pos, tuple(a + b for a, b in zip(m1, m2)))
                 acc[t] = acc.get(t, 0) + c1 * c2
         gens.append({t: r for t, c in acc.items() if (r := c % p)})
-    return Submodule._from_flats(K.rank, K.ring, gens, K.pair_limit)
+    return Submodule._from_flats(K.rank, K.ring, gens)
 
 
 # (canonical key of K, digit d) -> (factor(d) K)^[1/q], for one `factor`
@@ -139,6 +144,7 @@ def tau_f(
     powers: Optional[PowerCache] = None,
 ) -> Submodule:
     """The e-th member (f^{ceil(alpha q^e)})^[1/q^e] of the chain for tau(f^alpha)."""
+    _check_char(f.ring, cfg)
     if f.is_zero():
         raise ValueError("f must be nonzero")
     if alpha < 0:
@@ -226,6 +232,7 @@ def tau_f_stable(
     are not a stopping proof: the ascending chain can pause and grow again
     (f = x0^3 over F_2 at alpha = 8/25 pauses at e = 1, 2).
     """
+    _check_char(f.ring, cfg)
     if f.is_zero():
         raise ValueError("f must be nonzero")
     if alpha < 0:
@@ -262,6 +269,7 @@ def f_jumping_exponents(f: Poly, cfg: CharConfig, e_max: int) -> List[Fraction]:
     interval with unequal ends drops at its right end.  With J drops this
     roots about J e_max log2(q) grid points instead of q^{e_max}.
     """
+    _check_char(f.ring, cfg)
     if f.is_zero() or f.is_constant():
         raise ValueError("f must be nonzero and not a unit")
     if e_max < 1:
@@ -302,6 +310,7 @@ def _check_list(r: Sequence[Poly], cfg: CharConfig) -> None:
     ring = r[0].ring
     if ring.extra is not None:
         raise ValueError("list entries must live in the pure ring R")
+    _check_char(ring, cfg)
     for p in r:
         if p.ring != ring:
             raise ValueError("list entries live in different rings")
@@ -349,8 +358,7 @@ class _RunningSums:
         if step is None:
             nxt = cum
             if not cum._contains_flats(piece._flats):
-                limit = max(cum.pair_limit, piece.pair_limit)
-                total = Submodule._from_flats(cum.rank, cum.ring, cum._flats + piece._flats, limit)
+                total = Submodule._from_flats(cum.rank, cum.ring, cum._flats + piece._flats)
                 total = total._basis_module()
                 nxt = self._known.setdefault(total._canonical(), total)
             step = self._steps[key] = (nxt, cum, piece)

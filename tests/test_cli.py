@@ -6,11 +6,11 @@ import sys
 
 import pytest
 
-from fsing import listmod
+from fsing import listmod, modgb
 from fsing.cli import _build_parser, run
 from fsing.errors import InternalConsistencyError
-from fsing.modgb import DEFAULT_PAIR_LIMIT, Submodule
-from fsing.polyring import MAX_VARS, Ring
+from fsing.modgb import DEFAULT_PAIR_LIMIT
+from fsing.polyring import MAX_VARS
 
 FSING = [sys.executable, "-m", "fsing.cli"]
 
@@ -184,7 +184,32 @@ def test_pair_limit_applies_to_one_call(capsys):
     ])
     assert code == 2
     assert "resource limit" in capsys.readouterr().err
-    assert Submodule.zero(1, Ring(2, 2)).pair_limit == DEFAULT_PAIR_LIMIT
+
+
+@pytest.mark.parametrize("command", [
+    ["froot", "--gens", "x0^3;x0^2+x0*x1", "--e", "1", "-p", "2"],
+    ["tau", "--f", "x0^2+x1^3", "--alpha", "1/4", "-p", "3"],
+    ["tau", "--f", "x0^2+x1^3", "--alpha", "5/6", "-p", "3", "--e", "2"],
+    ["fjump", "--f", "x0^2+x1^3", "-p", "2", "--e-max", "3"],
+    ["sset", "--input", "INPUT", "--e", "1"],
+    ["jumps", "--input", "INPUT", "--e-max", "3"],
+    ["bfun", "--input", "INPUT", "--e-max", "3"],
+], ids=["froot", "tau", "tau-e", "fjump", "sset", "jumps", "bfun"])
+def test_limit_pairs_reaches_every_buchberger_run(monkeypatch, capsys, tame_problem, command):
+    caps = []
+    buchberger = modgb._buchberger
+
+    def recording(gens, p, cap):
+        caps.append(cap)
+        return buchberger(gens, p, cap)
+
+    monkeypatch.setattr(modgb, "_buchberger", recording)
+    argv = [tame_problem if arg == "INPUT" else arg for arg in command]
+    assert run(argv + ["--limit-pairs", "7"]) == 0
+    assert caps and set(caps) == {7}
+    caps.clear()
+    assert run(argv) == 0
+    assert caps and set(caps) == {DEFAULT_PAIR_LIMIT}
 
 
 @pytest.mark.parametrize("command", [

@@ -33,9 +33,13 @@ from fsing.testideal import (
     _cumulative_scan,
     _jump_report,
     _RunningSums,
+    f_jumping_exponents,
     s_set_simple,
+    simple_list_I,
     simple_list_tau,
     simple_tau_scan,
+    tau_f,
+    tau_f_stable,
 )
 
 
@@ -826,3 +830,49 @@ def test_jump_report_compares_only_distinct_neighbours(monkeypatch):
     # five levels of q^{e+1} - 1 pairs each; one distinct pair per jump
     assert (len(scans), len(pairs), distinct) == (5, 358, 5)
     assert len(compared) == distinct
+
+
+CFG3 = CharConfig(3)
+CUSP3 = poly_parse("x0^2 + x1^3", Ring(3, 2))
+CUSP3_GRAPH = graph_generator(CUSP3, CFG3)
+CUSP3_LIST = decompose_A(CUSP3_GRAPH, CFG3)
+
+
+def _simple_list(cfg):
+    return [CUSP3 ** (cfg.q - 1 - n) for n in range(cfg.q)]
+
+
+# each entry point called with a config that is not the one of its input;
+# the CharConfig(5) cases at e = 1 never take a Frobenius power, which
+# checks the characteristic on its own
+CONFIG_MISMATCHES = {
+    "tau_f": lambda cfg: tau_f(CUSP3, Fraction(1, 2), 2, cfg),
+    "tau_f_stable": lambda cfg: tau_f_stable(CUSP3, Fraction(1, 2), cfg),
+    "f_jumping_exponents": lambda cfg: f_jumping_exponents(CUSP3, cfg, 2),
+    "simple_list_I": lambda cfg: simple_list_I(_simple_list(cfg), GridRational(1, 0, cfg), 0, cfg),
+    "simple_list_tau": lambda cfg: simple_list_tau(
+        _simple_list(cfg), GridRational(cfg.q, 0, cfg), 0, cfg
+    ),
+    "s_set_simple": lambda cfg: s_set_simple(_simple_list(cfg), 1, cfg),
+    "ltm_scan": lambda cfg: ltm_scan(CUSP3_LIST, 1, cfg),
+    "s_set": lambda cfg: s_set(CUSP3_LIST, 1, cfg),
+    "list_test_module": lambda cfg: list_test_module(
+        CUSP3_LIST, GridRational(cfg.q, 1, cfg), 1, cfg
+    ),
+    "estimate_jumping_numbers": lambda cfg: estimate_jumping_numbers(CUSP3_LIST, cfg, 2),
+    "b_function": lambda cfg: b_function(CUSP3_GRAPH, cfg, 3),
+    "h_expand": lambda cfg: h_expand(CUSP3_GRAPH, 1, cfg),
+}
+MATRIX_ENTRY_POINTS = ["ltm_scan", "s_set", "list_test_module", "estimate_jumping_numbers",
+                       "b_function", "h_expand"]
+
+
+@pytest.mark.parametrize("name, cfg", [
+    pytest.param(name, cfg, id=f"{name}-q{cfg.q}")
+    for name in CONFIG_MISMATCHES
+    for cfg in [CharConfig(5)] + ([CharConfig(3, 2)] if name in MATRIX_ENTRY_POINTS else [])
+])
+def test_config_mismatch_rejected(name, cfg):
+    # a polynomial over F_3 or a matrix list built at q = 3, with another p or q
+    with pytest.raises(ValueError, match="characteristic mismatch between"):
+        CONFIG_MISMATCHES[name](cfg)

@@ -1,5 +1,6 @@
 import heapq
 import random
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -21,6 +22,7 @@ from fsing.modgb import (
     contains,
     equals,
     module_sum,
+    pair_limit,
     prune_generators,
 )
 from fsing.polyring import Poly, Ring, poly_parse
@@ -125,22 +127,17 @@ def test_rank_mismatch():
 
 def test_pair_limit_exceeded():
     ring = Ring(2, 2)
-    N = Submodule(
-        1,
-        (vec(ring, "x0^2"), vec(ring, "x0*x1 + x1^2")),
-        ring,
-        pair_limit=1,
-    )
-    with pytest.raises(ResourceLimitExceeded):
+    N = Submodule(1, (vec(ring, "x0^2"), vec(ring, "x0*x1 + x1^2")), ring)
+    with pytest.raises(ResourceLimitExceeded), pair_limit(1):
         N.reduced_basis()
 
 
 @pytest.mark.parametrize("limit", [0, -3])
 def test_nonpositive_pair_limit_rejected(limit):
     # a cap below 1 is a caller error, not a resource limit hit later on
-    ring = Ring(2, 2)
     with pytest.raises(ValueError, match="pair limit must be positive"):
-        Submodule(1, (vec(ring, "x0"),), ring, pair_limit=limit)
+        with pair_limit(limit):
+            pass
 
 
 def random_poly(rng, ring, max_deg):
@@ -256,9 +253,10 @@ def test_buchberger_unreduced_basis_pinned(ring, gens, expected):
 def test_pair_limit_boundary():
     ring, gens, _ = BUCHBERGER_CASES[0]
     vectors = [vec(ring, *g) for g in gens]
-    with pytest.raises(ResourceLimitExceeded):
-        Submodule(1, vectors, ring, pair_limit=27).reduced_basis()
-    assert Submodule(1, vectors, ring, pair_limit=28).reduced_basis()
+    with pytest.raises(ResourceLimitExceeded), pair_limit(27):
+        Submodule(1, vectors, ring).reduced_basis()
+    with pair_limit(28):
+        assert Submodule(1, vectors, ring).reduced_basis()
 
 
 REDUCED_BASES = [
@@ -441,7 +439,7 @@ def test_buchberger_and_reduced_basis_match_reference(case):
     G = _buchberger([dict(g) for g in gens], p, DEFAULT_PAIR_LIMIT)
     assert [g for _, g in G] == expected
     assert _reduce_basis(G, p) == ref_reduce_basis(expected, p)
-    N = Submodule._from_flats(rank, ring, [dict(g) for g in gens], DEFAULT_PAIR_LIMIT)
+    N = Submodule._from_flats(rank, ring, [dict(g) for g in gens])
     assert N.reduced_basis() == tuple(
         _unflatten(g, rank, ring) for _, g in ref_reduce_basis(expected, p)
     )
@@ -521,9 +519,47 @@ def test_term_generators_queue_no_pair(monkeypatch):
         {(0, (2, 1)): 1},
         {(1, (0, 3)): 1},
     ]
-    basis = Submodule._from_flats(2, ring, flats, 1).reduced_basis()
+    with pair_limit(1):
+        basis = Submodule._from_flats(2, ring, flats).reduced_basis()
     assert basis == (vec(ring, "x0^2", "0"), vec(ring, "x0*x1", "0"), vec(ring, "0", "x1^3"))
     assert counts == {"pairs": 0, "normal_forms": 0}
     # the counters see the pair loop whenever one generator has two terms
     _buchberger(flats + [_flatten(vec(ring, "x0 + x1", "0"))], ring.p, DEFAULT_PAIR_LIMIT)
     assert counts["pairs"] > 0 and counts["normal_forms"] > 0
+
+
+def test_pair_limit_is_scoped_to_its_thread():
+    # BUCHBERGER_CASES[0] needs a queue of 28 pairs
+    ring, gens, _ = BUCHBERGER_CASES[0]
+    vectors = [vec(ring, *g) for g in gens]
+    entered, done = threading.Barrier(2, timeout=60), threading.Barrier(2, timeout=60)
+    results = {}
+
+    def capped():
+        with pair_limit(1):
+            entered.wait()
+            done.wait()
+
+    def uncapped():
+        entered.wait()
+        try:
+            results["basis"] = Submodule(1, vectors, ring).reduced_basis()
+        finally:
+            done.wait()
+
+    threads = [threading.Thread(target=capped), threading.Thread(target=uncapped)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert results["basis"]
+
+
+def test_pair_limit_restored_after_an_exception():
+    ring, gens, _ = BUCHBERGER_CASES[0]
+    vectors = [vec(ring, *g) for g in gens]
+    with pytest.raises(ResourceLimitExceeded), pair_limit(27):
+        Submodule(1, vectors, ring).reduced_basis()
+    assert modgb._pair_limit.get() == DEFAULT_PAIR_LIMIT
+    assert Submodule(1, vectors, ring).reduced_basis()

@@ -31,19 +31,6 @@ def ideal(ring, *texts):
     return Submodule(1, gens, ring)
 
 
-@pytest.mark.parametrize("n", [3, 7])
-def test_digit_root_keeps_the_seed_pair_limit(n):
-    # n = 7 also multiplies the last level by f
-    cfg, ring = CharConfig(2), Ring(2, 2)
-    f = poly_parse("x0^2+x1^3", ring)
-    seed = Submodule(1, ideal(ring, "x0", "x1^2").generators, ring, pair_limit=7)
-    children: Children = {}
-    root = _digit_root(n, 2, seed, PowerCache(f).power, cfg, children)
-    assert len(children) == 2
-    assert [child.pair_limit for child in children.values()] == [7, 7]
-    assert root.pair_limit == 7
-
-
 @pytest.fixture
 def f2():
     return CharConfig(2), Ring(2, 1)
