@@ -34,6 +34,7 @@ from .listmod import (
     HFamily,
     JumpReport,
     MatrixList,
+    SeReport,
     TMatrix,
     assemble_A,
     decompose_A,
@@ -43,6 +44,9 @@ from .listmod import (
     load_problem,
     load_problem_file,
     s_set,
+    s_set_simple,
+    simple_list_I,
+    simple_list_tau,
 )
 from .modgb import (
     Submodule,
@@ -65,14 +69,6 @@ from .polyring import (
     poly_parse,
 )
 from .rationals import ChainFit, GridRational, detect_chain_limit, snap_interval
-from .testideal import (
-    SeReport,
-    f_jumping_exponents,
-    s_set_simple,
-    simple_list_I,
-    simple_list_tau,
-    tau_f,
-    tau_f_stable,
-)
+from .testideal import f_jumping_exponents, tau_f, tau_f_stable
 
 __version__ = "0.1.0"

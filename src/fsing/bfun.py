@@ -17,13 +17,13 @@ from .errors import InternalConsistencyError
 from .listmod import (
     ChainEstimate,
     JumpReport,
+    SeReport,
     TMatrix,
     _estimate_jumping_numbers,
     decompose_A,
     s_set,
 )
 from .polyring import CharConfig, Poly
-from .testideal import SeReport
 
 
 @dataclass(frozen=True)

@@ -9,19 +9,20 @@ sets at successive e feed a periodic-digit fit that recovers exact rational
 jumping numbers.  Those roots are never taken of the product itself: a
 digit-wise walk (`_RootWalk`) reaches each one in e+1 one-level steps along
 the base-q digits of n, through finitely many states that are each expanded
-once per call.  The running sum and the jump test are
-`testideal._cumulative_scan` and `_jump_report`, shared with simple lists.
-The walk also owns the memo of the running sums (`testideal._RunningSums`):
-a step is keyed by the identities of the sum and the piece, and each span
-of a sum is one object, found by its canonical key.  The levels
-e = 0..e_max of `estimate_jumping_numbers` share it, so a sum that several
-levels reach costs one Buchberger run in all, and a level's scan is
-lookups over its q^{e+1} pieces: b_function of the cusp graph at p=3
-runs Buchberger 10 times at e_max 4 and 10 alike (18 and 30 with a fresh
-sum per level).  Simple lists keep their own digit-wise roots, also one per
-distinct state and digit: on the 1x1 list f^{4-n}, f = x0^2+x1^3, at p=5,
-e=3, S_e takes 0.003 s by the walk and 0.008 s by the simple-list roots
-(2-vCPU x86-64 VM).
+once per call.  The running sum and the jump test are `_cumulative_scan`
+and `_jump_report`.  The walk also owns the memo of the running sums
+(`_RunningSums`): a step is keyed by the identities of the sum and the
+piece, and each span of a sum is one object, found by its canonical key.
+The levels e = 0..e_max of `estimate_jumping_numbers` share it, so a sum
+that several levels reach costs one Buchberger run in all, and a level's
+scan is lookups over its q^{e+1} pieces: b_function of the cusp graph at
+p=3 runs Buchberger 10 times at e_max 4 and 10 alike (18 and 30 with a
+fresh sum per level).
+
+A simple list r_0 .. r_{q-1} is the 1x1 matrix list A(t) = sum r_n t^n, and
+its test ideals are read off that list's walk.  A step keeps the t-exponents
+m = r (mod q) of A K and roots t^m to t^(m div q); with deg_t A < q no state
+leaves the t^0 slot, even when r_{q-1} != 0 gives the walk rank 2.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InternalConsistencyError, ProblemFormatError
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
@@ -37,10 +38,14 @@ from .errors import InternalConsistencyError, ProblemFormatError
 from .frobenius import frobenius_root  # noqa: F401
 from .modgb import FlatVec, Submodule
 from .polyring import MAX_VARS, CharConfig, Monomial, Poly, Ring, frobenius_power, poly_parse
-from .rationals import GridRational, detect_chain_limit
-from .testideal import SeReport, _cumulative_scan, _grid_index, _jump_report, _RunningSums
+from .rationals import GridRational, detect_chain_limit, frac_ceil
 
 Matrix = tuple[tuple[Poly, ...], ...]
+
+
+def _check_char(ring: Ring, cfg: CharConfig) -> None:
+    if ring.p != cfg.p:
+        raise ValueError("characteristic mismatch between matrix and config")
 
 
 def _mat_check(mat: Sequence[Sequence[Poly]], l: int, ring: Ring) -> Matrix:
@@ -98,6 +103,7 @@ class MatrixList:
     def __post_init__(self):
         if self.base_ring.extra is not None:
             raise ValueError("matrix list entries must live in the pure ring R")
+        _check_char(self.base_ring, self.cfg)
         cleaned = {}
         for (k, n), mat in self.entries.items():
             if k < 0 or not (0 <= n < self.cfg.q):
@@ -126,6 +132,7 @@ class TMatrix:
         ring = self.mat[0][0].ring
         if ring.extra != "t":
             raise ValueError("TMatrix entries must live in R[t]")
+        _check_char(ring, self.cfg)
         object.__setattr__(self, "mat", _mat_check(self.mat, l, ring))
 
     @property
@@ -180,6 +187,7 @@ def assemble_A(mlist: MatrixList) -> TMatrix:
 
 def decompose_A(A: TMatrix, cfg: CharConfig) -> MatrixList:
     """Split each t-exponent v as v = kq + n with 0 <= n < q."""
+    _check_cfg(A, cfg)
     q = cfg.q
     l = A.l
     base = A.ring.base()
@@ -282,6 +290,103 @@ def _validate_family(fam: HFamily, A: TMatrix, prod: Matrix) -> None:
         raise InternalConsistencyError(
             f"reassembly of H^{fam.e} does not reproduce A^{fam.e - 1}"
         )
+
+
+# -- running sums and jump sets -----------------------------------------------
+
+
+@dataclass(frozen=True)
+class SeReport:
+    """The jump set S_e of a list, on the grid m / q^{e+1}."""
+
+    e: int
+    jumps: Tuple[GridRational, ...]
+
+    def values(self) -> Tuple[Fraction, ...]:
+        return tuple(j.value for j in self.jumps)
+
+
+def _grid_index(lam: GridRational, e: int, cfg: CharConfig) -> int:
+    m = frac_ceil(lam.value * cfg.q ** (e + 1))
+    if not (0 < m <= cfg.q ** (e + 1)):
+        raise ValueError("lambda must lie in (0, 1]")
+    return m
+
+
+class _RunningSums:
+    """The steps sum -> sum + piece of the cumulative scans over one family of pieces.
+
+    A step is keyed by the identities of the running sum and the piece and
+    maps to the next sum: the sum itself when it contains the piece, else
+    the module generated by the reduced basis of the two together.  Each
+    span of a sum is kept as one object, found by its canonical key, so one
+    Buchberger run serves every scan that reaches it, and a step taken by one
+    scan is a dict lookup for every later scan that shares the memo.  Every
+    keyed object is kept alive with its step, since a freed object's id may
+    be reused by a new one.  The memo lives as long as its owner; nothing is
+    kept at module level.
+    """
+
+    def __init__(self, zero: Submodule):
+        self.zero = zero
+        self._known: dict[tuple[frozenset, ...], Submodule] = {}
+        self._steps: dict[tuple[int, int], tuple[Submodule, Submodule, Submodule]] = {}
+
+    def add(self, cum: Submodule, piece: Submodule) -> Submodule:
+        """cum + piece, as the one object kept for its span."""
+        key = (id(cum), id(piece))
+        step = self._steps.get(key)
+        if step is None:
+            nxt = cum
+            if not cum._contains_flats(piece._flats):
+                total = Submodule._from_flats(cum.rank, cum.ring, cum._flats + piece._flats)
+                total = total._basis_module()
+                nxt = self._known.setdefault(total._canonical(), total)
+            step = self._steps[key] = (nxt, cum, piece)
+        return step[0]
+
+
+def _cumulative_scan(
+    pieces: Iterable[Optional[Submodule]], sums: _RunningSums
+) -> List[Submodule]:
+    """Running sums sums.zero + pieces[0] + ... + pieces[i], one per piece.
+
+    A None piece counts as zero; a piece the sum contains leaves it unchanged.
+    A piece object seen before adds nothing and is not looked up again: the
+    memoized roots hand back one object per state, and a level holds
+    q^{e+1} pieces but only a few states.  Each new piece goes through
+    `sums`, which takes each distinct (sum, piece) step once; scans that
+    share `sums` (the levels e = 0..e_max of one
+    `estimate_jumping_numbers` call) share their steps too, and a
+    caller scanning one level passes a fresh `_RunningSums`.  Equal sums are
+    the same object.
+    """
+    out: List[Submodule] = []
+    cum = sums.zero
+    seen: set[int] = set()  # kept alive by the steps of `sums`
+    for piece in pieces:
+        if piece is not None and id(piece) not in seen:
+            seen.add(id(piece))
+            cum = sums.add(cum, piece)
+        out.append(cum)
+    return out
+
+
+def _jump_report(scan: Sequence[Submodule], e: int, cfg: CharConfig) -> SeReport:
+    """Grid points m/q^{e+1} in (0,1) where the cumulative scan strictly grows next.
+
+    scan[m-1] is the value at m/q^{e+1}; by monotonicity in lambda, m/q^{e+1}
+    is in S_e exactly when scan[m] != scan[m-1] (the adjacent-point test).
+    `_cumulative_scan` repeats the same object where the sum did not grow, so
+    identity is tested first.
+    """
+    jumps = tuple(
+        GridRational(m, e, cfg)
+        for m in range(1, len(scan))
+        if scan[m] is not scan[m - 1] and scan[m] != scan[m - 1]
+    )
+    return SeReport(e, jumps)
+
 
 
 # -- the digit-wise walk ------------------------------------------------------
@@ -423,6 +528,57 @@ def list_test_module(
 def s_set(mlist: MatrixList, e: int, cfg: CharConfig) -> SeReport:
     """Grid points in (0,1) where the list test module strictly grows next."""
     return _jump_report(ltm_scan(mlist, e, cfg), e, cfg)
+
+
+# -- simple lists: the 1x1 matrix list ----------------------------------------
+
+
+def _check_list(r: Sequence[Poly], cfg: CharConfig) -> None:
+    if len(r) != cfg.q:
+        raise ValueError(f"list has length {len(r)}, expected q = {cfg.q}")
+
+
+def _simple_list(r: Sequence[Poly], cfg: CharConfig) -> MatrixList:
+    """The 1x1 matrix list A(t) = sum r_n t^n; `MatrixList` checks the rings."""
+    _check_list(r, cfg)
+    return MatrixList(1, cfg, r[0].ring, {(0, n): ((r_n,),) for n, r_n in enumerate(r)})
+
+
+def _rank_one(K: Submodule) -> Submodule:
+    """A module of a simple list's walk, which lies in the t^0 slot, as an ideal of R."""
+    if any(pos for v in K._flats for pos, _ in v):
+        raise InternalConsistencyError("a simple-list module leaves the t^0 slot")
+    return Submodule._from_flats(1, K.ring, K._flats)
+
+
+def simple_list_I(
+    r: Sequence[Poly], lam: GridRational, e: int, cfg: CharConfig
+) -> Submodule:
+    """(r_{i_0} r_{i_1}^q ... r_{i_e}^{q^e})^[1/q^{e+1}] at the grid point lam."""
+    mlist = _simple_list(r, cfg)
+    m = _grid_index(lam, e, cfg)
+    return _rank_one(_RootWalk(assemble_A(mlist), cfg).piece(m - 1, e))
+
+
+def simple_tau_scan(r: Sequence[Poly], e: int, cfg: CharConfig) -> List[Submodule]:
+    """Cumulative simple list test ideals at m = 1 .. q^{e+1} (index m-1).
+
+    As in `ltm_scan`, equal entries are one object."""
+    scan = ltm_scan(_simple_list(r, cfg), e, cfg)
+    ideals = {id(K): _rank_one(K) for K in scan}
+    return [ideals[id(K)] for K in scan]
+
+
+def simple_list_tau(
+    r: Sequence[Poly], lam: GridRational, e: int, cfg: CharConfig
+) -> Submodule:
+    """Sum of simple_list_I over all grid points up to lam; no piece above it is rooted."""
+    return _rank_one(list_test_module(_simple_list(r, cfg), lam, e, cfg))
+
+
+def s_set_simple(r: Sequence[Poly], e: int, cfg: CharConfig) -> SeReport:
+    """Grid points in (0,1) where the cumulative ideal strictly grows next."""
+    return s_set(_simple_list(r, cfg), e, cfg)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
-"""Test ideals tau(f^alpha), F-jumping exponents, and simple list test ideals.
+"""Test ideals tau(f^alpha) of one polynomial f, and its F-jumping exponents.
 
-lambda only ever enters through ceil(lambda * q^{e+1}), so every scan walks
-an integer grid; there is no real arithmetic anywhere.  Ideals are rank-1
+lambda only ever enters through ceil(lambda * q^e), so every search walks an
+integer grid; there is no real arithmetic anywhere.  Ideals are rank-1
 submodules so that the Groebner machinery is shared with the module case.
 
 Every root here is taken one level at a time and f^a is never formed.  Two
@@ -13,22 +13,13 @@ degrees stay near deg(f) q rather than deg(f) a.  The step
 K_i -> K_{i+1} depends only on the span of K_i and the digit a_i, so a call
 that roots many a keeps each step under (canonical key of K_i, a_i) and
 takes it once, however many digit prefixes reach the same ideal; the steps
-form a small graph on the distinct ideals, as in `listmod._RootWalk`.  The
-simple-list products r_{i_0} r_{i_1}^q ... r_{i_e}^{q^e} are rooted the
-same way, with the factor r_{i_k} in place of f^{a_k}.  Their running sum
-and jump sets S_e come from `_cumulative_scan` and `_jump_report`, shared
-with the matrix-list scan in `listmod`.  On a 1x1 list that walk is still
-the faster path, but no longer by much: S_e of r_n = f^{4-n},
-f = x0^2+x1^3, at p=5, e=3 takes 0.008 s here and 0.003 s by the walk
-(2-vCPU x86-64 VM).
+form a small graph on the distinct ideals, as in `listmod._RootWalk`.
 
 F-jumping exponents are found by bisecting the grid k/q^e, not by rooting
 all of its points.  k -> (f^k)^[1/q^e] never grows (f^{k+1} lies in (f^k),
 and Frobenius roots keep inclusions), so equal roots at the two ends of a
 grid interval make the root constant on the whole interval: comparing the
-endpoints of each interval is an exact test for a drop inside it.  The
-cumulative list scans gain nothing from this, since a running sum at a
-point costs every piece below it.
+endpoints of each interval is an exact test for a drop inside it.
 
 A stable test ideal tau(f^{a/(q^d-1)}) is the least fixed point of
 K -> K + Phi(K), Phi(K) = (f^a K)^[1/q^d], over a seed.  A root is taken
@@ -49,9 +40,8 @@ deg <= floor(maxdeg / q^e).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .errors import StabilizationError
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
@@ -59,18 +49,7 @@ from .errors import StabilizationError
 from .frobenius import DEFAULT_STABLE_CAP, _root_generators, frobenius_root  # noqa: F401
 from .modgb import FlatVec, Submodule, VectorR, module_sum
 from .polyring import CharConfig, Poly, PowerCache, Ring
-from .rationals import GridRational, frac_ceil, snap_interval
-
-
-@dataclass(frozen=True)
-class SeReport:
-    """The jump set S_e of a (simple) list, on the grid m / q^{e+1}."""
-
-    e: int
-    jumps: Tuple[GridRational, ...]
-
-    def values(self) -> Tuple[Fraction, ...]:
-        return tuple(j.value for j in self.jumps)
+from .rationals import frac_ceil, snap_interval
 
 
 def _check_char(ring: Ring, cfg: CharConfig) -> None:
@@ -302,137 +281,3 @@ def f_jumping_exponents(f: Poly, cfg: CharConfig, e_max: int) -> List[Fraction]:
         snapped = snap_interval(Fraction(lo, grid), Fraction(hi, grid), q, window, window)
         out.append(snapped if snapped is not None else Fraction(hi, grid))
     return out
-
-
-def _check_list(r: Sequence[Poly], cfg: CharConfig) -> None:
-    if len(r) != cfg.q:
-        raise ValueError(f"list has length {len(r)}, expected q = {cfg.q}")
-    ring = r[0].ring
-    if ring.extra is not None:
-        raise ValueError("list entries must live in the pure ring R")
-    _check_char(ring, cfg)
-    for p in r:
-        if p.ring != ring:
-            raise ValueError("list entries live in different rings")
-
-
-def _grid_index(lam: GridRational, e: int, cfg: CharConfig) -> int:
-    m = frac_ceil(lam.value * cfg.q ** (e + 1))
-    if not (0 < m <= cfg.q ** (e + 1)):
-        raise ValueError("lambda must lie in (0, 1]")
-    return m
-
-
-def simple_list_I(
-    r: Sequence[Poly], lam: GridRational, e: int, cfg: CharConfig
-) -> Submodule:
-    """(r_{i_0} r_{i_1}^q ... r_{i_e}^{q^e})^[1/q^{e+1}] at the grid point lam."""
-    _check_list(r, cfg)
-    m = _grid_index(lam, e, cfg)
-    return _digit_root(m - 1, e + 1, Submodule.full(1, r[0].ring), r.__getitem__, cfg)
-
-
-class _RunningSums:
-    """The steps sum -> sum + piece of the cumulative scans over one family of pieces.
-
-    A step is keyed by the identities of the running sum and the piece and
-    maps to the next sum: the sum itself when it contains the piece, else
-    the module generated by the reduced basis of the two together.  Each
-    span of a sum is kept as one object, found by its canonical key, so one
-    Buchberger run serves every scan that reaches it, and a step taken by one
-    scan is a dict lookup for every later scan that shares the memo.  Every
-    keyed object is kept alive with its step, since a freed object's id may
-    be reused by a new one.  The memo lives as long as its owner; nothing is
-    kept at module level.
-    """
-
-    def __init__(self, zero: Submodule):
-        self.zero = zero
-        self._known: dict[tuple[frozenset, ...], Submodule] = {}
-        self._steps: dict[tuple[int, int], tuple[Submodule, Submodule, Submodule]] = {}
-
-    def add(self, cum: Submodule, piece: Submodule) -> Submodule:
-        """cum + piece, as the one object kept for its span."""
-        key = (id(cum), id(piece))
-        step = self._steps.get(key)
-        if step is None:
-            nxt = cum
-            if not cum._contains_flats(piece._flats):
-                total = Submodule._from_flats(cum.rank, cum.ring, cum._flats + piece._flats)
-                total = total._basis_module()
-                nxt = self._known.setdefault(total._canonical(), total)
-            step = self._steps[key] = (nxt, cum, piece)
-        return step[0]
-
-
-def _cumulative_scan(
-    pieces: Iterable[Optional[Submodule]], sums: _RunningSums
-) -> List[Submodule]:
-    """Running sums sums.zero + pieces[0] + ... + pieces[i], one per piece.
-
-    A None piece counts as zero; a piece the sum contains leaves it unchanged.
-    A piece object seen before adds nothing and is not looked up again: the
-    memoized roots hand back one object per state, and a level holds
-    q^{e+1} pieces but only a few states.  Each new piece goes through
-    `sums`, which takes each distinct (sum, piece) step once; scans that
-    share `sums` (the levels e = 0..e_max of one
-    `listmod.estimate_jumping_numbers` call) share their steps too, and a
-    caller scanning one level passes a fresh `_RunningSums`.  Equal sums are
-    the same object.
-    """
-    out: List[Submodule] = []
-    cum = sums.zero
-    seen: set[int] = set()  # kept alive by the steps of `sums`
-    for piece in pieces:
-        if piece is not None and id(piece) not in seen:
-            seen.add(id(piece))
-            cum = sums.add(cum, piece)
-        out.append(cum)
-    return out
-
-
-def _jump_report(scan: Sequence[Submodule], e: int, cfg: CharConfig) -> SeReport:
-    """Grid points m/q^{e+1} in (0,1) where the cumulative scan strictly grows next.
-
-    scan[m-1] is the value at m/q^{e+1}; by monotonicity in lambda, m/q^{e+1}
-    is in S_e exactly when scan[m] != scan[m-1] (the adjacent-point test).
-    `_cumulative_scan` repeats the same object where the sum did not grow, so
-    identity is tested first.
-    """
-    jumps = tuple(
-        GridRational(m, e, cfg)
-        for m in range(1, len(scan))
-        if scan[m] is not scan[m - 1] and scan[m] != scan[m - 1]
-    )
-    return SeReport(e, jumps)
-
-
-def simple_tau_scan(
-    r: Sequence[Poly], e: int, cfg: CharConfig, count: Optional[int] = None
-) -> List[Submodule]:
-    """Cumulative simple list test ideals at m = 1 .. q^{e+1} (index m-1).
-
-    With `count`, only the first `count` entries are computed.
-    """
-    _check_list(r, cfg)
-    ring = r[0].ring
-    full = Submodule.full(1, ring)
-    children: Children = {}
-    pieces = (
-        _digit_root(n, e + 1, full, r.__getitem__, cfg, children)
-        for n in range(cfg.q ** (e + 1) if count is None else count)
-    )
-    return _cumulative_scan(pieces, _RunningSums(Submodule.zero(1, ring)))
-
-
-def simple_list_tau(
-    r: Sequence[Poly], lam: GridRational, e: int, cfg: CharConfig
-) -> Submodule:
-    """Sum of simple_list_I over all grid points up to lam; no piece above it is rooted."""
-    m = _grid_index(lam, e, cfg)
-    return simple_tau_scan(r, e, cfg, m)[-1]
-
-
-def s_set_simple(r: Sequence[Poly], e: int, cfg: CharConfig) -> SeReport:
-    """Grid points in (0,1) where the cumulative ideal strictly grows next."""
-    return _jump_report(simple_tau_scan(r, e, cfg), e, cfg)

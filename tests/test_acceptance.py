@@ -17,10 +17,12 @@ from fsing.listmod import (
     h_expand,
     ltm_scan,
     s_set,
+    s_set_simple,
+    simple_tau_scan,
 )
 from fsing.modgb import Submodule, VectorR, contains_all
 from fsing.polyring import CharConfig, Poly, Ring, poly_parse
-from fsing.testideal import f_jumping_exponents, s_set_simple, simple_tau_scan
+from fsing.testideal import f_jumping_exponents
 
 from test_listmod import h_recursion_check
 

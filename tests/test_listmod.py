@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsing import listmod, modgb
-from fsing.bfun import b_function, graph_generator
+from fsing.bfun import b_function, euler_eigenvalue_candidates, graph_generator
 from fsing.errors import InternalConsistencyError, ProblemFormatError
 from fsing.frobenius import _root_generators, frobenius_root
 from fsing.listmod import (
@@ -22,25 +22,21 @@ from fsing.listmod import (
     estimate_jumping_numbers,
     h_expand,
     list_test_module,
-    load_problem,
-    ltm_scan,
-    s_set,
-)
-from fsing.modgb import Submodule, VectorR, module_sum
-from fsing.polyring import CharConfig, Poly, Ring, frobenius_power, poly_parse
-from fsing.rationals import GridRational
-from fsing.testideal import (
     _cumulative_scan,
     _jump_report,
     _RunningSums,
-    f_jumping_exponents,
+    load_problem,
+    ltm_scan,
+    s_set,
     s_set_simple,
     simple_list_I,
     simple_list_tau,
     simple_tau_scan,
-    tau_f,
-    tau_f_stable,
 )
+from fsing.modgb import Submodule, VectorR, module_sum
+from fsing.polyring import CharConfig, Poly, Ring, frobenius_power, poly_parse
+from fsing.rationals import GridRational
+from fsing.testideal import f_jumping_exponents, tau_f, tau_f_stable
 
 
 def tmat(cfg, nvars, rows):
@@ -805,6 +801,16 @@ def test_state_past_tau_bound_raises():
     assert odd == Submodule(4, (VectorR((zero, one, zero, zero)),), ring)
 
 
+def test_simple_list_module_outside_t0_slot_raises():
+    # a simple list's walk never leaves the t^0 slot; a module that does is
+    # not an ideal of R
+    ring = Ring(2, 0)
+    one, zero = Poly.const(ring, 1), Poly.zero(ring)
+    assert listmod._rank_one(Submodule(2, (VectorR((one, zero)),), ring)) == Submodule.full(1, ring)
+    with pytest.raises(InternalConsistencyError, match="leaves the t\\^0 slot"):
+        listmod._rank_one(Submodule(2, (VectorR((zero, one)),), ring))
+
+
 def test_jump_report_compares_only_distinct_neighbours(monkeypatch):
     # _cumulative_scan repeats one object wherever the sum did not grow; the
     # adjacent-point test skips those pairs and compares only the others
@@ -862,9 +868,13 @@ CONFIG_MISMATCHES = {
     "estimate_jumping_numbers": lambda cfg: estimate_jumping_numbers(CUSP3_LIST, cfg, 2),
     "b_function": lambda cfg: b_function(CUSP3_GRAPH, cfg, 3),
     "h_expand": lambda cfg: h_expand(CUSP3_GRAPH, 1, cfg),
+    "decompose_A": lambda cfg: decompose_A(CUSP3_GRAPH, cfg),
+    "euler_eigenvalue_candidates": lambda cfg: euler_eigenvalue_candidates(CUSP3_GRAPH, 2, cfg),
+    "graph_generator": lambda cfg: graph_generator(CUSP3, cfg),
+    "MatrixList": lambda cfg: MatrixList(1, cfg, CUSP3.ring, {(0, 0): ((CUSP3,),)}),
 }
 MATRIX_ENTRY_POINTS = ["ltm_scan", "s_set", "list_test_module", "estimate_jumping_numbers",
-                       "b_function", "h_expand"]
+                       "b_function", "h_expand", "decompose_A", "euler_eigenvalue_candidates"]
 
 
 @pytest.mark.parametrize("name, cfg", [

@@ -1,11 +1,13 @@
 """Checks on the library source itself."""
 
 import ast
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "fsing").glob("*.py"))
+MODULES = {path.stem for path in SOURCES}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -15,3 +17,34 @@ def test_no_global_statement(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
     assert lines == [], f"{path.name} has a global statement at line(s) {lines}"
+
+
+def package_imports(path):
+    """The modules of the package that `path` imports, anywhere in its tree."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.split(".")[0] == "fsing"]
+            out |= {name.split(".")[1] if "." in name else "__init__" for name in names}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "fsing":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                out.add(module.split(".")[0])
+            else:  # from . import name: a module, or a name of the package
+                out |= {a.name if a.name in MODULES else "__init__" for a in node.names}
+    return out
+
+
+def test_package_imports_are_acyclic():
+    # the modules form layers; a cycle, even one closed by an import inside a
+    # function, would let a lower module lean on a higher one
+    graph = {path.stem: package_imports(path) for path in SOURCES}
+    assert graph["listmod"] >= {"modgb", "frobenius"} and "testideal" not in graph["listmod"]
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        pytest.fail(f"import cycle in src/fsing: {' -> '.join(exc.args[1])}")

@@ -13,14 +13,17 @@ from fsing.frobenius import frobenius_root
 from fsing.modgb import Submodule, VectorR, contains_all, module_sum
 from fsing.polyring import CharConfig, Poly, PowerCache, Ring, frobenius_power, poly_parse
 from fsing.rationals import GridRational, frac_ceil, snap_interval
-from fsing.testideal import (
-    Children,
-    _digit_root,
-    f_jumping_exponents,
+from fsing.listmod import (
+    _jump_report,
     s_set_simple,
     simple_list_I,
     simple_list_tau,
     simple_tau_scan,
+)
+from fsing.testideal import (
+    Children,
+    _digit_root,
+    f_jumping_exponents,
     tau_f,
     tau_f_stable,
 )
@@ -396,16 +399,26 @@ def test_shared_prefixes_match_power_oracle(data, e, seed_mono):
         assert got == want
 
 
-def ref_simple_tau_scan(r, e, cfg):
-    """Cumulative roots of the full digit products, one level-(e+1) root each."""
+def ref_simple_pieces(r, e, cfg):
+    """Roots of the full digit products, one level-(e+1) root each."""
     ring = r[0].ring
-    out, cum = [], Submodule.zero(1, ring)
+    out = []
     for m in range(1, cfg.q ** (e + 1) + 1):
         n, prod = m - 1, Poly.const(ring, 1)
         for k in range(e + 1):
             n, i_k = divmod(n, cfg.q)
             prod = prod * frobenius_power(r[i_k], k, cfg)
-        cum = module_sum(cum, frobenius_root(Submodule(1, (VectorR((prod,)),), ring), e + 1, cfg))
+        out.append(frobenius_root(Submodule(1, (VectorR((prod,)),), ring), e + 1, cfg))
+    return out
+
+
+def ref_simple_tau_scan(r, e, cfg, pieces=None):
+    """Cumulative sums of `ref_simple_pieces`, or of the given pieces."""
+    if pieces is None:
+        pieces = ref_simple_pieces(r, e, cfg)
+    out, cum = [], Submodule.zero(1, r[0].ring)
+    for piece in pieces:
+        cum = module_sum(cum, piece)
         out.append(cum)
     return out
 
@@ -424,10 +437,22 @@ def simple_lists(draw):
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(simple_lists(), st.integers(0, 2))
 def test_simple_tau_scan_matches_product_oracle(data, e):
+    # every simple-list entry point against the products rooted whole; the
+    # draws give walks of rank 1 (r_{q-1} = 0) and rank 2 (r_{q-1} != 0)
     cfg, r = data
     while cfg.q ** (e + 1) > 27:
         e -= 1
-    assert simple_tau_scan(r, e, cfg) == ref_simple_tau_scan(r, e, cfg)
+    pieces = ref_simple_pieces(r, e, cfg)
+    want = ref_simple_tau_scan(r, e, cfg, pieces)
+    scan = simple_tau_scan(r, e, cfg)
+    assert scan == want
+    for m, (piece, prefix) in enumerate(zip(pieces, want), start=1):
+        lam = GridRational(m, e, cfg)
+        got_I, got_tau = simple_list_I(r, lam, e, cfg), simple_list_tau(r, lam, e, cfg)
+        assert got_I == piece, f"simple_list_I at m = {m}"
+        assert got_tau == prefix, f"simple_list_tau at m = {m}"
+        assert got_I.rank == got_tau.rank == scan[m - 1].rank == 1
+    assert s_set_simple(r, e, cfg) == _jump_report(want, e, cfg)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
