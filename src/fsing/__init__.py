@@ -5,14 +5,7 @@ their jumping exponents, list test modules with their jump sets, and
 b-functions of square matrices over R[t].  All arithmetic is exact.
 """
 
-from .bfun import (
-    BFunctionResult,
-    EulerWeight,
-    b_function,
-    euler_eigenvalue_candidates,
-    graph_generator,
-    weight_to_theta_digits,
-)
+from .bfun import BFunctionResult, b_function, graph_generator
 from .errors import (
     FsingError,
     InternalConsistencyError,

@@ -2,66 +2,16 @@
 
 The roots of the b-function are 1 - lambda over the detected jumping numbers
 lambda in (0,1), with a jumping number of exactly 1 contributing the root 1.
-Euler-operator eigenvalue bookkeeping (theta digits and their Theta shifts)
-rides along for diagnostics; the eigenvalue candidate set at level e is read
-off the jump set at level e-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .errors import InternalConsistencyError
-from .listmod import (
-    ChainEstimate,
-    JumpReport,
-    SeReport,
-    TMatrix,
-    _estimate_jumping_numbers,
-    decompose_A,
-    s_set,
-)
+from .listmod import ChainEstimate, JumpReport, SeReport, TMatrix, _estimate_jumping_numbers
 from .polyring import CharConfig, Poly
-
-
-@dataclass(frozen=True)
-class EulerWeight:
-    """A weight m in [0, q^e) whose base-p digits are theta-eigenvalues."""
-
-    m: int
-    e: int
-    cfg: CharConfig
-
-    def __post_init__(self):
-        if self.e < 1:
-            raise ValueError("e must be positive")
-        if not (0 <= self.m < self.cfg.q**self.e):
-            raise ValueError(f"weight {self.m} out of range [0, q^{self.e})")
-
-
-def weight_to_theta_digits(w: EulerWeight) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Base-p digits of m (the theta-eigenvalues) and their Theta shifts.
-
-    Digits are padded to gamma*e places, least significant first.  The Theta
-    eigenvalue of digit d is d + 1 mod p; the same list arises from the
-    complementary digits j_l = p - 1 - d_l as -j_l mod p, and both encodings
-    are computed and compared.
-    """
-    p = w.cfg.p
-    places = w.cfg.gamma * w.e
-    digits = []
-    m = w.m
-    for _ in range(places):
-        digits.append(m % p)
-        m //= p
-    theta = tuple(digits)
-    big_theta = tuple((d + 1) % p for d in theta)
-    alt = tuple((-(p - 1 - d)) % p for d in theta)
-    if alt != big_theta:
-        raise InternalConsistencyError("eigenvalue conventions disagree")
-    return theta, big_theta
 
 
 def graph_generator(f: Poly, cfg: CharConfig) -> TMatrix:
@@ -72,23 +22,6 @@ def graph_generator(f: Poly, cfg: CharConfig) -> TMatrix:
     t = Poly.monomial(t_ring, (0,) * f.ring.nvars + (1,))
     base = f.lift_to(t_ring) - t
     return TMatrix(((base ** (cfg.q - 1),),), cfg)
-
-
-def euler_eigenvalue_candidates(
-    A: TMatrix, e: int, cfg: CharConfig
-) -> Set[EulerWeight]:
-    """{m : m/q^e in S_{e-1}} together with 0, as weights at level e.
-
-    This is a sound upper bound on the attainable weights, not a claim that
-    every candidate occurs.
-    """
-    if e < 1:
-        raise ValueError("e must be positive")
-    report = s_set(decompose_A(A, cfg), e - 1, cfg)
-    out = {EulerWeight(0, e, cfg)}
-    for g in report.jumps:
-        out.add(EulerWeight(g.m, e, cfg))
-    return out
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,20 @@ Everything here works through coefficient extraction in the monomial basis
 x^u, 0 <= u < q^e: the root of N is spanned by the coefficient vectors of its
 generators, so no differential operators are ever materialized.  The
 D^e-module generated by N is (N^[1/q^e])^[q^e].
+
+Deep roots are taken one level at a time along base-q digits, by the rules
+(I^[1/q])^[1/q^{e-1}] = I^[1/q^e] and (g^q h)^[1/q] = g h^[1/q]
+(Blickle-Mustata-Smith, Michigan Math. J. 57, 2008).  A one-level step
+depends only on the span of the module and the digit, so the steps form a
+finite graph on the distinct spans with edges labelled by digits
+(`_RootGraph`).  The test ideals of `testideal` and the list walks of
+`listmod` both run on it; only the step differs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from .errors import StabilizationError
 from .modgb import FlatVec, Submodule, VectorR, contains_all, prune_generators
@@ -67,6 +75,43 @@ def _root_generators(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
             per_u.setdefault(tuple(v % s for v in m), {})[(pos, tuple(v // s for v in m))] = c
         out.extend(per_u[u] for u in sorted(per_u))
     return Submodule._from_flats(N.rank, N.ring, out)
+
+
+class _RootGraph:
+    """The one-level steps K -> step(K, d), d < q, of one call, each taken once.
+
+    A step depends only on the span of K and the digit d, so it is kept
+    under (K._canonical(), d) and taken once, however many digit prefixes
+    reach that span.  Each span a step returns is kept as one object, so
+    two steps that reach one span hand back the same object; the seeds a
+    caller walks from are not kept.  The zero module is its own child and
+    is never stepped.  The graph lives as long as its owner; nothing is kept
+    at module level.
+    """
+
+    def __init__(self, step: Callable[[Submodule, int], Submodule], q: int):
+        self.step, self.q = step, q
+        self._known: Dict[Tuple[frozenset, ...], Submodule] = {}
+        self.edges: Dict[Tuple[Tuple[frozenset, ...], int], Submodule] = {}
+
+    def child(self, K: Submodule, d: int) -> Submodule:
+        """step(K, d), as the one object kept for its span."""
+        key = K._canonical()
+        if not key:
+            return K
+        kid = self.edges.get((key, d))
+        if kid is None:
+            kid = self.step(K, d)
+            kid = self.edges[key, d] = self._known.setdefault(kid._canonical(), kid)
+        return kid
+
+    def walk(self, K: Submodule, n: int, levels: int) -> Tuple[Submodule, int]:
+        """K after `levels` steps along the low base-q digits of n, lowest
+        first, and the rest n // q^levels."""
+        for _ in range(levels):
+            n, d = divmod(n, self.q)
+            K = self.child(K, d)
+        return K, n
 
 
 @dataclass(frozen=True)

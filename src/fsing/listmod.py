@@ -8,11 +8,13 @@ Frobenius roots (H^{e+1}_n)^[1/q^{e+1}] of their column spans, and the jump
 sets at successive e feed a periodic-digit fit that recovers exact rational
 jumping numbers.  Those roots are never taken of the product itself: a
 digit-wise walk (`_RootWalk`) reaches each one in e+1 one-level steps along
-the base-q digits of n, through finitely many states that are each expanded
-once per call.  The running sum and the jump test are `_cumulative_scan`
-and `_jump_report`.  The walk also owns the memo of the running sums
-(`_RunningSums`): a step is keyed by the identities of the sum and the
-piece, and each span of a sum is one object, found by its canonical key.
+the base-q digits of n, through finitely many states.  The states and steps
+are a `frobenius._RootGraph`, the graph the test ideals of `testideal` run
+on too, so each (state, digit) step is taken once per call.  The running
+sum and the jump test are `_cumulative_scan` and `_jump_report`.  The walk
+also owns the memo of the running sums (`_RunningSums`): a step is keyed by
+the identities of the sum and the piece, and each span of a sum is one
+object, found by its canonical key.
 The levels e = 0..e_max of `estimate_jumping_numbers` share it, so a sum
 that several levels reach costs one Buchberger run in all, and a level's
 scan is lookups over its q^{e+1} pieces: b_function of the cusp graph at
@@ -29,13 +31,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InternalConsistencyError, ProblemFormatError
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
 # every fsing module that holds it, and its tests expect listmod among them.
-from .frobenius import frobenius_root  # noqa: F401
+from .frobenius import _RootGraph, frobenius_root  # noqa: F401
 from .modgb import FlatVec, Submodule
 from .polyring import MAX_VARS, CharConfig, Monomial, Poly, Ring, frobenius_power, poly_parse
 from .rationals import GridRational, detect_chain_limit, frac_ceil
@@ -151,6 +154,20 @@ class TMatrix:
 
     def is_zero(self) -> bool:
         return _mat_is_zero(self.mat)
+
+    @cached_property
+    def _columns(self) -> Tuple[List[List[list]], List[int]]:
+        """Per column j, its terms (i, a, m, c), c x^a t^m in row i, bucketed
+        by m mod q, and the largest m in the column (-1 when it is zero)."""
+        q, l = self.cfg.q, self.l
+        by_residue: List[List[list]] = [[[] for _ in range(q)] for _ in range(l)]
+        top = [-1] * l
+        for j in range(l):
+            for i in range(l):
+                for mono, c in self.mat[i][j].terms.items():
+                    by_residue[j][mono[-1] % q].append((i, mono[:-1], mono[-1], c))
+                    top[j] = max(top[j], mono[-1])
+        return by_residue, top
 
 
 @dataclass(frozen=True)
@@ -346,26 +363,23 @@ class _RunningSums:
         return step[0]
 
 
-def _cumulative_scan(
-    pieces: Iterable[Optional[Submodule]], sums: _RunningSums
-) -> List[Submodule]:
+def _cumulative_scan(pieces: Iterable[Submodule], sums: _RunningSums) -> List[Submodule]:
     """Running sums sums.zero + pieces[0] + ... + pieces[i], one per piece.
 
-    A None piece counts as zero; a piece the sum contains leaves it unchanged.
-    A piece object seen before adds nothing and is not looked up again: the
-    memoized roots hand back one object per state, and a level holds
-    q^{e+1} pieces but only a few states.  Each new piece goes through
-    `sums`, which takes each distinct (sum, piece) step once; scans that
-    share `sums` (the levels e = 0..e_max of one
-    `estimate_jumping_numbers` call) share their steps too, and a
-    caller scanning one level passes a fresh `_RunningSums`.  Equal sums are
-    the same object.
+    A piece the sum contains leaves it unchanged.  A piece object seen
+    before adds nothing and is not looked up again: the root graph hands
+    back one object per state, and a level holds q^{e+1} pieces but only a
+    few states.  Each new piece goes through `sums`, which takes each
+    distinct (sum, piece) step once; scans that share `sums` (the levels
+    e = 0..e_max of one `estimate_jumping_numbers` call) share their steps
+    too, and a caller scanning one level passes a fresh `_RunningSums`.
+    Equal sums are the same object.
     """
     out: List[Submodule] = []
     cum = sums.zero
     seen: set[int] = set()  # kept alive by the steps of `sums`
     for piece in pieces:
-        if piece is not None and id(piece) not in seen:
+        if id(piece) not in seen:
             seen.add(id(piece))
             cum = sums.add(cum, piece)
         out.append(cum)
@@ -392,108 +406,91 @@ def _jump_report(scan: Sequence[Submodule], e: int, cfg: CharConfig) -> SeReport
 # -- the digit-wise walk ------------------------------------------------------
 
 
-def _expand_state(K: Submodule, A: TMatrix, cfg: CharConfig) -> List[Submodule]:
-    """The q children step(K, r), r = 0..q-1, of a state K in R^{l(N+1)}.
+def _expand_state(K: Submodule, A: TMatrix, cfg: CharConfig, r: int) -> Submodule:
+    """The child step(K, r) of a state K in R^{l(N+1)} for the digit r < q.
 
     Coordinate s*l + i of K is slot i of t^s.  step(K, r) multiplies each
     generator v(t) by A(t), keeps the terms x^a t^m with m = r (mod q) and
     roots them one level in x and t: x^a t^m goes to the x-residue a mod q
     with coefficient x^(a div q) t^(m div q), one flat vector per generator
-    and residue as in `_root_generators`.  A child's t-degree is at most
-    floor((d + N)/q) <= N; a coordinate of K, zero or not, that A(t) would
-    carry past N is an internal error once K has a generator.
+    and residue as in `_root_generators`.  A's terms are bucketed by their
+    t-exponent mod q once per matrix (`TMatrix._columns`, at cfg, which is
+    A's), and a step reads only the terms that land on r, so the q digits of
+    a state together do the work of one pass over its products.  A child's
+    t-degree is at most floor((d + N)/q) <= N; a coordinate of K, zero or
+    not, that A(t) would carry past N is an internal error once K has a
+    generator.
     """
     q, l, p = cfg.q, A.l, cfg.p
     bound = K.rank // l - 1
-    columns = [
-        [(i, mono[:-1], mono[-1], c) for i in range(l) for mono, c in A.mat[i][j].terms.items()]
-        for j in range(l)
-    ]
+    by_residue, top = A._columns
     if K._flats and any(
-        (m + idx // l) // q > bound for idx in range(K.rank) for _, _, m, _ in columns[idx % l]
+        top[idx % l] >= 0 and (top[idx % l] + idx // l) // q > bound for idx in range(K.rank)
     ):
         raise InternalConsistencyError(
             f"a Frobenius-root state exceeds the tau-degree bound {bound}"
         )
-    gens: List[List[FlatVec]] = [[] for _ in range(q)]
+    gens: List[FlatVec] = []
     for v in K._flats:
-        # per digit r: x-residue u -> flat vector of the root
-        acc: List[Dict[Monomial, FlatVec]] = [{} for _ in range(q)]
+        per_u: Dict[Monomial, FlatVec] = {}  # x-residue u -> flat vector of the root
         for (idx, b), cb in v.items():
             s, j = divmod(idx, l)
-            for i, a, m, c in columns[j]:
-                shift, r = divmod(m + s, q)
+            for i, a, m, c in by_residue[j][(r - s) % q]:
                 split = [divmod(x + y, q) for x, y in zip(a, b)]
                 u = tuple(lo for _, lo in split)
-                t = (shift * l + i, tuple(hi for hi, _ in split))
-                cell = acc[r].setdefault(u, {})
+                t = ((m + s) // q * l + i, tuple(hi for hi, _ in split))
+                cell = per_u.setdefault(u, {})
                 cell[t] = cell.get(t, 0) + c * cb
-        for r, per_u in enumerate(acc):
-            for u in sorted(per_u):
-                gens[r].append({t: c for t, c0 in per_u[u].items() if (c := c0 % p)})
+        for u in sorted(per_u):
+            gens.append({t: c for t, c0 in per_u[u].items() if (c := c0 % p)})
     # the generators go straight to Buchberger: a zero one is skipped there,
     # a repeated one reduces to zero, so no dedupe is needed
-    return [Submodule._from_flats(K.rank, K.ring, g)._basis_module() for g in gens]
+    return Submodule._from_flats(K.rank, K.ring, gens)._basis_module()
 
 
 class _RootWalk:
-    """The Frobenius-root states of A(t), each expanded at most once.
+    """The Frobenius-root states of A(t), on one `_RootGraph` per walk.
 
     With N = floor(d/(q-1)), the piece (H^{e+1}_n)^[1/q^{e+1}] of the level-e
     scan is the state K_{e+1}, where K_0 is spanned by the unit vectors of
     the t^0 slots and K_{i+1} = step(K_i, n_i) for the base-q digits n_i of
     n, lowest first (see `_expand_state`).  That is exact: the level-e
     product is P_e = P_{e-1}^[q] A with Frobenius acting on t as well, a
-    root of B^[q] K is B times the root of K, and roots compose.  A state's
-    children depend on its span only, so they are kept by its canonical key
-    for the life of the walk, and every prefix is shared by all levels.
-    `sums` memoizes the steps of the running sums over its pieces in the
-    same way, for every scan of the walk's levels.
+    root of B^[q] K is B times the root of K, and roots compose.  The graph
+    takes each (state, digit) step once for the life of the walk, so every
+    prefix is shared by all levels.  `sums` memoizes the steps of the
+    running sums over its pieces in the same way, for every scan of the
+    walk's levels.
     """
 
     def __init__(self, A: TMatrix, cfg: CharConfig):
         _check_cfg(A, cfg)
-        self.A, self.cfg = A, cfg
         rank = A.l * (A.tdeg // (cfg.q - 1) + 1)
         ring = A.ring.base()
         units = [{(i, (0,) * ring.width): 1} for i in range(A.l)]
         self.start = Submodule._from_flats(rank, ring, units)._basis_module()
         self.sums = _RunningSums(Submodule.zero(rank, ring))
-        self._known = {self.start._canonical(): self.start}
-        self._children: Dict[Tuple[frozenset, ...], Tuple[Submodule, ...]] = {}
-
-    def children(self, K: Submodule) -> Tuple[Submodule, ...]:
-        """step(K, r) for r = 0..q-1; one object per distinct span."""
-        key = K._canonical()
-        kids = self._children.get(key)
-        if kids is None:
-            if key:
-                kids = tuple(
-                    self._known.setdefault(child._canonical(), child)
-                    for child in _expand_state(K, self.A, self.cfg)
-                )
-            else:
-                kids = (K,) * self.cfg.q
-            self._children[key] = kids
-        return kids
+        self.graph = _RootGraph(lambda K, r: _expand_state(K, A, cfg, r), cfg.q)
 
     def piece(self, n: int, e: int) -> Submodule:
         """The piece at n on level e: e + 1 steps along the digits of n."""
-        K = self.start
-        for _ in range(e + 1):
-            n, digit = divmod(n, self.cfg.q)
-            K = self.children(K)[digit]
-        return K
+        return self.graph.walk(self.start, n, e + 1)[0]
 
     def levels(self, e_max: int) -> Iterator[List[Submodule]]:
-        """The pieces at n = 0 .. q^{e+1} - 1, for e = 0 .. e_max in turn."""
+        """The pieces at n = 0 .. q^{e+1} - 1, for e = 0 .. e_max in turn.
+
+        The children of a level's states are looked up once per state
+        object, not once per piece: a level holds q^{e+1} pieces but only a
+        few distinct objects.
+        """
+        q, child = self.graph.q, self.graph.child
         states = [self.start]
         for _ in range(e_max + 1):
-            kids: Dict[int, Tuple[Submodule, ...]] = {}
+            kids: Dict[int, List[Submodule]] = {}
             for K in states:
                 if id(K) not in kids:
-                    kids[id(K)] = self.children(K)
-            states = [kids[id(K)][r] for r in range(self.cfg.q) for K in states]
+                    kids[id(K)] = [child(K, r) for r in range(q)]
+            states = [kids[id(K)][r] for r in range(q) for K in states]
             yield states
 
 
@@ -653,13 +650,13 @@ def estimate_jumping_numbers(
     Each chain's numerators satisfy m_{e+b} = q^b m_e + c once periodic; the
     fit window (preperiod and period) is max(1, e_max // 2).  Chains with no
     fit, or that die out before e_max, are reported unresolved.  The levels
-    e = 0..e_max share one `_RootWalk`: each state is expanded once for all
-    levels, and the running sums of all level scans share the walk's memo,
-    which keys each step by the identities of the running sum and the piece
-    and keeps one object per span of a sum, found by its canonical key.  A
-    sum two levels reach is computed once, so the Buchberger runs do not
-    grow with e_max (10 for the cusp graph at p=3, at e_max 4 and 10 alike).
-    The memo is freed when the call returns.
+    e = 0..e_max share one `_RootWalk`: each (state, digit) step is taken
+    once for all levels, and the running sums of all level scans share the
+    walk's memo, which keys each step by the identities of the running sum
+    and the piece and keeps one object per span of a sum, found by its
+    canonical key.  A sum two levels reach is computed once, so the
+    Buchberger runs do not grow with e_max (10 for the cusp graph at p=3,
+    at e_max 4 and 10 alike).  The memo is freed when the call returns.
     """
     return _estimate_jumping_numbers(assemble_A(mlist), cfg, e_max)
 

@@ -10,10 +10,10 @@ rules (Blickle-Mustata-Smith, Michigan Math. J. 57, 2008) make that exact:
 a = a_0 + a_1 q + ... + a_{e-1} q^{e-1} + N q^e in base q, they give
 (f^a K)^[1/q^e] = f^N K_e with K_0 = K and K_{i+1} = (f^{a_i} K_i)^[1/q], so
 degrees stay near deg(f) q rather than deg(f) a.  The step
-K_i -> K_{i+1} depends only on the span of K_i and the digit a_i, so a call
-that roots many a keeps each step under (canonical key of K_i, a_i) and
-takes it once, however many digit prefixes reach the same ideal; the steps
-form a small graph on the distinct ideals, as in `listmod._RootWalk`.
+K_i -> K_{i+1} depends only on the span of K_i and the digit a_i, so each
+call keeps its steps in one `frobenius._RootGraph` and takes each
+(ideal, digit) step once, however many digit prefixes reach the ideal; the
+list walks of `listmod` run on the same graph with a matrix step.
 
 F-jumping exponents are found by bisecting the grid k/q^e, not by rooting
 all of its points.  k -> (f^k)^[1/q^e] never grows (f^{k+1} lies in (f^k),
@@ -41,12 +41,12 @@ deg <= floor(maxdeg / q^e).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import StabilizationError
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
 # every module that holds it.  The roots below use `_root_generators`.
-from .frobenius import DEFAULT_STABLE_CAP, _root_generators, frobenius_root  # noqa: F401
+from .frobenius import DEFAULT_STABLE_CAP, _root_generators, _RootGraph, frobenius_root  # noqa: F401
 from .modgb import FlatVec, Submodule, VectorR, module_sum
 from .polyring import CharConfig, Poly, PowerCache, Ring
 from .rationals import frac_ceil, snap_interval
@@ -75,44 +75,29 @@ def _scaled(K: Submodule, g: Poly) -> Submodule:
     return Submodule._from_flats(K.rank, K.ring, gens)
 
 
-# (canonical key of K, digit d) -> (factor(d) K)^[1/q], for one `factor`
-Children = dict[tuple[tuple[frozenset, ...], int], Submodule]
+def _power_graph(powers: PowerCache, cfg: CharConfig) -> _RootGraph:
+    """The one-level roots K -> (f^d K)^[1/q], d < q, of f = powers.f.
 
-
-def _digit_root(
-    n: int,
-    e: int,
-    K: Submodule,
-    factor: Callable[[int], Poly],
-    cfg: CharConfig,
-    children: Optional[Children] = None,
-) -> Submodule:
-    """(g K)^[1/q^e] for g = factor(n_0) factor(n_1)^q ... factor(n_{e-1})^{q^{e-1}},
-    times factor(N)^{q^e} when N > 0.
-
-    n_0 .. n_{e-1} are the low base-q digits of n and N = n // q^e.  With
-    factor(i) = f^i this is (f^n K)^[1/q^e].  The root is taken as e single
-    levels K <- (factor(n_i) K)^[1/q], lowest digit first, and multiplied by
-    factor(N) at the end.  Each level is the module generated by the root's
-    reduced basis (`Submodule._basis_module`), not a pruned generator list,
-    so its generators carry no degree bound; the span is the same.
-
-    A level depends only on the span of K, the digit and `factor`, so it is
-    kept in `children` under (K._canonical(), digit) and rooted once per
-    distinct pair, whatever digits led to K and on every level, the last
-    included.  A caller rooting many n with one `factor` passes one dict for
-    the whole call; the seeds K may differ.
+    Each step is the module generated by the root's reduced basis
+    (`Submodule._basis_module`), not a pruned generator list, so its
+    generators carry no degree bound; the span is the same.
     """
-    children = {} if children is None else children
-    for _ in range(e):
-        n, digit = divmod(n, cfg.q)
-        key = (K._canonical(), digit)
-        child = children.get(key)
-        if child is None:
-            child = _root_generators(_scaled(K, factor(digit)), 1, cfg)._basis_module()
-            children[key] = child
-        K = child
-    return _scaled(K, factor(n)) if n else K
+    return _RootGraph(
+        lambda K, d: _root_generators(_scaled(K, powers.power(d)), 1, cfg)._basis_module(),
+        cfg.q,
+    )
+
+
+def _digit_root(n: int, e: int, K: Submodule, graph: _RootGraph, powers: PowerCache) -> Submodule:
+    """(f^n K)^[1/q^e] for f = powers.f, on the graph of `_power_graph`.
+
+    The root is taken as e single levels K <- (f^{n_i} K)^[1/q] along the low
+    base-q digits n_i of n, lowest first, and multiplied by f^N at the end,
+    N = n // q^e.  A caller rooting many n passes one graph for the whole
+    call, so each (ideal, digit) level is rooted once whatever the seeds.
+    """
+    K, n = graph.walk(K, n, e)
+    return _scaled(K, powers.power(n)) if n else K
 
 
 def tau_f(
@@ -132,7 +117,7 @@ def tau_f(
         raise ValueError("e must be non-negative")
     powers = powers or PowerCache(f)
     k = frac_ceil(alpha * cfg.q**e)
-    return _digit_root(k, e, Submodule.full(1, f.ring), powers.power, cfg)
+    return _digit_root(k, e, Submodule.full(1, f.ring), _power_graph(powers, cfg), powers)
 
 
 def _pe_decompose(alpha: Fraction, cfg: CharConfig) -> Tuple[int, int, int]:
@@ -163,10 +148,9 @@ def _ascend(
     a: int,
     d: int,
     seed: Submodule,
-    cfg: CharConfig,
+    graph: _RootGraph,
     powers: PowerCache,
     cap: int,
-    children: Children,
 ) -> Submodule:
     """Smallest K containing seed with (f^a K)^[1/q^d] inside K.
 
@@ -182,7 +166,7 @@ def _ascend(
     """
     cur = new = seed
     for _ in range(cap):
-        step = _digit_root(a, d, new, powers.power, cfg, children)
+        step = _digit_root(a, d, new, graph, powers)
         if cur._contains_flats(step._flats):
             return cur
         cur, new = module_sum(cur, step), step
@@ -220,14 +204,14 @@ def tau_f_stable(
     full = Submodule.full(1, f.ring)
     if alpha == 0:
         return full
+    graph = _power_graph(powers, cfg)
     a, c, d = _pe_decompose(alpha, cfg)
     if d == 0:
-        return _digit_root(a, c, full, powers.power, cfg)
+        return _digit_root(a, c, full, graph, powers)
     m, a = divmod(a, cfg.q**d - 1)
     seed = _ideal(powers.power(frac_ceil(Fraction(a, cfg.q**d - 1))))
-    children: Children = {}
-    fixed = _ascend(a, d, seed, cfg, powers, e_cap, children)
-    return _digit_root(m, c, fixed, powers.power, cfg, children)
+    fixed = _ascend(a, d, seed, graph, powers, e_cap)
+    return _digit_root(m, c, fixed, graph, powers)
 
 
 def f_jumping_exponents(f: Poly, cfg: CharConfig, e_max: int) -> List[Fraction]:
@@ -257,13 +241,13 @@ def f_jumping_exponents(f: Poly, cfg: CharConfig, e_max: int) -> List[Fraction]:
     grid = q**e_max
     window = max(1, -(-e_max // 2))
     powers = PowerCache(f)
+    graph = _power_graph(powers, cfg)
     full = Submodule.full(1, f.ring)
-    children: Children = {}
     roots = {0: full}
 
     def root(k: int) -> Submodule:
         if k not in roots:
-            roots[k] = _digit_root(k, e_max, full, powers.power, cfg, children)
+            roots[k] = _digit_root(k, e_max, full, graph, powers)
         return roots[k]
 
     out: List[Fraction] = []

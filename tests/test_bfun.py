@@ -3,13 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fsing.bfun import (
-    EulerWeight,
-    b_function,
-    euler_eigenvalue_candidates,
-    graph_generator,
-    weight_to_theta_digits,
-)
+from fsing.bfun import b_function, graph_generator
 from fsing.listmod import TMatrix, decompose_A
 from fsing.polyring import CharConfig, Poly, Ring, poly_parse
 
@@ -46,64 +40,6 @@ class TestGraphGenerator:
         ml = decompose_A(graph_generator(f, cfg), cfg)
         for n in range(cfg.q):
             assert ml.entries[(0, n)][0][0] == f ** (cfg.q - 1 - n)
-
-
-class TestEulerWeights:
-    def test_candidates_tame_e1(self):
-        cfg = CharConfig(3)
-        A = tmat(cfg, 0, [["t"]])
-        got = {w.m for w in euler_eigenvalue_candidates(A, 1, cfg)}
-        assert got == {0, 1}
-
-    def test_candidates_tame_e2(self):
-        cfg = CharConfig(3)
-        A = tmat(cfg, 0, [["t"]])
-        got = {w.m for w in euler_eigenvalue_candidates(A, 2, cfg)}
-        assert got == {0, 4}
-
-    def test_candidates_zero_matrix(self):
-        cfg = CharConfig(2)
-        A = tmat(cfg, 0, [["0"]])
-        got = {w.m for w in euler_eigenvalue_candidates(A, 2, cfg)}
-        assert got == {0}
-
-    def test_candidates_match_s_set(self):
-        from fsing.listmod import s_set
-
-        cfg = CharConfig(2)
-        A = tmat(cfg, 0, [["t", "1"], ["0", "t"]])
-        for e in range(1, 4):
-            weights = {w.m for w in euler_eigenvalue_candidates(A, e, cfg)}
-            jumps = {g.m for g in s_set(decompose_A(A, cfg), e - 1, cfg).jumps}
-            assert weights == jumps | {0}
-
-    def test_weight_range_check(self):
-        with pytest.raises(ValueError):
-            EulerWeight(9, 2, CharConfig(3))
-
-
-class TestThetaDigits:
-    def test_zero_weight(self):
-        theta, big = weight_to_theta_digits(EulerWeight(0, 2, CharConfig(3)))
-        assert theta == (0, 0)
-        assert big == (1, 1)
-
-    def test_m4_p3(self):
-        theta, big = weight_to_theta_digits(EulerWeight(4, 2, CharConfig(3)))
-        assert theta == (1, 1)
-        assert big == (2, 2)
-
-    def test_wraparound(self):
-        cfg = CharConfig(3)
-        theta, big = weight_to_theta_digits(EulerWeight(8, 2, cfg))
-        assert theta == (2, 2)
-        assert big == (0, 0)
-
-    def test_gamma_padding(self):
-        cfg = CharConfig(2, 2)  # q = 4, gamma*e = 4 digits
-        theta, big = weight_to_theta_digits(EulerWeight(5, 2, cfg))
-        assert theta == (1, 0, 1, 0)
-        assert big == (0, 1, 0, 1)
 
 
 class TestBFunction:

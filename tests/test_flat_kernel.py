@@ -155,7 +155,7 @@ def outcome(children):
 @given(states())
 def test_expand_state_matches_reference(case):
     A, cfg, K = case
-    got = outcome(lambda: _expand_state(K, A, cfg))
+    got = outcome(lambda: [_expand_state(K, A, cfg, r) for r in range(cfg.q)])
     want = outcome(
         lambda: [Submodule(K.rank, g, K.ring) for g in ref_expand_state(K, A, cfg)]
     )
@@ -170,7 +170,7 @@ def test_expand_state_checks_zero_coordinates():
     A = TMatrix(((Poly(Ring(2, 0, "t"), {(3,): 1}),),), cfg)
     K = Submodule(2, (VectorR((Poly.const(ring, 1), Poly.zero(ring))),), ring)
     with pytest.raises(InternalConsistencyError, match="tau-degree bound 1"):
-        _expand_state(K, A, cfg)
+        _expand_state(K, A, cfg, 0)
     with pytest.raises(InternalConsistencyError, match="tau-degree bound 1"):
         ref_expand_state(K, A, cfg)
 

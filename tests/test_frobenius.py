@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fsing.frobenius import bracket_power, d_closure, frobenius_root, stable_root
+from fsing.frobenius import _RootGraph, bracket_power, d_closure, frobenius_root, stable_root
 from fsing.modgb import Submodule, VectorR, contains_all
 from fsing.polyring import CharConfig, Poly, Ring, poly_parse
 
@@ -161,3 +161,59 @@ def test_root_rejects_nonpositive_e():
     cfg = CharConfig(2)
     with pytest.raises(ValueError):
         frobenius_root(ideal(ring, "x0"), 0, cfg)
+
+
+def cusp_root_graph():
+    """The one-level roots K -> (f^d K)^[1/2] of the cusp over F_2, with every
+    step recorded as (span, digit)."""
+    ring, cfg = Ring(2, 2), CharConfig(2)
+    f = poly_parse("x0^2 + x1^3", ring)
+    steps = []
+
+    def step(K, d):
+        steps.append((K._canonical(), d))
+        scaled = Submodule(1, tuple(v.poly_mul(f**d) for v in K.generators), ring)
+        return frobenius_root(scaled, 1, cfg)
+
+    return _RootGraph(step, cfg.q), steps, ring
+
+
+def test_root_graph_one_object_per_span():
+    graph, steps, ring = cusp_root_graph()
+    full = Submodule.full(1, ring)
+    m = graph.child(full, 1)  # (f)^[1/2] = (x0, x1)
+    assert m == ideal(ring, "x0", "x1")
+    # R -> R and R -> m -> R reach the unit ideal along two paths
+    assert graph.child(m, 0) is graph.child(full, 0)
+    # (f m)^[1/2] spans m again: a loop on the one kept object
+    assert graph.child(m, 1) is m
+    # another generator list of the same span is the same state
+    assert graph.child(ideal(ring, "x1", "x0 + x1"), 1) is m
+    # four distinct (span, digit) steps, the last call a lookup
+    assert len(steps) == len(set(steps)) == 4
+
+
+def test_root_graph_zero_module_is_its_own_child():
+    graph, steps, ring = cusp_root_graph()
+    zero = Submodule.zero(1, ring)
+    assert all(graph.child(zero, d) is zero for d in range(2))
+    assert graph.walk(zero, 5, 3) == (zero, 0)
+    assert steps == [] and not graph.edges
+
+
+def test_root_graph_steps_each_span_and_digit_once():
+    graph, steps, ring = cusp_root_graph()
+    f = poly_parse("x0^2 + x1^3", ring)
+    seeds = [Submodule.full(1, ring), ideal(ring, "x0"), ideal(ring, "x1^3")]
+    for seed in seeds:
+        for n in range(2**6):
+            K, rest = graph.walk(seed, n, 4)
+            assert rest == n // 2**4
+            # the deep root of f^(n mod 16) seed, taken in one piece
+            scaled = Submodule(1, tuple(v.poly_mul(f ** (n % 16)) for v in seed.generators), ring)
+            assert K == frobenius_root(scaled, 4, CharConfig(2))
+    assert len(steps) == len(set(steps)) == len(graph.edges)
+    # every edge ends on a state some step returned, kept once per span
+    kept = {}
+    for child in graph.edges.values():
+        assert kept.setdefault(child._canonical(), child) is child

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsing import listmod, modgb
-from fsing.bfun import b_function, euler_eigenvalue_candidates, graph_generator
+from fsing.bfun import b_function, graph_generator
 from fsing.errors import InternalConsistencyError, ProblemFormatError
 from fsing.frobenius import _root_generators, frobenius_root
 from fsing.listmod import (
@@ -654,7 +654,7 @@ def legacy_scan(ml, e, cfg):
     def piece(n):
         mat = fam.matrix(n)
         if mat is None:
-            return None
+            return Submodule.zero(rank, ring)
         cols = legacy_column_vectors(mat, A.l, rank, ring)
         return _root_generators(Submodule(rank, tuple(cols), ring), fam.e, fam.cfg)
 
@@ -713,9 +713,9 @@ def test_walk_matches_legacy_scan(ml, e):
 def count_expansions(monkeypatch):
     calls = []
 
-    def counting(K, A, cfg):
-        calls.append(K)
-        return _expand_state(K, A, cfg)
+    def counting(K, A, cfg, r):
+        calls.append((K.reduced_basis(), r))
+        return _expand_state(K, A, cfg, r)
 
     monkeypatch.setattr(listmod, "_expand_state", counting)
     return calls
@@ -723,15 +723,16 @@ def count_expansions(monkeypatch):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_cusp_graph_state_expansions(monkeypatch, p):
-    # the cusp graph has two distinct nonzero states; each is expanded once
-    # for all five levels, against 363 (p=3) and 3905 (p=5) deep roots before
+    # the cusp graph has two distinct nonzero states; each of their q digits
+    # is stepped once for all five levels, against 363 (p=3) and 3905 (p=5)
+    # deep roots before
     cfg = CharConfig(p)
     A = graph_generator(poly_parse("x0^2 + x1^3", Ring(p, 2)), cfg)
     calls = count_expansions(monkeypatch)
     report = estimate_jumping_numbers(decompose_A(A, cfg), cfg, 4)
     assert report.estimates == (Fraction(1, p),)
-    assert len(calls) == 2
-    assert len({K.reduced_basis() for K in calls}) == 2
+    assert len(calls) == len(set(calls)) == 2 * cfg.q
+    assert len({K for K, _ in calls}) == 2
 
 
 @pytest.mark.parametrize("e_max", [4, 10])
@@ -791,12 +792,12 @@ def test_state_past_tau_bound_raises():
     ring = Ring(2, 0)
     A = tmat(cfg, 0, [["t^3"]])
     with pytest.raises(InternalConsistencyError, match="exceeds the tau-degree bound 0"):
-        _expand_state(Submodule.full(1, ring), A, cfg)
+        _expand_state(Submodule.full(1, ring), A, cfg, 0)
     # in R^4 (bound 3) the children of <1> are 0 and <t>
     one = Poly.const(ring, 1)
     zero = Poly.zero(ring)
     K = Submodule(4, (VectorR((one, zero, zero, zero)),), ring)
-    even, odd = _expand_state(K, A, cfg)
+    even, odd = (_expand_state(K, A, cfg, r) for r in range(cfg.q))
     assert even.is_zero()
     assert odd == Submodule(4, (VectorR((zero, one, zero, zero)),), ring)
 
@@ -869,12 +870,11 @@ CONFIG_MISMATCHES = {
     "b_function": lambda cfg: b_function(CUSP3_GRAPH, cfg, 3),
     "h_expand": lambda cfg: h_expand(CUSP3_GRAPH, 1, cfg),
     "decompose_A": lambda cfg: decompose_A(CUSP3_GRAPH, cfg),
-    "euler_eigenvalue_candidates": lambda cfg: euler_eigenvalue_candidates(CUSP3_GRAPH, 2, cfg),
     "graph_generator": lambda cfg: graph_generator(CUSP3, cfg),
     "MatrixList": lambda cfg: MatrixList(1, cfg, CUSP3.ring, {(0, 0): ((CUSP3,),)}),
 }
 MATRIX_ENTRY_POINTS = ["ltm_scan", "s_set", "list_test_module", "estimate_jumping_numbers",
-                       "b_function", "h_expand", "decompose_A", "euler_eigenvalue_candidates"]
+                       "b_function", "h_expand", "decompose_A"]
 
 
 @pytest.mark.parametrize("name, cfg", [

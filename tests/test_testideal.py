@@ -21,8 +21,8 @@ from fsing.listmod import (
     simple_tau_scan,
 )
 from fsing.testideal import (
-    Children,
     _digit_root,
+    _power_graph,
     f_jumping_exponents,
     tau_f,
     tau_f_stable,
@@ -385,18 +385,37 @@ def test_f_jumping_exponents_match_power_oracle(data, e_max):
 @settings(derandomize=True, max_examples=12, deadline=None)
 @given(nonconstant_polys(), st.integers(2, 4), st.tuples(st.integers(0, 26), st.integers(0, 26)))
 def test_shared_prefixes_match_power_oracle(data, e, seed_mono):
-    # one prefix dict serves every n, as in the jumping-exponent scan; the
+    # one root graph serves every n, as in the jumping-exponent scan; the
     # monomial seed g keeps the inner roots apart from the unit ideal
     cfg, f = data
     while cfg.q**e > 27:
         e -= 1
     g = Poly.monomial(f.ring, tuple(u % cfg.q**e for u in seed_mono))
     seed = Submodule(1, (VectorR((g,)),), f.ring)
-    powers, prefixes = PowerCache(f), {}
+    powers = PowerCache(f)
+    graph = _power_graph(powers, cfg)
     for n in range(cfg.q**e + cfg.q):
-        got = _digit_root(n, e, seed, powers.power, cfg, prefixes)
+        got = _digit_root(n, e, seed, graph, powers)
         want = frobenius_root(Submodule(1, (VectorR((f**n * g,)),), f.ring), e, cfg)
         assert got == want
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(nonconstant_polys(), st.integers(0, 2))
+@example((CharConfig(5), poly_parse("x0^2+x1^3", Ring(5, 2))), 1)
+@example((CharConfig(2, 2), poly_parse("x0^2*x1+x1^2", Ring(2, 2))), 1)
+def test_list_walk_matches_test_ideal_walk(data, e):
+    # both users of the root graph: the simple list r_n = f^n walks it with
+    # the matrix step, tau_f with the power step, and the piece at
+    # m/q^{e+1} is (f^(m-1))^[1/q^{e+1}] on both
+    cfg, f = data
+    while cfg.q ** (e + 1) > 27:
+        e -= 1
+    r = [f**n for n in range(cfg.q)]
+    grid = cfg.q ** (e + 1)
+    for m in range(1, grid + 1):
+        got = simple_list_I(r, GridRational(m, e, cfg), e, cfg)
+        assert got == tau_f(f, Fraction(m - 1, grid), e + 1, cfg), f"m = {m}"
 
 
 def ref_simple_pieces(r, e, cfg):
@@ -557,21 +576,21 @@ def monomial_ideal(ring, mono):
     st.booleans(),
 )
 def test_digit_root_matches_pruned_chain(data, e, draws, seed_mono, other_mono, shared):
-    # a shared dict serves two seeds at once: its keys are spans, so a state
+    # a shared graph serves two seeds at once: its keys are spans, so a state
     # reached from either seed is rooted once and right for both
     cfg, f = data
     ring = f.ring
     seeds = [monomial_ideal(ring, seed_mono), monomial_ideal(ring, other_mono)]
     powers = PowerCache(f)
-    children = {} if shared else None
+    graph = _power_graph(powers, cfg)
     for n in (d % (cfg.q ** (e + 1)) for d in draws):
         for seed in seeds:
-            got = _digit_root(n, e, seed, powers.power, cfg, children)
+            got = _digit_root(n, e, seed, graph if shared else _power_graph(powers, cfg), powers)
             assert got == ref_digit_chain(n, e, seed, powers.power, cfg)
             if e and n < cfg.q**e:
                 # each level is carried as its reduced basis, the last one too
                 assert got.generators == got.reduced_basis()
-    for level in (children or {}).values():
+    for level in graph.edges.values():
         assert level.generators == level.reduced_basis()
 
 
@@ -600,7 +619,8 @@ def test_one_root_per_distinct_state_and_digit(monkeypatch, p, text, e, seeds):
     # (reduced basis, digit) pair it meets costs exactly one root
     cfg = CharConfig(p)
     f = poly_parse(text, Ring(p, 2))
-    power = PowerCache(f).power
+    powers = PowerCache(f)
+    power = powers.power
     keys = set()
     for mono in seeds:
         seed = monomial_ideal(f.ring, mono)
@@ -611,12 +631,12 @@ def test_one_root_per_distinct_state_and_digit(monkeypatch, p, text, e, seeds):
                 keys.add((K.reduced_basis(), digit))
                 K = ref_digit_chain(digit, 1, K, power, cfg)
     calls = counting_roots(monkeypatch)
-    children = {}
+    graph = _power_graph(powers, cfg)
     for mono in seeds:
         seed = monomial_ideal(f.ring, mono)
         for n in range(cfg.q**e):
-            _digit_root(n, e, seed, power, cfg, children)
-    assert len(calls) == len(keys) == len(children)
+            _digit_root(n, e, seed, graph, powers)
+    assert len(calls) == len(keys) == len(graph.edges)
     assert len(keys) < len(seeds) * sum(cfg.q**i for i in range(1, e + 1))
 
 
@@ -627,15 +647,15 @@ def test_one_root_per_distinct_state_and_digit(monkeypatch, p, text, e, seeds):
 @example(case(2, "x0^3", Fraction(2, 7)))
 @example(case(3, "x0^2+x1^3", Fraction(5, 8)))
 def test_tau_f_stable_shared_children_match_fresh(data):
-    # every _ascend step and the final root share one dict; giving each call
+    # every _ascend step and the final root share one graph; giving each call
     # its own must not change the ideal.  Each ascent step roots the same
-    # digits over a new seed, so a dict keyed by the digits read so far
+    # digits over a new seed, so a memo keyed by the digits read so far
     # would hand back the first step's levels: the examples above catch that.
     cfg, f, alpha = data
     shared = tau_f_stable(f, alpha, cfg)
 
-    def unshared(n, e, K, factor, cfg, children=None):
-        return _digit_root(n, e, K, factor, cfg)
+    def unshared(n, e, K, graph, powers):
+        return _digit_root(n, e, K, _power_graph(powers, cfg), powers)
 
     with mock.patch.object(testideal, "_digit_root", unshared):
         fresh = tau_f_stable(f, alpha, cfg)
@@ -645,11 +665,11 @@ def test_tau_f_stable_shared_children_match_fresh(data):
 # -- the semi-naive ascent against the plain one --------------------------------
 
 
-def naive_ascend(a, d, seed, cfg, powers, cap, children):
+def naive_ascend(a, d, seed, graph, powers, cap):
     """`testideal._ascend` as it was: every step roots the whole running sum."""
     cur = seed
     for _ in range(cap):
-        step = testideal._digit_root(a, d, cur, powers.power, cfg, children)
+        step = testideal._digit_root(a, d, cur, graph, powers)
         if cur._contains_flats(step._flats):
             return cur
         cur = module_sum(cur, step)
@@ -675,7 +695,8 @@ def ascent_outcome(ascend, f, alpha, cfg, cap):
 
     with mock.patch.object(testideal, "_digit_root", counted):
         try:
-            out = ascend(a, d, seed, cfg, PowerCache(f), cap, {}).generators
+            powers = PowerCache(f)
+            out = ascend(a, d, seed, _power_graph(powers, cfg), powers, cap).generators
         except StabilizationError:
             out = StabilizationError
     return out, len(calls)
@@ -723,7 +744,8 @@ def test_ascent_roots_only_the_newest_step(monkeypatch):
         return out
 
     monkeypatch.setattr(testideal, "_digit_root", recorded)
-    testideal._ascend(a, d, seed, cfg, PowerCache(f), 8, {})
+    powers = PowerCache(f)
+    testideal._ascend(a, d, seed, _power_graph(powers, cfg), powers, 8)
     assert len(calls) == 3 and calls[0][0] is seed
     assert all(K is step for (_, step), (K, _) in zip(calls, calls[1:]))
 
@@ -782,12 +804,12 @@ def linear_f_jumping_exponents(f, cfg, e_max):
     window = max(1, -(-e_max // 2))
     powers = PowerCache(f)
     full = Submodule.full(1, f.ring)
-    prefixes: Children = {}
+    graph = _power_graph(powers, cfg)
 
     out = []
     prev = full
     for k in range(1, grid + 1):
-        cur = _digit_root(k, e_max, full, powers.power, cfg, prefixes)
+        cur = _digit_root(k, e_max, full, graph, powers)
         if cur != prev:
             lo = Fraction(k - 1, grid)
             hi = Fraction(k, grid)
@@ -833,6 +855,6 @@ def test_grid_roots_never_grow(data, draw):
     k = draw.draw(st.integers(0, grid - 1))
     k2 = draw.draw(st.integers(k + 1, grid))
     full = Submodule.full(1, f.ring)
-    power = PowerCache(f).power
-    low, high = (_digit_root(n, e, full, power, cfg) for n in (k, k2))
+    powers = PowerCache(f)
+    low, high = (_digit_root(n, e, full, _power_graph(powers, cfg), powers) for n in (k, k2))
     assert contains_all(low, high.generators)
