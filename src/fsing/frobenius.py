@@ -17,11 +17,12 @@ finite graph on the distinct spans with edges labelled by digits
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Dict, List, Tuple
 
 from .errors import StabilizationError
 from .modgb import FlatVec, Submodule, VectorR, contains_all, prune_generators
-from .polyring import CharConfig, Monomial, frobenius_power
+from .polyring import CharConfig, Monomial, Poly, frobenius_power
 
 DEFAULT_STABLE_CAP = 16
 
@@ -50,29 +51,39 @@ def frobenius_root(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
         raise ValueError("e must be positive")
     if N.ring.extra is not None or N.ring.p != cfg.p:
         raise ValueError("frobenius roots need a module over R in the characteristic of cfg")
-    root = _root_generators(N, e, cfg)
+    root = _root_generators(N, e, cfg, Poly.const(N.ring, 1))
     # which copy of a repeated vector pruning keeps depends on the list
     # order, so the first copy of each is kept here, before pruning
     return prune_generators(Submodule(N.rank, root.generators, N.ring))
 
 
-def _root_generators(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
-    """N^[1/q^e] spanned by all extracted coefficient vectors, unpruned.
+def _root_generators(N: Submodule, e: int, cfg: CharConfig, g: Poly) -> Submodule:
+    """(g N)^[1/q^e], e >= 0, spanned by all extracted coefficient vectors, unpruned.
 
-    The span and the degree bound are those of `frobenius_root`; only the
-    irredundancy of the generator list is missing, which callers that use
-    the root for membership and sums alone do not need.  The list is not
-    deduped either: two generators can give the same coefficient vector
-    (x0^2 and x0^3 at q = 2 both give x0), and both copies stay.
-    `frobenius_root` dedupes before it prunes.  On flat generators, a term
-    c x^m in position i, m = q^e w + u, goes to c x^w in position i of u.
+    No product module is built: the terms of g times one generator are
+    summed mod p and each nonzero one is filed at once under its residue,
+    c x^m in position i, m = q^e w + u, going to c x^w in position i of u.
+    A sum of terms is split once however many term pairs it collects.  At
+    e = 0 the result is the product g N.  For g = 1 the span and the degree
+    bound are those of `frobenius_root`; only the irredundancy of the list
+    is missing, which callers that use the root for membership and sums
+    alone do not need.  The list is not deduped either: two generators can
+    give the same coefficient vector (x0^2 and x0^3 at q = 2 both give x0),
+    and both copies stay.  `frobenius_root` dedupes before it prunes.
     """
-    s = cfg.q**e
+    s, p = cfg.q**e, cfg.p
+    g_terms = g.terms.items()
     out: List[FlatVec] = []
-    for g in N._flats:
+    for v in N._flats:
+        prod: FlatVec = {}
+        for (pos, m1), c1 in v.items():
+            for m2, c2 in g_terms:
+                t = (pos, tuple(map(add, m1, m2)))
+                prod[t] = prod.get(t, 0) + c1 * c2
         per_u: Dict[Monomial, FlatVec] = {}
-        for (pos, m), c in g.items():
-            per_u.setdefault(tuple(v % s for v in m), {})[(pos, tuple(v // s for v in m))] = c
+        for (pos, m), c in prod.items():
+            if c := c % p:
+                per_u.setdefault(tuple([x % s for x in m]), {})[pos, tuple([x // s for x in m])] = c
         out.extend(per_u[u] for u in sorted(per_u))
     return Submodule._from_flats(N.rank, N.ring, out)
 
@@ -86,11 +97,11 @@ class _RootGraph:
     two steps that reach one span hand back the same object; the seeds a
     caller walks from are not kept.  The zero module is its own child and
     is never stepped.  The graph lives as long as its owner; nothing is kept
-    at module level.
+    at module level.  `cfg` is the characteristic the steps are taken in.
     """
 
-    def __init__(self, step: Callable[[Submodule, int], Submodule], q: int):
-        self.step, self.q = step, q
+    def __init__(self, step: Callable[[Submodule, int], Submodule], cfg: CharConfig):
+        self.step, self.cfg, self.q = step, cfg, cfg.q
         self._known: Dict[Tuple[frozenset, ...], Submodule] = {}
         self.edges: Dict[Tuple[Tuple[frozenset, ...], int], Submodule] = {}
 

@@ -470,7 +470,7 @@ class _RootWalk:
         units = [{(i, (0,) * ring.width): 1} for i in range(A.l)]
         self.start = Submodule._from_flats(rank, ring, units)._basis_module()
         self.sums = _RunningSums(Submodule.zero(rank, ring))
-        self.graph = _RootGraph(lambda K, r: _expand_state(K, A, cfg, r), cfg.q)
+        self.graph = _RootGraph(lambda K, r: _expand_state(K, A, cfg, r), cfg)
 
     def piece(self, n: int, e: int) -> Submodule:
         """The piece at n on level e: e + 1 steps along the digits of n."""

@@ -22,20 +22,20 @@ grid interval make the root constant on the whole interval: comparing the
 endpoints of each interval is an exact test for a drop inside it.
 
 A stable test ideal tau(f^{a/(q^d-1)}) is the least fixed point of
-K -> K + Phi(K), Phi(K) = (f^a K)^[1/q^d], over a seed.  A root is taken
-generator by generator, so Phi(M + N) = Phi(M) + Phi(N), and the ascent is
-semi-naive: each step roots only the step found last, Phi^{i+1}(seed), and
-adds it to the running sum, which gives the same sums and stop test as
-rooting the whole sum every time.
+K -> K + Phi(K), Phi(K) = (f^a K)^[1/q^d], over the seed (f^c),
+c = ceil(a/(q^d-1)).  The seed lies in Phi(seed), as f^{c q^d} lies in
+(f^{a+c}), and Phi keeps inclusions, so the steps Phi^i(seed) ascend: they
+are the sums, no running sum is kept, and the first repeated step is the
+fixed point.
 
 Each level K_i is kept as the module generated by its own reduced Groebner
 basis: one Buchberger run per distinct step, reused by every later
-comparison, sum, membership test and memo lookup.  The steps multiply,
-root, sum and test membership on the flat vectors of `modgb`, so a `Poly`
-is built only when a caller reads a result.  The generators of a test
-ideal are therefore a reduced basis, not a degree-bounded list; only the
-public `frobenius_root`, which prunes instead, promises the bound
-deg <= floor(maxdeg / q^e).
+comparison and memo lookup.  A step multiplies and roots in one pass over
+the flat vectors of `modgb` (`frobenius._root_generators`), so neither the
+product nor a `Poly` is built until a caller reads a result.  The
+generators of a test ideal are therefore a reduced basis, not a
+degree-bounded list; only the public `frobenius_root`, which prunes
+instead, promises the bound deg <= floor(maxdeg / q^e).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .errors import StabilizationError
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
 # every module that holds it.  The roots below use `_root_generators`.
 from .frobenius import DEFAULT_STABLE_CAP, _root_generators, _RootGraph, frobenius_root  # noqa: F401
-from .modgb import FlatVec, Submodule, VectorR, module_sum
+from .modgb import Submodule, VectorR
 from .polyring import CharConfig, Poly, PowerCache, Ring
 from .rationals import frac_ceil, snap_interval
 
@@ -61,20 +61,6 @@ def _ideal(gen: Poly) -> Submodule:
     return Submodule(1, (VectorR((gen,)),), gen.ring)
 
 
-def _scaled(K: Submodule, g: Poly) -> Submodule:
-    """The submodule g K, from the flat generators of K."""
-    p, g_terms = g.ring.p, g.terms.items()
-    gens = []
-    for v in K._flats:
-        acc: FlatVec = {}
-        for (pos, m1), c1 in v.items():
-            for m2, c2 in g_terms:
-                t = (pos, tuple(a + b for a, b in zip(m1, m2)))
-                acc[t] = acc.get(t, 0) + c1 * c2
-        gens.append({t: r for t, c in acc.items() if (r := c % p)})
-    return Submodule._from_flats(K.rank, K.ring, gens)
-
-
 def _power_graph(powers: PowerCache, cfg: CharConfig) -> _RootGraph:
     """The one-level roots K -> (f^d K)^[1/q], d < q, of f = powers.f.
 
@@ -83,8 +69,8 @@ def _power_graph(powers: PowerCache, cfg: CharConfig) -> _RootGraph:
     generators carry no degree bound; the span is the same.
     """
     return _RootGraph(
-        lambda K, d: _root_generators(_scaled(K, powers.power(d)), 1, cfg)._basis_module(),
-        cfg.q,
+        lambda K, d: _root_generators(K, 1, cfg, powers.power(d))._basis_module(),
+        cfg,
     )
 
 
@@ -93,11 +79,12 @@ def _digit_root(n: int, e: int, K: Submodule, graph: _RootGraph, powers: PowerCa
 
     The root is taken as e single levels K <- (f^{n_i} K)^[1/q] along the low
     base-q digits n_i of n, lowest first, and multiplied by f^N at the end,
-    N = n // q^e.  A caller rooting many n passes one graph for the whole
-    call, so each (ideal, digit) level is rooted once whatever the seeds.
+    N = n // q^e, as the e = 0 case of the same kernel.  A caller rooting
+    many n passes one graph for the whole call, so each (ideal, digit) level
+    is rooted once whatever the seeds.
     """
     K, n = graph.walk(K, n, e)
-    return _scaled(K, powers.power(n)) if n else K
+    return _root_generators(K, 0, graph.cfg, powers.power(n)) if n else K
 
 
 def tau_f(
@@ -154,22 +141,23 @@ def _ascend(
 ) -> Submodule:
     """Smallest K containing seed with (f^a K)^[1/q^d] inside K.
 
-    The iteration K_{i+1} = K_i + Phi(K_i), Phi(K) = (f^a K)^[1/q^d], is
-    ascending by construction and monotone in K, so the first repeated value
-    is the true fixed point.  Phi is additive, (M + N)^[1/q] = M^[1/q] +
-    N^[1/q] since a root is taken generator by generator, so K_i is the sum
-    of Phi^j(seed) for j = 0..i and Phi(K_i) lies in K_i + Phi^{i+1}(seed).
-    Only the newest step Phi^{i+1}(seed) = Phi(Phi^i(seed)) is therefore
-    rooted, from the reduced basis of the last step rather than from the raw
-    generators of the running sum; the sums, the stop test and the number of
-    steps before `StabilizationError` are those of the plain iteration.
+    The seed must lie in Phi(seed), Phi(K) = (f^a K)^[1/q^d], as the seed
+    (f^c), c = ceil(a/(q^d-1)), of `tau_f_stable` does.  Phi keeps
+    inclusions, so the chain Phi^i(seed) ascends, and each member is the sum
+    K_i = Phi^0(seed) + ... + Phi^i(seed) of the plain iteration
+    K_{i+1} = K_i + Phi(K_i).  Phi^{i+1}(seed) = Phi^i(seed) is therefore a
+    stopping proof: the chain is constant from there and the step is the
+    least fixed point.  From the second step on both sides of the test are
+    objects of the graph, so equal steps are one object.  The stop test and
+    the number of roots before `StabilizationError` are those of the plain
+    iteration; the fixed point comes back as its reduced basis.
     """
-    cur = new = seed
+    cur = seed
     for _ in range(cap):
-        step = _digit_root(a, d, new, graph, powers)
-        if cur._contains_flats(step._flats):
-            return cur
-        cur, new = module_sum(cur, step), step
+        step = _digit_root(a, d, cur, graph, powers)
+        if step == cur:
+            return step
+        cur = step
     raise StabilizationError(
         f"test-ideal ascent did not stabilize within {cap} steps"
     )
@@ -189,11 +177,12 @@ def tau_f_stable(
     gives tau(f^{a/(q^d-1)}) = f^m tau(f^{a'/(q^d-1)}); the latter is the
     smallest fixed point of K -> K + (f^{a'} K)^[1/q^d] over the seed
     (f^ceil), and dividing the exponent by q^c is a Frobenius root, taken
-    digit by digit over the multiplier f^m.  The map K -> (f^{a'} K)^[1/q^d]
-    is additive, so each ascent step roots only the step found before it, not
-    the whole running sum (`_ascend`).  Consecutive equal chain members
-    are not a stopping proof: the ascending chain can pause and grow again
-    (f = x0^3 over F_2 at alpha = 8/25 pauses at e = 1, 2).
+    digit by digit over the multiplier f^m.  The seed lies in its own image,
+    so the steps Phi^i(seed), Phi(K) = (f^{a'} K)^[1/q^d], ascend, and
+    Phi^{i+1}(seed) = Phi^i(seed) is a stopping proof (`_ascend`).  Equal
+    members of the tau_f chain over e are not: it can pause and grow again
+    (f = x0^3 over F_2 at alpha = 8/25 pauses at e = 1, 2).  For alpha < 1
+    the generators are the reduced basis.
     """
     _check_char(f.ring, cfg)
     if f.is_zero():

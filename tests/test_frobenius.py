@@ -175,7 +175,7 @@ def cusp_root_graph():
         scaled = Submodule(1, tuple(v.poly_mul(f**d) for v in K.generators), ring)
         return frobenius_root(scaled, 1, cfg)
 
-    return _RootGraph(step, cfg.q), steps, ring
+    return _RootGraph(step, cfg), steps, ring
 
 
 def test_root_graph_one_object_per_span():

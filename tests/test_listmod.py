@@ -656,7 +656,9 @@ def legacy_scan(ml, e, cfg):
         if mat is None:
             return Submodule.zero(rank, ring)
         cols = legacy_column_vectors(mat, A.l, rank, ring)
-        return _root_generators(Submodule(rank, tuple(cols), ring), fam.e, fam.cfg)
+        return _root_generators(
+            Submodule(rank, tuple(cols), ring), fam.e, fam.cfg, Poly.const(ring, 1)
+        )
 
     pieces = map(piece, range(cfg.q**fam.e))
     return _cumulative_scan(pieces, _RunningSums(Submodule.zero(rank, ring)))

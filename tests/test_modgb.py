@@ -105,6 +105,16 @@ def test_module_sum():
     assert s == ideal(ring, "x0^2", "x0*x1 + x1^2")
 
 
+def test_module_sum_keeps_one_copy_of_a_generator():
+    # as the public constructor: a generator in both summands, or twice in
+    # flat generators built internally, is listed once, and a zero one not
+    ring = Ring(2, 2)
+    x1 = _flatten(vec(ring, "x1"))
+    twice = Submodule._from_flats(1, ring, [x1, dict(x1), {}])
+    s = module_sum(twice, ideal(ring, "x1", "x0^2"))
+    assert [str(v) for v in s.generators] == ["x1", "x0^2"]
+
+
 def test_prune_generators():
     ring = Ring(2, 2)
     N = ideal(ring, "x0", "x0^2", "x0*x1")

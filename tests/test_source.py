@@ -48,3 +48,33 @@ def test_package_imports_are_acyclic():
         TopologicalSorter(graph).prepare()
     except CycleError as exc:
         pytest.fail(f"import cycle in src/fsing: {' -> '.join(exc.args[1])}")
+
+
+def unused_imports(path):
+    """(line, name) of each module-level import of `path` that nothing uses,
+    skipping `__future__` imports and lines marked `# noqa: F401`."""
+    text = path.read_text()
+    tree = ast.parse(text, filename=str(path))
+    lines = text.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                out.append((node.lineno, name))
+    return out
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "__init__.py"], ids=lambda path: path.name
+)
+def test_no_unused_imports(path):
+    # an import left behind when its last use moves elsewhere
+    assert unused_imports(path) == [], f"{path.name} imports names it does not use"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fsing import modgb, testideal
 from fsing.errors import StabilizationError
-from fsing.frobenius import frobenius_root
+from fsing.frobenius import DEFAULT_STABLE_CAP, _RootGraph, frobenius_root
 from fsing.modgb import Submodule, VectorR, contains_all, module_sum
 from fsing.polyring import CharConfig, Poly, PowerCache, Ring, frobenius_power, poly_parse
 from fsing.rationals import GridRational, frac_ceil, snap_interval
@@ -595,14 +595,18 @@ def test_digit_root_matches_pruned_chain(data, e, draws, seed_mono, other_mono, 
 
 
 def counting_roots(monkeypatch):
+    """The one-level steps taken by every root graph built from here on."""
     calls = []
-    root_generators = testideal._root_generators
+    init = _RootGraph.__init__
 
-    def counted(*args):
-        calls.append(None)
-        return root_generators(*args)
+    def counted_init(graph, step, cfg):
+        def counted(K, d):
+            calls.append(None)
+            return step(K, d)
 
-    monkeypatch.setattr(testideal, "_root_generators", counted)
+        init(graph, counted, cfg)
+
+    monkeypatch.setattr(_RootGraph, "__init__", counted_init)
     return calls
 
 
@@ -662,11 +666,11 @@ def test_tau_f_stable_shared_children_match_fresh(data):
     assert shared == fresh
 
 
-# -- the semi-naive ascent against the plain one --------------------------------
+# -- the ascent on its steps against the plain one ------------------------------
 
 
 def naive_ascend(a, d, seed, graph, powers, cap):
-    """`testideal._ascend` as it was: every step roots the whole running sum."""
+    """The plain iteration K <- K + Phi(K): every step roots the whole running sum."""
     cur = seed
     for _ in range(cap):
         step = testideal._digit_root(a, d, cur, graph, powers)
@@ -684,7 +688,7 @@ def ascent_seed(f, alpha, cfg):
 
 
 def ascent_outcome(ascend, f, alpha, cfg, cap):
-    """The fixed point's generators, or StabilizationError, and the roots taken."""
+    """The fixed point's reduced basis, or StabilizationError, and the roots taken."""
     a, d, seed = ascent_seed(f, alpha, cfg)
     calls = []
     digit_root = testideal._digit_root
@@ -696,7 +700,7 @@ def ascent_outcome(ascend, f, alpha, cfg, cap):
     with mock.patch.object(testideal, "_digit_root", counted):
         try:
             powers = PowerCache(f)
-            out = ascend(a, d, seed, _power_graph(powers, cfg), powers, cap).generators
+            out = ascend(a, d, seed, _power_graph(powers, cfg), powers, cap).reduced_basis()
         except StabilizationError:
             out = StabilizationError
     return out, len(calls)
@@ -722,16 +726,45 @@ def ascent_cases(draw):
 @example(case(5, "x0^2+x1^3", Fraction(3, 4)), 3)
 @example(case(5, "x0^3+x1^4", Fraction(19, 24)), 64)
 def test_ascent_matches_plain_iteration(data, cap):
-    # the same fixed point, generator for generator, after the same number of
-    # roots; or StabilizationError from both
+    # the same fixed point after the same number of roots; or
+    # StabilizationError from both
     cfg, f, alpha = data
     got = ascent_outcome(testideal._ascend, f, alpha, cfg, cap)
     assert got == ascent_outcome(naive_ascend, f, alpha, cfg, cap)
+    if alpha < 1:
+        # no factor of f is left after the digit steps: the generators are
+        # the reduced basis, as for tau_f
+        stable = tau_f_stable(f, alpha, cfg)
+        assert stable.generators == stable.reduced_basis()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ascent_cases())
+@example(case(5, "x0^2+x1^3", Fraction(3, 4)))
+@example(case(5, "x0^3+x1^4", Fraction(19, 24)))
+def test_ascent_steps_ascend(data):
+    # seed <= Phi(seed), and each step contains the one before, up to the
+    # fixed point: the steps are the sums of the plain iteration, so a
+    # repeated step is a stopping proof
+    cfg, f, alpha = data
+    a, d, seed = ascent_seed(f, alpha, cfg)
+    powers = PowerCache(f)
+    graph = _power_graph(powers, cfg)
+    prev = seed
+    for _ in range(DEFAULT_STABLE_CAP):
+        step = _digit_root(a, d, prev, graph, powers)
+        assert contains_all(step, prev.generators)
+        if step == prev:
+            break
+        prev = step
+    else:
+        pytest.fail(f"no fixed point within {DEFAULT_STABLE_CAP} steps")
+    assert step.generators == step.reduced_basis()
 
 
 def test_ascent_roots_only_the_newest_step(monkeypatch):
-    # every root after the first is taken over the step found last, not over
-    # the running sum; this ascent takes three roots
+    # every root after the first is taken over the step found last; this
+    # ascent takes three roots
     cfg = CharConfig(5)
     f = poly_parse("x0^2+x1^3", Ring(5, 2))
     a, d, seed = ascent_seed(f, Fraction(3, 4), cfg)
@@ -754,7 +787,7 @@ def test_ascent_roots_only_the_newest_step(monkeypatch):
     "solve, runs",
     [
         (lambda: f_jumping_exponents(poly_parse("x0^2+x1^3", Ring(7, 2)), CharConfig(7), 2), 10),
-        (lambda: tau_f_stable(poly_parse("x0^2+x1^3", Ring(5, 2)), Fraction(5, 7), CharConfig(5)), 9),
+        (lambda: tau_f_stable(poly_parse("x0^2+x1^3", Ring(5, 2)), Fraction(5, 7), CharConfig(5)), 8),
     ],
     ids=["fjump-cusp-p7-e2", "tau-cusp-5/7-p5"],
 )
