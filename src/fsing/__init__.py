@@ -15,13 +15,7 @@ from .errors import (
     ResourceLimitExceeded,
     StabilizationError,
 )
-from .frobenius import (
-    StableRootResult,
-    bracket_power,
-    d_closure,
-    frobenius_root,
-    stable_root,
-)
+from .frobenius import bracket_power, frobenius_root
 from .listmod import (
     ChainEstimate,
     HFamily,

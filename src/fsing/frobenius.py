@@ -1,9 +1,8 @@
-"""Frobenius bracket powers, Frobenius roots, the stable chain, D^e-closure.
+"""Frobenius bracket powers, Frobenius roots, and the graph of one-level roots.
 
 Everything here works through coefficient extraction in the monomial basis
 x^u, 0 <= u < q^e: the root of N is spanned by the coefficient vectors of its
-generators, so no differential operators are ever materialized.  The
-D^e-module generated by N is (N^[1/q^e])^[q^e].
+generators, so no differential operators are ever materialized.
 
 Deep roots are taken one level at a time along base-q digits, by the rules
 (I^[1/q])^[1/q^{e-1}] = I^[1/q^e] and (g^q h)^[1/q] = g h^[1/q]
@@ -16,15 +15,13 @@ finite graph on the distinct spans with edges labelled by digits
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .errors import StabilizationError
-from .modgb import FlatVec, Submodule, VectorR, contains_all, prune_generators
+from .modgb import FlatVec, Submodule, VectorR, prune_generators
 from .polyring import CharConfig, Monomial, Poly, frobenius_power
 
-DEFAULT_STABLE_CAP = 16
+Multiplier = Sequence[Sequence[Tuple[int, Monomial, int]]]
 
 
 def bracket_power(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
@@ -51,34 +48,37 @@ def frobenius_root(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
         raise ValueError("e must be positive")
     if N.ring.extra is not None or N.ring.p != cfg.p:
         raise ValueError("frobenius roots need a module over R in the characteristic of cfg")
-    root = _root_generators(N, e, cfg, Poly.const(N.ring, 1))
+    root = _root_generators(N, e, cfg, _scalar(Poly.const(N.ring, 1), N.rank))
     # which copy of a repeated vector pruning keeps depends on the list
     # order, so the first copy of each is kept here, before pruning
     return prune_generators(Submodule(N.rank, root.generators, N.ring))
 
 
-def _root_generators(N: Submodule, e: int, cfg: CharConfig, g: Poly) -> Submodule:
-    """(g N)^[1/q^e], e >= 0, spanned by all extracted coefficient vectors, unpruned.
+def _scalar(g: Poly, rank: int) -> Multiplier:
+    """Multiplication by g on R^rank."""
+    return [[(i, m, c) for m, c in g.terms.items()] for i in range(rank)]
 
-    No product module is built: the terms of g times one generator are
-    summed mod p and each nonzero one is filed at once under its residue,
-    c x^m in position i, m = q^e w + u, going to c x^w in position i of u.
-    A sum of terms is split once however many term pairs it collects.  At
-    e = 0 the result is the product g N.  For g = 1 the span and the degree
-    bound are those of `frobenius_root`; only the irredundancy of the list
-    is missing, which callers that use the root for membership and sums
-    alone do not need.  The list is not deduped either: two generators can
-    give the same coefficient vector (x0^2 and x0^3 at q = 2 both give x0),
-    and both copies stay.  `frobenius_root` dedupes before it prunes.
+
+def _root_generators(N: Submodule, e: int, cfg: CharConfig, mult: Multiplier) -> Submodule:
+    """(mult N)^[1/q^e], e >= 0, spanned by all extracted coefficient vectors, unpruned.
+
+    mult[i] lists the terms (j, m, c) that send x^w in position i to
+    c x^(w+m) in position j: `_scalar(g, rank)` for g N, a digit's slice of
+    A(t) for a list walk's step.  No product module is built: the products
+    of one generator are summed mod p and each nonzero sum c x^m in position
+    j, m = q^e w + u, is filed at once as c x^w in position j of residue u's
+    vector, so a sum is split once however many term pairs it collects.  At
+    e = 0 the result is the product.  For the identity the span and degree
+    bound are those of `frobenius_root`, unpruned and not deduped: x0^2 and
+    x0^3 at q = 2 both give x0, and both copies stay.
     """
     s, p = cfg.q**e, cfg.p
-    g_terms = g.terms.items()
     out: List[FlatVec] = []
     for v in N._flats:
         prod: FlatVec = {}
         for (pos, m1), c1 in v.items():
-            for m2, c2 in g_terms:
-                t = (pos, tuple(map(add, m1, m2)))
+            for j, m2, c2 in mult[pos]:
+                t = (j, tuple(map(add, m1, m2)))
                 prod[t] = prod.get(t, 0) + c1 * c2
         per_u: Dict[Monomial, FlatVec] = {}
         for (pos, m), c in prod.items():
@@ -123,39 +123,3 @@ class _RootGraph:
             n, d = divmod(n, self.q)
             K = self.child(K, d)
         return K, n
-
-
-@dataclass(frozen=True)
-class StableRootResult:
-    """Outcome of iterating N ⊇ N^[1/q] ⊇ ... to its first repeated value.
-
-    `descending` is False when some step failed to be a containment, which
-    can happen for inputs outside the coherent-subsheaf hypotheses; the
-    repeated value is still returned.
-    """
-
-    module: Submodule
-    stable_e: int
-    descending: bool
-
-
-def stable_root(N: Submodule, cfg: CharConfig, e_cap: int = DEFAULT_STABLE_CAP) -> StableRootResult:
-    """The stable value of the iterated-root chain (the paper-level N^[0])."""
-    prev = N
-    descending = True
-    for e in range(1, e_cap + 1):
-        cur = frobenius_root(N, e, cfg)
-        if descending and not contains_all(prev, cur.generators):
-            descending = False
-        if cur == prev:
-            return StableRootResult(cur, e - 1, descending)
-        prev = cur
-    raise StabilizationError(
-        f"iterated Frobenius roots did not stabilize within e_cap={e_cap}",
-        last_two=(prev, frobenius_root(N, e_cap + 1, cfg)),
-    )
-
-
-def d_closure(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
-    """The D^e-module generated by N, computed as (N^[1/q^e])^[q^e]."""
-    return bracket_power(frobenius_root(N, e, cfg), e, cfg)

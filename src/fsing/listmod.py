@@ -10,11 +10,12 @@ jumping numbers.  Those roots are never taken of the product itself: a
 digit-wise walk (`_RootWalk`) reaches each one in e+1 one-level steps along
 the base-q digits of n, through finitely many states.  The states and steps
 are a `frobenius._RootGraph`, the graph the test ideals of `testideal` run
-on too, so each (state, digit) step is taken once per call.  The running
-sum and the jump test are `_cumulative_scan` and `_jump_report`.  The walk
-also owns the memo of the running sums (`_RunningSums`): a step is keyed by
-the identities of the sum and the piece, and each span of a sum is one
-object, found by its canonical key.
+on too, so each (state, digit) step is taken once per call, and a step is
+their kernel `frobenius._root_generators` with the digit's slice of A(t)
+as its multiplier.  The running sum and the jump test are `_cumulative_scan`
+and `_jump_report`.  The walk also owns the memo of the running sums
+(`_RunningSums`): a step is keyed by the identities of the sum and the
+piece, and each span of a sum is one object, found by its canonical key.
 The levels e = 0..e_max of `estimate_jumping_numbers` share it, so a sum
 that several levels reach costs one Buchberger run in all, and a level's
 scan is lookups over its q^{e+1} pieces: b_function of the cusp graph at
@@ -31,24 +32,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InternalConsistencyError, ProblemFormatError
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
 # every fsing module that holds it, and its tests expect listmod among them.
-from .frobenius import _RootGraph, frobenius_root  # noqa: F401
-from .modgb import FlatVec, Submodule
-from .polyring import MAX_VARS, CharConfig, Monomial, Poly, Ring, frobenius_power, poly_parse
+from .frobenius import Multiplier, _root_generators, _RootGraph, frobenius_root  # noqa: F401
+from .modgb import Submodule
+from .polyring import (
+    MAX_VARS, CharConfig, Monomial, Poly, Ring, check_char, frobenius_power, poly_parse,
+)
 from .rationals import GridRational, detect_chain_limit, frac_ceil
 
 Matrix = tuple[tuple[Poly, ...], ...]
-
-
-def _check_char(ring: Ring, cfg: CharConfig) -> None:
-    if ring.p != cfg.p:
-        raise ValueError("characteristic mismatch between matrix and config")
 
 
 def _mat_check(mat: Sequence[Sequence[Poly]], l: int, ring: Ring) -> Matrix:
@@ -106,7 +103,7 @@ class MatrixList:
     def __post_init__(self):
         if self.base_ring.extra is not None:
             raise ValueError("matrix list entries must live in the pure ring R")
-        _check_char(self.base_ring, self.cfg)
+        check_char(self.base_ring, self.cfg, "matrix")
         cleaned = {}
         for (k, n), mat in self.entries.items():
             if k < 0 or not (0 <= n < self.cfg.q):
@@ -129,13 +126,14 @@ class TMatrix:
 
     mat: Matrix
     cfg: CharConfig
+    _by_rank: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         l = len(self.mat)
         ring = self.mat[0][0].ring
         if ring.extra != "t":
             raise ValueError("TMatrix entries must live in R[t]")
-        _check_char(ring, self.cfg)
+        check_char(ring, self.cfg, "matrix")
         object.__setattr__(self, "mat", _mat_check(self.mat, l, ring))
 
     @property
@@ -155,19 +153,27 @@ class TMatrix:
     def is_zero(self) -> bool:
         return _mat_is_zero(self.mat)
 
-    @cached_property
-    def _columns(self) -> Tuple[List[List[list]], List[int]]:
-        """Per column j, its terms (i, a, m, c), c x^a t^m in row i, bucketed
-        by m mod q, and the largest m in the column (-1 when it is zero)."""
-        q, l = self.cfg.q, self.l
-        by_residue: List[List[list]] = [[[] for _ in range(q)] for _ in range(l)]
-        top = [-1] * l
-        for j in range(l):
-            for i in range(l):
-                for mono, c in self.mat[i][j].terms.items():
-                    by_residue[j][mono[-1] % q].append((i, mono[:-1], mono[-1], c))
-                    top[j] = max(top[j], mono[-1])
-        return by_residue, top
+    def _digit_multipliers(self, rank: int) -> Tuple[bool, List[Multiplier]]:
+        """The digit-r slices of A(t) on R^rank, r < q, once per rank, and
+        whether A(t) carries a coordinate past the bound rank // l - 1 on t.
+
+        c x^a t^m in row i of column j sends x^w t^s in slot j to digit
+        r = (m+s) mod q, as c x^(w+a) in slot i of t^((m+s) div q)."""
+        got = self._by_rank.get(rank)
+        if got is None:
+            q, l = self.cfg.q, self.l
+            bound = rank // l - 1
+            mults: List[List[list]] = [[[] for _ in range(rank)] for _ in range(q)]
+            over = False
+            for idx in range(rank):
+                s, j = divmod(idx, l)
+                for i in range(l):
+                    for mono, c in self.mat[i][j].terms.items():
+                        shift, r = divmod(mono[-1] + s, q)
+                        over = over or shift > bound
+                        mults[r][idx].append((shift * l + i, mono[:-1], c))
+            got = self._by_rank[rank] = (over, mults)
+        return got
 
 
 @dataclass(frozen=True)
@@ -412,40 +418,21 @@ def _expand_state(K: Submodule, A: TMatrix, cfg: CharConfig, r: int) -> Submodul
     Coordinate s*l + i of K is slot i of t^s.  step(K, r) multiplies each
     generator v(t) by A(t), keeps the terms x^a t^m with m = r (mod q) and
     roots them one level in x and t: x^a t^m goes to the x-residue a mod q
-    with coefficient x^(a div q) t^(m div q), one flat vector per generator
-    and residue as in `_root_generators`.  A's terms are bucketed by their
-    t-exponent mod q once per matrix (`TMatrix._columns`, at cfg, which is
-    A's), and a step reads only the terms that land on r, so the q digits of
-    a state together do the work of one pass over its products.  A child's
-    t-degree is at most floor((d + N)/q) <= N; a coordinate of K, zero or
-    not, that A(t) would carry past N is an internal error once K has a
-    generator.
+    with coefficient x^(a div q) t^(m div q).  The t-part is the digit-r
+    slice of A(t) (`TMatrix._digit_multipliers`, at cfg, which is A's); the
+    x-part is `_root_generators` on that multiplier.  A child's t-degree is
+    at most floor((d + N)/q) <= N; a coordinate of K, zero or not, that A(t)
+    would carry past N is an internal error once K has a generator, and the
+    zero state steps to zero.
     """
-    q, l, p = cfg.q, A.l, cfg.p
-    bound = K.rank // l - 1
-    by_residue, top = A._columns
-    if K._flats and any(
-        top[idx % l] >= 0 and (top[idx % l] + idx // l) // q > bound for idx in range(K.rank)
-    ):
+    over, mults = A._digit_multipliers(K.rank)
+    if K._flats and over:
         raise InternalConsistencyError(
-            f"a Frobenius-root state exceeds the tau-degree bound {bound}"
+            f"a Frobenius-root state exceeds the tau-degree bound {K.rank // A.l - 1}"
         )
-    gens: List[FlatVec] = []
-    for v in K._flats:
-        per_u: Dict[Monomial, FlatVec] = {}  # x-residue u -> flat vector of the root
-        for (idx, b), cb in v.items():
-            s, j = divmod(idx, l)
-            for i, a, m, c in by_residue[j][(r - s) % q]:
-                split = [divmod(x + y, q) for x, y in zip(a, b)]
-                u = tuple(lo for _, lo in split)
-                t = ((m + s) // q * l + i, tuple(hi for hi, _ in split))
-                cell = per_u.setdefault(u, {})
-                cell[t] = cell.get(t, 0) + c * cb
-        for u in sorted(per_u):
-            gens.append({t: c for t, c0 in per_u[u].items() if (c := c0 % p)})
-    # the generators go straight to Buchberger: a zero one is skipped there,
-    # a repeated one reduces to zero, so no dedupe is needed
-    return Submodule._from_flats(K.rank, K.ring, gens)._basis_module()
+    # the generators go straight to Buchberger: a repeated one reduces to
+    # zero, so no dedupe is needed
+    return _root_generators(K, 1, cfg, mults[r])._basis_module()
 
 
 class _RootWalk:

@@ -423,12 +423,17 @@ def _parse_power(tokens, idx, expo, ring: Ring, var_pos: int):
 
 # -- Frobenius structure ----------------------------------------------------------
 
+def check_char(ring: Ring, cfg: CharConfig, what: str = "polynomial") -> None:
+    """Reject a config whose characteristic is not the ring's."""
+    if ring.p != cfg.p:
+        raise ValueError(f"characteristic mismatch between {what} and config")
+
+
 def frobenius_power(f: Poly, e: int, cfg: CharConfig) -> Poly:
     """f^{q^e}.  Coefficients are fixed by Frobenius, exponents scale by q^e."""
     if e < 0:
         raise ValueError("e must be non-negative")
-    if cfg.p != f.ring.p:
-        raise ValueError("characteristic mismatch between polynomial and config")
+    check_char(f.ring, cfg)
     if e == 0:
         return f
     s = cfg.q ** e
@@ -445,8 +450,7 @@ def frobenius_decompose(f: Poly, e: int, cfg: CharConfig) -> Dict[Monomial, Poly
         raise ValueError("e must be positive")
     if f.ring.extra is not None:
         raise ValueError("frobenius_decompose expects a polynomial in the pure ring R")
-    if cfg.p != f.ring.p:
-        raise ValueError("characteristic mismatch between polynomial and config")
+    check_char(f.ring, cfg)
     s = cfg.q ** e
     buckets: Dict[Monomial, Dict[Monomial, int]] = {}
     for m, c in f.terms.items():

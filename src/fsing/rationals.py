@@ -92,21 +92,26 @@ def detect_chain_limit(
 ) -> Optional[ChainFit]:
     """Fit m_{e+b} = q^b m_e + c to numerators[i] = m at level start_e + i.
 
-    Scans periods b and preperiods a smallest-first and requires at least two
-    consistent equations before accepting.  The limit of m_e / q^{e+1} is
-    then (m_a (q^b - 1) + c) / (q^{a+1} (q^b - 1)).
+    The equations are checked in the phase of a only, at e = a, a + b, ...:
+    a limit whose base-q digits have period b repeats its digit block every
+    b levels, and the block read from another phase is a rotation of it, so
+    its c differs (the chain 1, 1, 3, 10, 30, 91, 273 at q = 3 has
+    10 = 9*1 + 1, 91 = 9*10 + 1 but 30 = 9*3 + 3, with limit 1/8).  Scans
+    periods b and preperiods a smallest-first and requires at least two
+    consistent equations in the phase before accepting.  The limit of
+    m_e / q^{e+1} is then (m_a (q^b - 1) + c) / (q^{a+1} (q^b - 1)).
     """
     q = cfg.q
     n = len(numerators)
     for b in range(1, max_b + 1):
         for a in range(max_a + 1):
             last = n - b - 1
-            if last - a < 1:
-                continue  # fewer than two equations to check
+            if last - a < b:
+                continue  # fewer than two equations in the phase of a
             c = numerators[a + b] - q**b * numerators[a]
             if all(
                 numerators[i + b] - q**b * numerators[i] == c
-                for i in range(a + 1, last + 1)
+                for i in range(a + b, last + 1, b)
             ):
                 level = start_e + a
                 limit = Fraction(

@@ -13,7 +13,8 @@ degrees stay near deg(f) q rather than deg(f) a.  The step
 K_i -> K_{i+1} depends only on the span of K_i and the digit a_i, so each
 call keeps its steps in one `frobenius._RootGraph` and takes each
 (ideal, digit) step once, however many digit prefixes reach the ideal; the
-list walks of `listmod` run on the same graph with a matrix step.
+list walks of `listmod` run on the same graph and kernel, with a matrix
+slice in place of f^d.
 
 F-jumping exponents are found by bisecting the grid k/q^e, not by rooting
 all of its points.  k -> (f^k)^[1/q^e] never grows (f^{k+1} lies in (f^k),
@@ -41,20 +42,17 @@ instead, promises the bound deg <= floor(maxdeg / q^e).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import StabilizationError
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
 # every module that holds it.  The roots below use `_root_generators`.
-from .frobenius import DEFAULT_STABLE_CAP, _root_generators, _RootGraph, frobenius_root  # noqa: F401
+from .frobenius import Multiplier, _root_generators, _RootGraph, _scalar, frobenius_root  # noqa: F401
 from .modgb import Submodule, VectorR
-from .polyring import CharConfig, Poly, PowerCache, Ring
+from .polyring import CharConfig, Poly, PowerCache, check_char
 from .rationals import frac_ceil, snap_interval
 
-
-def _check_char(ring: Ring, cfg: CharConfig) -> None:
-    if ring.p != cfg.p:
-        raise ValueError("characteristic mismatch between polynomial and config")
+DEFAULT_STABLE_CAP = 16
 
 
 def _ideal(gen: Poly) -> Submodule:
@@ -66,12 +64,17 @@ def _power_graph(powers: PowerCache, cfg: CharConfig) -> _RootGraph:
 
     Each step is the module generated by the root's reduced basis
     (`Submodule._basis_module`), not a pruned generator list, so its
-    generators carry no degree bound; the span is the same.
+    generators carry no degree bound; the span is the same.  The multiplier
+    by f^d is built once per digit, at its first step.
     """
-    return _RootGraph(
-        lambda K, d: _root_generators(K, 1, cfg, powers.power(d))._basis_module(),
-        cfg,
-    )
+    mults: Dict[int, Multiplier] = {}
+
+    def step(K: Submodule, d: int) -> Submodule:
+        if d not in mults:
+            mults[d] = _scalar(powers.power(d), 1)
+        return _root_generators(K, 1, cfg, mults[d])._basis_module()
+
+    return _RootGraph(step, cfg)
 
 
 def _digit_root(n: int, e: int, K: Submodule, graph: _RootGraph, powers: PowerCache) -> Submodule:
@@ -84,7 +87,7 @@ def _digit_root(n: int, e: int, K: Submodule, graph: _RootGraph, powers: PowerCa
     is rooted once whatever the seeds.
     """
     K, n = graph.walk(K, n, e)
-    return _root_generators(K, 0, graph.cfg, powers.power(n)) if n else K
+    return _root_generators(K, 0, graph.cfg, _scalar(powers.power(n), K.rank)) if n else K
 
 
 def tau_f(
@@ -95,7 +98,7 @@ def tau_f(
     powers: Optional[PowerCache] = None,
 ) -> Submodule:
     """The e-th member (f^{ceil(alpha q^e)})^[1/q^e] of the chain for tau(f^alpha)."""
-    _check_char(f.ring, cfg)
+    check_char(f.ring, cfg)
     if f.is_zero():
         raise ValueError("f must be nonzero")
     if alpha < 0:
@@ -184,7 +187,7 @@ def tau_f_stable(
     (f = x0^3 over F_2 at alpha = 8/25 pauses at e = 1, 2).  For alpha < 1
     the generators are the reduced basis.
     """
-    _check_char(f.ring, cfg)
+    check_char(f.ring, cfg)
     if f.is_zero():
         raise ValueError("f must be nonzero")
     if alpha < 0:
@@ -221,7 +224,7 @@ def f_jumping_exponents(f: Poly, cfg: CharConfig, e_max: int) -> List[Fraction]:
     interval with unequal ends drops at its right end.  With J drops this
     roots about J e_max log2(q) grid points instead of q^{e_max}.
     """
-    _check_char(f.ring, cfg)
+    check_char(f.ring, cfg)
     if f.is_zero() or f.is_constant():
         raise ValueError("f must be nonzero and not a unit")
     if e_max < 1:

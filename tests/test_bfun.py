@@ -6,6 +6,7 @@ import pytest
 from fsing.bfun import b_function, graph_generator
 from fsing.listmod import TMatrix, decompose_A
 from fsing.polyring import CharConfig, Poly, Ring, poly_parse
+from fsing.testideal import tau_f_stable
 
 
 def tmat(cfg, nvars, rows):
@@ -120,3 +121,23 @@ def test_cusp_graph_deep_regression(p, e_max):
         e: [p**e] for e in range(e_max + 1)
     }
     assert elapsed < 2, f"b_function took {elapsed:.1f}s, budget 2s"
+
+
+@pytest.mark.parametrize("text, p, e_max, roots", [
+    ("x0^2*x1+x1^4", 3, 5, ("5/8", "7/8")),  # D5
+    ("x0^2*x1+x1^4", 3, 6, ("5/8", "7/8")),
+    ("x0^3+x1^4", 5, 5, ("7/12", "4/5", "11/12")),  # E6
+])
+def test_graph_roots_with_period_two_digits(text, p, e_max, roots):
+    # 5/8, 7/8, 7/12 and 11/12 have base-q digits of period 2, so their
+    # chains fit only phase by phase; each root is an F-jumping exponent of
+    # f, where tau(f^rho) drops against rho - 1/p^6 and holds until rho + 1/p^6
+    cfg = CharConfig(p)
+    f = poly_parse(text, Ring(p, 2))
+    res = b_function(graph_generator(f, cfg), cfg, e_max)
+    assert res.roots == tuple(Fraction(r) for r in roots)
+    assert res.unresolved == ()
+    step = Fraction(1, p**6)
+    for rho in res.roots:
+        below, at, above = (tau_f_stable(f, x, cfg) for x in (rho - step, rho, rho + step))
+        assert below != at and at == above, f"no jump at {rho}"

@@ -1,10 +1,13 @@
 """The flat root steps against their VectorR reference copies.
 
-`frobenius._root_generators` and `listmod._expand_state` multiply and root
-the flat generators of a `Submodule` in one pass.  The `ref_*` functions
-below build the product as `VectorR`s of `Poly` entries first and root it
-after; each flat step must give the same generators (where the step hands
-them back) and the same reduced basis.
+`frobenius._root_generators` multiplies the flat generators of a
+`Submodule` by a multiplier and roots them in one pass: by `_scalar(g, rank)`
+for a product g N, and by a digit's slice of A(t) in `listmod._expand_state`.
+The `ref_*` functions below build the product as `VectorR`s of `Poly`
+entries first and root it after; each flat step must give the same
+generators (where the step hands them back) and the same reduced basis.
+`ref_expand_state` keeps its own term loop and bound check, so it is the
+oracle of the matrix multiplier.
 """
 
 from typing import Dict, Iterable, List
@@ -14,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsing.errors import InternalConsistencyError
-from fsing.frobenius import _root_generators, frobenius_root
+from fsing.frobenius import _root_generators, _scalar, frobenius_root
 from fsing.listmod import TMatrix, _expand_state
 from fsing.modgb import Submodule, VectorR, prune_generators
 from fsing.polyring import CharConfig, Monomial, Poly, Ring, frobenius_decompose, poly_parse
@@ -115,7 +118,7 @@ def test_scaled_matches_reference(N, e, data):
     g = data.draw(polys(N.ring, 3))
     gamma = data.draw(st.sampled_from([1, 2])) if N.ring.p == 2 else 1
     cfg = CharConfig(N.ring.p, gamma)
-    got = _root_generators(N, e, cfg, g)
+    got = _root_generators(N, e, cfg, _scalar(g, N.rank))
     want = ref_root_generators(ref_scaled(N, g), e, cfg)
     assert got.generators == tuple(want)
     assert got.reduced_basis() == Submodule(N.rank, want, N.ring).reduced_basis()
@@ -125,7 +128,7 @@ def test_scaled_matches_reference(N, e, data):
 @given(modules(), st.integers(1, 2))
 def test_root_generators_match_reference(N, e):
     cfg = CharConfig(N.ring.p)
-    got = _root_generators(N, e, cfg, Poly.const(N.ring, 1))
+    got = _root_generators(N, e, cfg, _scalar(Poly.const(N.ring, 1), N.rank))
     want = ref_root_generators(N.generators, e, cfg)
     assert got.generators == tuple(want)
     assert got.reduced_basis() == Submodule(N.rank, want, N.ring).reduced_basis()

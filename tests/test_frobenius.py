@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fsing.frobenius import _RootGraph, bracket_power, d_closure, frobenius_root, stable_root
+from fsing.frobenius import _RootGraph, bracket_power, frobenius_root
 from fsing.modgb import Submodule, VectorR, contains_all
 from fsing.polyring import CharConfig, Poly, Ring, poly_parse
 
@@ -120,40 +120,6 @@ def test_degree_bound_random():
         if rooted.generators:
             bound = max(v.total_degree() for v in gens) // cfg.q**e
             assert rooted.max_generator_degree() <= bound
-
-
-def test_stable_root_grows_to_unit():
-    ring = Ring(2, 1)
-    cfg = CharConfig(2)
-    res = stable_root(ideal(ring, "x0"), cfg)
-    assert res.module == Submodule.full(1, ring)
-    assert res.stable_e == 1
-    assert res.descending is False
-
-
-def test_stable_root_descending_chain():
-    ring = Ring(2, 1)
-    cfg = CharConfig(2)
-    res = stable_root(ideal(ring, "x0^2"), cfg)
-    assert res.module == Submodule.full(1, ring)
-    assert res.descending is False
-
-
-def test_stable_root_of_full_is_full():
-    ring = Ring(3, 1)
-    cfg = CharConfig(3)
-    res = stable_root(Submodule.full(1, ring), cfg)
-    assert res.module == Submodule.full(1, ring)
-    assert res.descending is True
-
-
-def test_d_closure():
-    ring = Ring(2, 1)
-    cfg = CharConfig(2)
-    assert d_closure(ideal(ring, "x0^3"), 1, cfg) == ideal(ring, "x0^2")
-    # closure contains the module
-    N = ideal(ring, "x0^3 + x0^2")
-    assert contains_all(d_closure(N, 1, cfg), N.generators)
 
 
 def test_root_rejects_nonpositive_e():

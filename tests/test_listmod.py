@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fsing import listmod, modgb
 from fsing.bfun import b_function, graph_generator
 from fsing.errors import InternalConsistencyError, ProblemFormatError
-from fsing.frobenius import _root_generators, frobenius_root
+from fsing.frobenius import _root_generators, _scalar, frobenius_root
 from fsing.listmod import (
     MatrixList,
     TMatrix,
@@ -656,9 +656,8 @@ def legacy_scan(ml, e, cfg):
         if mat is None:
             return Submodule.zero(rank, ring)
         cols = legacy_column_vectors(mat, A.l, rank, ring)
-        return _root_generators(
-            Submodule(rank, tuple(cols), ring), fam.e, fam.cfg, Poly.const(ring, 1)
-        )
+        one = _scalar(Poly.const(ring, 1), rank)
+        return _root_generators(Submodule(rank, tuple(cols), ring), fam.e, fam.cfg, one)
 
     pieces = map(piece, range(cfg.q**fam.e))
     return _cumulative_scan(pieces, _RunningSums(Submodule.zero(rank, ring)))
@@ -735,6 +734,19 @@ def test_cusp_graph_state_expansions(monkeypatch, p):
     assert report.estimates == (Fraction(1, p),)
     assert len(calls) == len(set(calls)) == 2 * cfg.q
     assert len({K for K, _ in calls}) == 2
+
+
+def test_matrix_multipliers_built_once_per_rank():
+    # the walk reads the digit slices of A(t) from one table for its rank,
+    # built at the first step and kept on the matrix
+    cfg = CharConfig(3)
+    A = graph_generator(poly_parse("x0^2 + x1^3", Ring(3, 2)), cfg)
+    rank = A.l * (A.tdeg // (cfg.q - 1) + 1)
+    b_function(A, cfg, 4)
+    table = A._digit_multipliers(rank)
+    b_function(A, cfg, 4)
+    assert list(A._by_rank) == [rank]
+    assert A._digit_multipliers(rank) is table
 
 
 @pytest.mark.parametrize("e_max", [4, 10])

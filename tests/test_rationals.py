@@ -3,7 +3,8 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsing.rationals import snap_interval
+from fsing.polyring import CharConfig
+from fsing.rationals import ChainFit, detect_chain_limit, snap_interval
 
 
 def ref_snap_interval(lo, hi, q, max_a, max_b):
@@ -49,3 +50,16 @@ def loose_intervals(draw):
 @example((Fraction(-1), Fraction(0), 2, 1, 2))  # 0 is a candidate
 def test_snap_interval_matches_fraction_search(case):
     assert snap_interval(*case) == ref_snap_interval(*case)
+
+
+def test_chain_limit_fits_each_phase():
+    # the D5 chain of x0^2*x1 + x1^4 at p = 3: its limit 1/8 = 0.(01)_3 has
+    # digit period 2, and the equations m_{e+2} = 9 m_e + c give c = 1 at
+    # odd e (10 = 9*1 + 1, 91 = 9*10 + 1) but c = 3 at even e
+    # (30 = 9*3 + 3, 273 = 9*30 + 3), so only one phase at a time fits
+    cfg = CharConfig(3)
+    fit = detect_chain_limit((1, 1, 3, 10, 30, 91, 273), 0, cfg, 3, 3)
+    assert fit == ChainFit(Fraction(1, 8), 1, 2)
+    # one equation in a phase is no evidence: (1, 1, 3, 10, 30) holds only
+    # 10 = 9*1 + 1 at odd e
+    assert detect_chain_limit((1, 1, 3, 10, 30), 0, cfg, 3, 3) is None

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fsing import modgb, testideal
 from fsing.errors import StabilizationError
-from fsing.frobenius import DEFAULT_STABLE_CAP, _RootGraph, frobenius_root
+from fsing.frobenius import _RootGraph, frobenius_root
 from fsing.modgb import Submodule, VectorR, contains_all, module_sum
 from fsing.polyring import CharConfig, Poly, PowerCache, Ring, frobenius_power, poly_parse
 from fsing.rationals import GridRational, frac_ceil, snap_interval
@@ -21,6 +21,7 @@ from fsing.listmod import (
     simple_tau_scan,
 )
 from fsing.testideal import (
+    DEFAULT_STABLE_CAP,
     _digit_root,
     _power_graph,
     f_jumping_exponents,
@@ -620,7 +621,8 @@ def counting_roots(monkeypatch):
 )
 def test_one_root_per_distinct_state_and_digit(monkeypatch, p, text, e, seeds):
     # the pruned reference chain visits the same spans; every distinct
-    # (reduced basis, digit) pair it meets costs exactly one root
+    # (reduced basis, digit) pair it meets costs exactly one root, and the
+    # multiplier by f^d is built once per digit, not once per root
     cfg = CharConfig(p)
     f = poly_parse(text, Ring(p, 2))
     powers = PowerCache(f)
@@ -635,12 +637,16 @@ def test_one_root_per_distinct_state_and_digit(monkeypatch, p, text, e, seeds):
                 keys.add((K.reduced_basis(), digit))
                 K = ref_digit_chain(digit, 1, K, power, cfg)
     calls = counting_roots(monkeypatch)
+    built = []
+    scalar = testideal._scalar
+    monkeypatch.setattr(testideal, "_scalar", lambda g, rank: built.append(g) or scalar(g, rank))
     graph = _power_graph(powers, cfg)
     for mono in seeds:
         seed = monomial_ideal(f.ring, mono)
         for n in range(cfg.q**e):
             _digit_root(n, e, seed, graph, powers)
     assert len(calls) == len(keys) == len(graph.edges)
+    assert built == [power(d) for d in dict.fromkeys(d for _, d in graph.edges)]
     assert len(keys) < len(seeds) * sum(cfg.q**i for i in range(1, e + 1))
 
 
