@@ -41,7 +41,6 @@ from .modgb import (
     contains,
     contains_all,
     equals,
-    groebner_basis,
     module_sum,
     prune_generators,
 )

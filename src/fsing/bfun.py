@@ -10,7 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .listmod import ChainEstimate, JumpReport, SeReport, TMatrix, _estimate_jumping_numbers
+from .listmod import (
+    ChainEstimate, JumpReport, MatrixList, SeReport, TMatrix, estimate_jumping_numbers,
+)
 from .polyring import CharConfig, Poly
 
 
@@ -64,12 +66,12 @@ def _shift_witness(report: JumpReport, cfg: CharConfig, e_max: int) -> Optional[
     return None
 
 
-def b_function(A: TMatrix, cfg: CharConfig, e_max: int = 5) -> BFunctionResult:
-    """Assemble the b-function of A from its jumping-number chains."""
+def b_function(A: TMatrix | MatrixList, cfg: CharConfig, e_max: int = 5) -> BFunctionResult:
+    """Assemble the b-function of A(t), or of a matrix list, from its jumping-number chains."""
     if e_max < 3:
         raise ValueError("e_max must be at least 3")
     diagnostics: List[str] = []
-    report = _estimate_jumping_numbers(A, cfg, e_max)
+    report = estimate_jumping_numbers(A, cfg, e_max)
     if A.is_zero():
         diagnostics.append("zero matrix: b = 1 with no roots")
         return BFunctionResult((), 0, (), report.s_sets, tuple(diagnostics))

@@ -22,16 +22,7 @@ from typing import List, Optional
 from .bfun import b_function, graph_generator
 from .errors import FsingError, InternalConsistencyError, ResourceLimitExceeded
 from .frobenius import frobenius_root
-from .listmod import (
-    MatrixList,
-    TMatrix,
-    assemble_A,
-    decompose_A,
-    estimate_jumping_numbers,
-    h_expand,
-    load_problem_file,
-    s_set,
-)
+from .listmod import estimate_jumping_numbers, h_expand, load_problem_file, s_set
 from .modgb import DEFAULT_PAIR_LIMIT, Submodule, VectorR, pair_limit
 from .polyring import MAX_VARS, CharConfig, Ring, poly_parse
 from .testideal import tau_f, tau_f_stable, f_jumping_exponents
@@ -132,18 +123,6 @@ def _chain_obj(c) -> dict:
     }
 
 
-def _as_matrix_list(problem, cfg: CharConfig) -> MatrixList:
-    if isinstance(problem, TMatrix):
-        return decompose_A(problem, cfg)
-    return problem
-
-
-def _as_tmatrix(problem) -> TMatrix:
-    if isinstance(problem, MatrixList):
-        return assemble_A(problem)
-    return problem
-
-
 def _cmd_froot(args) -> int:
     ring = Ring(args.p, _infer_num_vars([args.gens], args.num_vars))
     cfg = CharConfig(args.p, args.gamma)
@@ -180,7 +159,7 @@ def _cmd_fjump(args) -> int:
 
 def _cmd_hexpand(args) -> int:
     problem, cfg = load_problem_file(args.input)
-    fam = h_expand(_as_tmatrix(problem), args.e, cfg)
+    fam = h_expand(problem, args.e, cfg)
     table = {
         str(n): [[str(entry) for entry in row] for row in mat]
         for n, mat in sorted(fam.table.items())
@@ -200,8 +179,7 @@ def _cmd_hexpand(args) -> int:
 
 def _cmd_sset(args) -> int:
     problem, cfg = load_problem_file(args.input)
-    mlist = _as_matrix_list(problem, cfg)
-    report = s_set(mlist, args.e, cfg)
+    report = s_set(problem, args.e, cfg)
     _emit(
         {"e": args.e, "s_set": _sset_obj(report)},
         args.json,
@@ -212,8 +190,7 @@ def _cmd_sset(args) -> int:
 
 def _cmd_jumps(args) -> int:
     problem, cfg = load_problem_file(args.input)
-    mlist = _as_matrix_list(problem, cfg)
-    report = estimate_jumping_numbers(mlist, cfg, args.e_max)
+    report = estimate_jumping_numbers(problem, cfg, args.e_max)
     obj = {
         "s_sets": {str(e): _sset_obj(r) for e, r in report.s_sets.items()},
         "chains": [_chain_obj(c) for c in report.chains],
@@ -234,7 +211,7 @@ def _cmd_jumps(args) -> int:
 
 def _cmd_bfun(args) -> int:
     problem, cfg = load_problem_file(args.input)
-    result = b_function(_as_tmatrix(problem), cfg, args.e_max)
+    result = b_function(problem, cfg, args.e_max)
     obj = {
         "roots": [_frac_obj(r) for r in result.roots],
         "shift_N": result.shift_N,

@@ -10,7 +10,9 @@ Deep roots are taken one level at a time along base-q digits, by the rules
 depends only on the span of the module and the digit, so the steps form a
 finite graph on the distinct spans with edges labelled by digits
 (`_RootGraph`).  The test ideals of `testideal` and the list walks of
-`listmod` both run on it; only the step differs.
+`listmod` both run on it; only the step differs.  A list walk's running sums
+are kept on its graph as well, one object per span, so within one call the
+graph is the only store of spans.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from operator import add
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .modgb import FlatVec, Submodule, VectorR, prune_generators
-from .polyring import CharConfig, Monomial, Poly, frobenius_power
+from .polyring import CharConfig, Monomial, Poly, check_char, frobenius_power
 
 Multiplier = Sequence[Sequence[Tuple[int, Monomial, int]]]
 
@@ -46,8 +48,9 @@ def frobenius_root(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
     """
     if e < 1:
         raise ValueError("e must be positive")
-    if N.ring.extra is not None or N.ring.p != cfg.p:
-        raise ValueError("frobenius roots need a module over R in the characteristic of cfg")
+    if N.ring.extra is not None:
+        raise ValueError("frobenius roots need a module over the pure ring R")
+    check_char(N.ring, cfg, "module")
     root = _root_generators(N, e, cfg, _scalar(Poly.const(N.ring, 1), N.rank))
     # which copy of a repeated vector pruning keeps depends on the list
     # order, so the first copy of each is kept here, before pruning
@@ -89,21 +92,30 @@ def _root_generators(N: Submodule, e: int, cfg: CharConfig, mult: Multiplier) ->
 
 
 class _RootGraph:
-    """The one-level steps K -> step(K, d), d < q, of one call, each taken once.
+    """The one-level steps K -> step(K, d), d < q, of one call, each taken
+    once, and the sums K -> K + P of its running sums.
 
     A step depends only on the span of K and the digit d, so it is kept
     under (K._canonical(), d) and taken once, however many digit prefixes
-    reach that span.  Each span a step returns is kept as one object, so
-    two steps that reach one span hand back the same object; the seeds a
-    caller walks from are not kept.  The zero module is its own child and
-    is never stepped.  The graph lives as long as its owner; nothing is kept
-    at module level.  `cfg` is the characteristic the steps are taken in.
+    reach that span; a sum is kept under the canonical keys of its two
+    terms.  Each span a step or a sum returns is kept as one object, so two
+    steps or sums that reach one span hand back the same object, and a
+    running sum over the states is itself a state where their spans meet;
+    the seeds a caller walks or sums from are not kept.  The zero module is
+    its own child and is never stepped.  The graph lives as long as its
+    owner; nothing is kept at module level.  `cfg` is the characteristic
+    the steps are taken in.
     """
 
     def __init__(self, step: Callable[[Submodule, int], Submodule], cfg: CharConfig):
         self.step, self.cfg, self.q = step, cfg, cfg.q
         self._known: Dict[Tuple[frozenset, ...], Submodule] = {}
         self.edges: Dict[Tuple[Tuple[frozenset, ...], int], Submodule] = {}
+        self._sums: Dict[Tuple[Tuple[frozenset, ...], ...], Submodule] = {}
+
+    def _kept(self, K: Submodule) -> Submodule:
+        """The one object kept for the span of K."""
+        return self._known.setdefault(K._canonical(), K)
 
     def child(self, K: Submodule, d: int) -> Submodule:
         """step(K, d), as the one object kept for its span."""
@@ -112,9 +124,21 @@ class _RootGraph:
             return K
         kid = self.edges.get((key, d))
         if kid is None:
-            kid = self.step(K, d)
-            kid = self.edges[key, d] = self._known.setdefault(kid._canonical(), kid)
+            kid = self.edges[key, d] = self._kept(self.step(K, d))
         return kid
+
+    def add(self, cum: Submodule, piece: Submodule) -> Submodule:
+        """cum + piece: cum itself when it contains piece, else the one
+        object kept for the span of the two, generated by its reduced basis."""
+        key = (cum._canonical(), piece._canonical())
+        total = self._sums.get(key)
+        if total is None:
+            total = cum
+            if not cum._contains_flats(piece._flats):
+                both = Submodule._from_flats(cum.rank, cum.ring, cum._flats + piece._flats)
+                total = self._kept(both._basis_module())
+            self._sums[key] = total
+        return total
 
     def walk(self, K: Submodule, n: int, levels: int) -> Tuple[Submodule, int]:
         """K after `levels` steps along the low base-q digits of n, lowest

@@ -13,14 +13,16 @@ are a `frobenius._RootGraph`, the graph the test ideals of `testideal` run
 on too, so each (state, digit) step is taken once per call, and a step is
 their kernel `frobenius._root_generators` with the digit's slice of A(t)
 as its multiplier.  The running sum and the jump test are `_cumulative_scan`
-and `_jump_report`.  The walk also owns the memo of the running sums
-(`_RunningSums`): a step is keyed by the identities of the sum and the
-piece, and each span of a sum is one object, found by its canonical key.
+and `_jump_report`.  The running sums live on the same graph
+(`_RootGraph.add`): a sum is keyed by the canonical keys of its two terms,
+and each span is one object, a state where a sum reaches a state's span.
 The levels e = 0..e_max of `estimate_jumping_numbers` share it, so a sum
 that several levels reach costs one Buchberger run in all, and a level's
 scan is lookups over its q^{e+1} pieces: b_function of the cusp graph at
 p=3 runs Buchberger 10 times at e_max 4 and 10 alike (18 and 30 with a
-fresh sum per level).
+fresh sum per level).  Every list entry point takes a `MatrixList` or the
+`TMatrix` A(t) itself; a list is assembled once, and a matrix is never
+decomposed.
 
 A simple list r_0 .. r_{q-1} is the 1x1 matrix list A(t) = sum r_n t^n, and
 its test ideals are read off that list's walk.  A step keeps the t-exponents
@@ -229,9 +231,15 @@ def decompose_A(A: TMatrix, cfg: CharConfig) -> MatrixList:
     return MatrixList(l, cfg, base, entries)
 
 
-def _check_cfg(A: TMatrix, cfg: CharConfig) -> None:
+def _check_cfg(A: TMatrix | MatrixList, cfg: CharConfig) -> None:
     if cfg != A.cfg:
         raise ValueError("characteristic mismatch between matrix and config")
+
+
+def _matrix_of(A: TMatrix | MatrixList, cfg: CharConfig) -> TMatrix:
+    """A(t) at cfg: the matrix itself, or a list assembled once."""
+    _check_cfg(A, cfg)
+    return assemble_A(A) if isinstance(A, MatrixList) else A
 
 
 def _twisted_power(A: TMatrix, e: int, cfg: CharConfig) -> Matrix:
@@ -242,12 +250,12 @@ def _twisted_power(A: TMatrix, e: int, cfg: CharConfig) -> Matrix:
     return prod
 
 
-def h_expand(A: TMatrix, e: int, cfg: CharConfig) -> HFamily:
+def h_expand(A: TMatrix | MatrixList, e: int, cfg: CharConfig) -> HFamily:
     """Split A^{e-1} along t-exponents v = q^e k + n into the H^e_n(tau).
 
     The family is checked against A^{e-1} by `_validate_family`.
     """
-    _check_cfg(A, cfg)
+    A = _matrix_of(A, cfg)
     if e < 1:
         raise ValueError("e must be positive")
     prod = _twisted_power(A, e, cfg)
@@ -336,58 +344,28 @@ def _grid_index(lam: GridRational, e: int, cfg: CharConfig) -> int:
     return m
 
 
-class _RunningSums:
-    """The steps sum -> sum + piece of the cumulative scans over one family of pieces.
-
-    A step is keyed by the identities of the running sum and the piece and
-    maps to the next sum: the sum itself when it contains the piece, else
-    the module generated by the reduced basis of the two together.  Each
-    span of a sum is kept as one object, found by its canonical key, so one
-    Buchberger run serves every scan that reaches it, and a step taken by one
-    scan is a dict lookup for every later scan that shares the memo.  Every
-    keyed object is kept alive with its step, since a freed object's id may
-    be reused by a new one.  The memo lives as long as its owner; nothing is
-    kept at module level.
-    """
-
-    def __init__(self, zero: Submodule):
-        self.zero = zero
-        self._known: dict[tuple[frozenset, ...], Submodule] = {}
-        self._steps: dict[tuple[int, int], tuple[Submodule, Submodule, Submodule]] = {}
-
-    def add(self, cum: Submodule, piece: Submodule) -> Submodule:
-        """cum + piece, as the one object kept for its span."""
-        key = (id(cum), id(piece))
-        step = self._steps.get(key)
-        if step is None:
-            nxt = cum
-            if not cum._contains_flats(piece._flats):
-                total = Submodule._from_flats(cum.rank, cum.ring, cum._flats + piece._flats)
-                total = total._basis_module()
-                nxt = self._known.setdefault(total._canonical(), total)
-            step = self._steps[key] = (nxt, cum, piece)
-        return step[0]
-
-
-def _cumulative_scan(pieces: Iterable[Submodule], sums: _RunningSums) -> List[Submodule]:
-    """Running sums sums.zero + pieces[0] + ... + pieces[i], one per piece.
+def _cumulative_scan(
+    pieces: Iterable[Submodule], zero: Submodule, graph: _RootGraph
+) -> List[Submodule]:
+    """Running sums zero + pieces[0] + ... + pieces[i], one per piece.
 
     A piece the sum contains leaves it unchanged.  A piece object seen
     before adds nothing and is not looked up again: the root graph hands
     back one object per state, and a level holds q^{e+1} pieces but only a
-    few states.  Each new piece goes through `sums`, which takes each
-    distinct (sum, piece) step once; scans that share `sums` (the levels
+    few states.  Each new piece goes through `graph.add`, which takes each
+    distinct (sum, piece) step once; scans on one graph (the levels
     e = 0..e_max of one `estimate_jumping_numbers` call) share their steps
-    too, and a caller scanning one level passes a fresh `_RunningSums`.
-    Equal sums are the same object.
+    too.  Equal sums are the same object.
     """
     out: List[Submodule] = []
-    cum = sums.zero
-    seen: set[int] = set()  # kept alive by the steps of `sums`
+    cum = zero
+    # keeps each piece alive, so that no id in it is reused: a caller may
+    # pass pieces that no graph holds
+    seen: Dict[int, Submodule] = {}
     for piece in pieces:
         if id(piece) not in seen:
-            seen.add(id(piece))
-            cum = sums.add(cum, piece)
+            seen[id(piece)] = piece
+            cum = graph.add(cum, piece)
         out.append(cum)
     return out
 
@@ -445,18 +423,18 @@ class _RootWalk:
     product is P_e = P_{e-1}^[q] A with Frobenius acting on t as well, a
     root of B^[q] K is B times the root of K, and roots compose.  The graph
     takes each (state, digit) step once for the life of the walk, so every
-    prefix is shared by all levels.  `sums` memoizes the steps of the
-    running sums over its pieces in the same way, for every scan of the
-    walk's levels.
+    prefix is shared by all levels, and it keeps the running sums of every
+    scan of the walk's levels, which start from `zero`.  A walk takes a
+    `MatrixList` or A(t) itself.
     """
 
-    def __init__(self, A: TMatrix, cfg: CharConfig):
-        _check_cfg(A, cfg)
+    def __init__(self, A: TMatrix | MatrixList, cfg: CharConfig):
+        A = _matrix_of(A, cfg)
         rank = A.l * (A.tdeg // (cfg.q - 1) + 1)
         ring = A.ring.base()
         units = [{(i, (0,) * ring.width): 1} for i in range(A.l)]
         self.start = Submodule._from_flats(rank, ring, units)._basis_module()
-        self.sums = _RunningSums(Submodule.zero(rank, ring))
+        self.zero = Submodule.zero(rank, ring)
         self.graph = _RootGraph(lambda K, r: _expand_state(K, A, cfg, r), cfg)
 
     def piece(self, n: int, e: int) -> Submodule:
@@ -481,7 +459,7 @@ class _RootWalk:
             yield states
 
 
-def ltm_scan(mlist: MatrixList, e: int, cfg: CharConfig) -> List[Submodule]:
+def ltm_scan(A: TMatrix | MatrixList, e: int, cfg: CharConfig) -> List[Submodule]:
     """Cumulative list test modules at the grid points m/q^{e+1}, m = 1..q^{e+1}.
 
     Index m-1 of the returned list is tau({A_{k,n}}, m/q^{e+1}, e).  The
@@ -490,14 +468,14 @@ def ltm_scan(mlist: MatrixList, e: int, cfg: CharConfig) -> List[Submodule]:
     """
     if e < 0:
         raise ValueError("e must be non-negative")
-    walk = _RootWalk(assemble_A(mlist), cfg)
+    walk = _RootWalk(A, cfg)
     for pieces in walk.levels(e):
         pass
-    return _cumulative_scan(pieces, walk.sums)
+    return _cumulative_scan(pieces, walk.zero, walk.graph)
 
 
 def list_test_module(
-    mlist: MatrixList, lam: GridRational, e: int, cfg: CharConfig
+    A: TMatrix | MatrixList, lam: GridRational, e: int, cfg: CharConfig
 ) -> Submodule:
     """tau({A_{k,n}}, lambda, e) inside R^{l(N+1)}, N = floor(d/(q-1)).
 
@@ -505,13 +483,13 @@ def list_test_module(
     `ltm_scan`, the generator list of the result is not irredundant.
     """
     m = _grid_index(lam, e, cfg)
-    walk = _RootWalk(assemble_A(mlist), cfg)
-    return _cumulative_scan((walk.piece(n, e) for n in range(m)), walk.sums)[-1]
+    walk = _RootWalk(A, cfg)
+    return _cumulative_scan((walk.piece(n, e) for n in range(m)), walk.zero, walk.graph)[-1]
 
 
-def s_set(mlist: MatrixList, e: int, cfg: CharConfig) -> SeReport:
+def s_set(A: TMatrix | MatrixList, e: int, cfg: CharConfig) -> SeReport:
     """Grid points in (0,1) where the list test module strictly grows next."""
-    return _jump_report(ltm_scan(mlist, e, cfg), e, cfg)
+    return _jump_report(ltm_scan(A, e, cfg), e, cfg)
 
 
 # -- simple lists: the 1x1 matrix list ----------------------------------------
@@ -541,7 +519,7 @@ def simple_list_I(
     """(r_{i_0} r_{i_1}^q ... r_{i_e}^{q^e})^[1/q^{e+1}] at the grid point lam."""
     mlist = _simple_list(r, cfg)
     m = _grid_index(lam, e, cfg)
-    return _rank_one(_RootWalk(assemble_A(mlist), cfg).piece(m - 1, e))
+    return _rank_one(_RootWalk(mlist, cfg).piece(m - 1, e))
 
 
 def simple_tau_scan(r: Sequence[Poly], e: int, cfg: CharConfig) -> List[Submodule]:
@@ -630,7 +608,7 @@ def _build_chains(
 
 
 def estimate_jumping_numbers(
-    mlist: MatrixList, cfg: CharConfig, e_max: int
+    A: TMatrix | MatrixList, cfg: CharConfig, e_max: int
 ) -> JumpReport:
     """Chains of jump-set elements snapped to exact limits c/(q^a (q^b - 1)).
 
@@ -638,23 +616,18 @@ def estimate_jumping_numbers(
     fit window (preperiod and period) is max(1, e_max // 2).  Chains with no
     fit, or that die out before e_max, are reported unresolved.  The levels
     e = 0..e_max share one `_RootWalk`: each (state, digit) step is taken
-    once for all levels, and the running sums of all level scans share the
-    walk's memo, which keys each step by the identities of the running sum
-    and the piece and keeps one object per span of a sum, found by its
-    canonical key.  A sum two levels reach is computed once, so the
-    Buchberger runs do not grow with e_max (10 for the cusp graph at p=3,
-    at e_max 4 and 10 alike).  The memo is freed when the call returns.
+    once for all levels, and the running sums of all level scans are kept
+    on the walk's graph, which keys each sum by the canonical keys of its
+    two terms and keeps one object per span.  A sum two levels reach is
+    computed once, so the Buchberger runs do not grow with e_max (10 for
+    the cusp graph at p=3, at e_max 4 and 10 alike).  The graph and its
+    sums are freed when the call returns.
     """
-    return _estimate_jumping_numbers(assemble_A(mlist), cfg, e_max)
-
-
-def _estimate_jumping_numbers(A: TMatrix, cfg: CharConfig, e_max: int) -> JumpReport:
-    """`estimate_jumping_numbers` of the list assembled into A."""
     if e_max < 2:
         raise ValueError("e_max must be at least 2")
     walk = _RootWalk(A, cfg)
     s_sets = {
-        e: _jump_report(_cumulative_scan(pieces, walk.sums), e, cfg)
+        e: _jump_report(_cumulative_scan(pieces, walk.zero, walk.graph), e, cfg)
         for e, pieces in enumerate(walk.levels(e_max))
     }
     window = max(1, e_max // 2)

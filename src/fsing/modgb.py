@@ -449,12 +449,6 @@ class Submodule:
         return f"Submodule(rank={self.rank}, <{gens}>)"
 
 
-def groebner_basis(N: Submodule) -> Submodule:
-    """Force the reduced basis computation; the span is unchanged."""
-    N.reduced_basis()
-    return N
-
-
 def contains(N: Submodule, v: VectorR) -> bool:
     return N.normal_form(v).is_zero()
 

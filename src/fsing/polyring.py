@@ -157,15 +157,6 @@ class Poly:
         return Poly(ring, {(0,) * ring.width: c})
 
     @staticmethod
-    def variable(ring: Ring, index: int) -> "Poly":
-        """x{index}, or the distinguished variable when index == nvars."""
-        if index < 0 or index >= ring.width:
-            raise ValueError(f"variable index {index} out of range")
-        expo = [0] * ring.width
-        expo[index] = 1
-        return Poly(ring, {tuple(expo): 1})
-
-    @staticmethod
     def monomial(ring: Ring, mono: Monomial, c: int = 1) -> "Poly":
         return Poly(ring, {tuple(mono): c})
 

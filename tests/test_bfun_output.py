@@ -1,4 +1,4 @@
-"""`bfun --json` stdout pinned by sha256 on a fixed set of problems.
+"""`bfun`, `sset` and `jumps --json` stdout pinned by sha256 on a fixed set of problems.
 
 The rank-2 matrices are those of the b-function benchmark, copied here so
 that the suite does not depend on the benchmark package.  A change that
@@ -89,3 +89,60 @@ def bfun_digest(case, tmp_path):
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_bfun_json_bytes(case, tmp_path):
     assert bfun_digest(case, tmp_path) == DIGESTS[case_id(case)]
+
+
+# the list commands on the same problems: case id -> sha256 of the stdout of
+# `sset --input <problem> --e 2 --json` and `jumps --input <problem> --e-max 4 --json`
+LIST_COMMANDS = {"sset": ["--e", "2"], "jumps": ["--e-max", "4"]}
+LIST_DIGESTS = {
+    "sset-rank2-0-p2": "0598d7e1bccf6bcbb662617a9051ff25913e1362fd2728fc3fedea3f1e0302a4",
+    "sset-rank2-1-p2": "0598d7e1bccf6bcbb662617a9051ff25913e1362fd2728fc3fedea3f1e0302a4",
+    "sset-rank2-2-p2": "7309f762a09a31ea9160762233a22b59a5f696f518aabe583eed312f7bceaf79",
+    "sset-rank2-3-p2": "f174e2242821177a252080d2a0e0b70afe185093b0c97aa244716cb9a601ae02",
+    "sset-rank2-4-p2": "f174e2242821177a252080d2a0e0b70afe185093b0c97aa244716cb9a601ae02",
+    "sset-rank2-5-p2": "7e7ce311a11c918bd4bfda556534f44e2dfcd1faaedf4ad52478802c110a1700",
+    "sset-rank2-0-p3": "200578947e9c6f16ee8070409e4517ad3d51496373a34c9112f718e9e45f6692",
+    "sset-rank2-1-p3": "200578947e9c6f16ee8070409e4517ad3d51496373a34c9112f718e9e45f6692",
+    "sset-rank2-2-p3": "200578947e9c6f16ee8070409e4517ad3d51496373a34c9112f718e9e45f6692",
+    "sset-rank2-3-p3": "d9d839fb4bef87f819b85dce4e2ba39e9b00d8615318bc6450dd29387bbf7e1a",
+    "sset-rank2-4-p3": "d9d839fb4bef87f819b85dce4e2ba39e9b00d8615318bc6450dd29387bbf7e1a",
+    "sset-rank2-5-p3": "7e7ce311a11c918bd4bfda556534f44e2dfcd1faaedf4ad52478802c110a1700",
+    "sset-graph-x0^2+x1^3-p3": "4ef229e3b1527b5ef4c72c865c4d1424a47f2b0340bd02696a531d64ccfe4a4d",
+    "sset-graph-x0^3+x0*x1^2-p3": "4ef229e3b1527b5ef4c72c865c4d1424a47f2b0340bd02696a531d64ccfe4a4d",
+    "jumps-rank2-0-p2": "2eab43084f0a2b6bd9abf51d09a3f1c2240c602bb256b9135357034b66ba47dd",
+    "jumps-rank2-1-p2": "2eab43084f0a2b6bd9abf51d09a3f1c2240c602bb256b9135357034b66ba47dd",
+    "jumps-rank2-2-p2": "5b9a60852a22c888e58aba281420227eba74c75999f69b3dd27ca4a65ee83099",
+    "jumps-rank2-3-p2": "889eb69ddfd474ad6d7b35409b7eade7eae2f56790c9ae5184ea8503eb5b0af1",
+    "jumps-rank2-4-p2": "889eb69ddfd474ad6d7b35409b7eade7eae2f56790c9ae5184ea8503eb5b0af1",
+    "jumps-rank2-5-p2": "b16e5352696ab5765e9742941e049f5eef3d8b5f18a62a74fa1c2eb85f050272",
+    "jumps-rank2-0-p3": "07842c541bb0662cfed826a0d7840cd232c4e33602d9c2158c519457d8f5f521",
+    "jumps-rank2-1-p3": "07842c541bb0662cfed826a0d7840cd232c4e33602d9c2158c519457d8f5f521",
+    "jumps-rank2-2-p3": "07842c541bb0662cfed826a0d7840cd232c4e33602d9c2158c519457d8f5f521",
+    "jumps-rank2-3-p3": "659675546bc6a37f16c515ece089beaf5b2c8ba1a8e6c36a3e1edabb319ce232",
+    "jumps-rank2-4-p3": "659675546bc6a37f16c515ece089beaf5b2c8ba1a8e6c36a3e1edabb319ce232",
+    "jumps-rank2-5-p3": "b16e5352696ab5765e9742941e049f5eef3d8b5f18a62a74fa1c2eb85f050272",
+    "jumps-graph-x0^2+x1^3-p3": "c2bb81ae7db3fc18180ab278ffaa5fa85b378cc5328f4ec38d93b5b794518ae1",
+    "jumps-graph-x0^3+x0*x1^2-p3": "c2bb81ae7db3fc18180ab278ffaa5fa85b378cc5328f4ec38d93b5b794518ae1",
+}
+
+LIST_CASES = [
+    (command, kind, which, p)
+    for command in LIST_COMMANDS
+    for kind, which, p, e_max in CASES
+    if e_max == 3
+]
+
+
+def list_case_id(case):
+    command, kind, which, p = case
+    return f"{command}-{kind}-{which}-p{p}"
+
+
+@pytest.mark.parametrize("case", LIST_CASES, ids=list_case_id)
+def test_list_command_json_bytes(case, tmp_path):
+    command, kind, which, p = case
+    path = tmp_path / "problem.json"
+    path.write_text(problem_text(kind, which, p))
+    argv = [command, "--input", str(path), *LIST_COMMANDS[command], "--json"]
+    digest = hashlib.sha256(stdout_of(argv).encode()).hexdigest()
+    assert digest == LIST_DIGESTS[list_case_id(case)]

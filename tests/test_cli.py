@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fsing import listmod, modgb
+from fsing import cli, listmod, modgb
 from fsing.cli import _build_parser, run
 from fsing.errors import InternalConsistencyError
 from fsing.modgb import DEFAULT_PAIR_LIMIT
@@ -240,10 +240,32 @@ def test_hexpand_list_and_matrix_forms_agree(tmp_path, tame_problem):
         "p": 3, "gamma": 1, "num_vars": 0, "rank": 1,
         "list": [{"k": 0, "n": 1, "matrix": [["1"]]}],
     }))
-    for command in (["hexpand", "--e", "2"], ["bfun", "--e-max", "3"]):
+    for command in (
+        ["hexpand", "--e", "2"], ["sset", "--e", "2"], ["jumps", "--e-max", "3"],
+        ["bfun", "--e-max", "3"],
+    ):
         from_list = run_cli(command[0], "--input", str(path), *command[1:], "--json")
         from_matrix = run_cli(command[0], "--input", tame_problem, *command[1:], "--json")
         assert from_list.stdout == from_matrix.stdout
+
+
+@pytest.mark.parametrize("command", [["sset", "--e", "2"], ["jumps", "--e-max", "3"]])
+def test_list_commands_never_decompose_a_matrix(monkeypatch, capsys, tame_problem, command):
+    # sset and jumps walk A(t) as given; a matrix file is not split into its
+    # list and assembled again
+    calls = []
+    decompose = listmod.decompose_A
+
+    def counting(*args):
+        calls.append(args)
+        return decompose(*args)
+
+    # patched where it is defined and where the CLI would import it
+    for module in (listmod, cli):
+        monkeypatch.setattr(module, "decompose_A", counting, raising=False)
+    assert run(command[:1] + ["--input", tame_problem] + command[1:] + ["--json"]) == 0
+    assert capsys.readouterr().out
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", [

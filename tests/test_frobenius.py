@@ -129,6 +129,12 @@ def test_root_rejects_nonpositive_e():
         frobenius_root(ideal(ring, "x0"), 0, cfg)
 
 
+def test_root_rejects_module_over_r_t():
+    ring = Ring(2, 1).with_extra("t")
+    with pytest.raises(ValueError, match="frobenius roots need a module over the pure ring R"):
+        frobenius_root(ideal(ring, "x0"), 1, CharConfig(2))
+
+
 def cusp_root_graph():
     """The one-level roots K -> (f^d K)^[1/2] of the cusp over F_2, with every
     step recorded as (span, digit)."""
@@ -157,6 +163,24 @@ def test_root_graph_one_object_per_span():
     assert graph.child(ideal(ring, "x1", "x0 + x1"), 1) is m
     # four distinct (span, digit) steps, the last call a lookup
     assert len(steps) == len(set(steps)) == 4
+
+
+def test_root_graph_sums_one_object_per_span():
+    graph, steps, ring = cusp_root_graph()
+    m = graph.child(Submodule.full(1, ring), 1)
+    zero = Submodule.zero(1, ring)
+    # a sum that reaches a state's span is that state
+    assert graph.add(zero, m) is m
+    assert graph.add(ideal(ring, "x0"), ideal(ring, "x1")) is m
+    # a contained piece leaves the sum as it is
+    assert graph.add(m, ideal(ring, "x0")) is m
+    unit = graph.add(m, ideal(ring, "1 + x0"))
+    assert unit == Submodule.full(1, ring)
+    # sums are keyed by spans: other generator lists find the kept object
+    assert graph.add(ideal(ring, "x1", "x0 + x1"), ideal(ring, "x0 + 1")) is unit
+    # and a step that reaches a sum's span hands back the sum
+    assert graph.child(m, 0) is unit
+    assert len(graph._known) == 2
 
 
 def test_root_graph_zero_module_is_its_own_child():

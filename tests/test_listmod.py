@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fsing import listmod, modgb
 from fsing.bfun import b_function, graph_generator
 from fsing.errors import InternalConsistencyError, ProblemFormatError
-from fsing.frobenius import _root_generators, _scalar, frobenius_root
+from fsing.frobenius import _root_generators, _RootGraph, _scalar, frobenius_root
 from fsing.listmod import (
     MatrixList,
     TMatrix,
@@ -24,7 +24,7 @@ from fsing.listmod import (
     list_test_module,
     _cumulative_scan,
     _jump_report,
-    _RunningSums,
+    _RootWalk,
     load_problem,
     ltm_scan,
     s_set,
@@ -660,7 +660,8 @@ def legacy_scan(ml, e, cfg):
         return _root_generators(Submodule(rank, tuple(cols), ring), fam.e, fam.cfg, one)
 
     pieces = map(piece, range(cfg.q**fam.e))
-    return _cumulative_scan(pieces, _RunningSums(Submodule.zero(rank, ring)))
+    # the sums alone go on this graph; it never takes a step
+    return _cumulative_scan(pieces, Submodule.zero(rank, ring), _RootGraph(None, cfg))
 
 
 @st.composite
@@ -770,19 +771,39 @@ def test_cusp_graph_buchberger_runs_do_not_grow_with_e_max(monkeypatch, e_max):
 
 
 def test_running_sums_freed_when_call_returns(monkeypatch):
-    # the memo belongs to one call; nothing keeps it, or its sums, alive after
-    memos = []
-    plain_init = _RunningSums.__init__
+    # the walk's graph, with its states and sums, belongs to one call;
+    # nothing keeps it, or a sum on it, alive after
+    graphs, sums = [], []
+    plain_init, plain_add = _RootGraph.__init__, _RootGraph.add
 
-    def recording_init(self, zero):
-        memos.append(weakref.ref(self))
-        plain_init(self, zero)
+    def recording_init(self, step, cfg):
+        graphs.append(weakref.ref(self))
+        plain_init(self, step, cfg)
 
-    monkeypatch.setattr(_RunningSums, "__init__", recording_init)
+    def recording_add(self, cum, piece):
+        total = plain_add(self, cum, piece)
+        sums.append(weakref.ref(total))
+        return total
+
+    monkeypatch.setattr(_RootGraph, "__init__", recording_init)
+    monkeypatch.setattr(_RootGraph, "add", recording_add)
     cfg = CharConfig(3)
     b_function(graph_generator(poly_parse("x0^2 + x1^3", Ring(3, 2)), cfg), cfg, 4)
-    assert len(memos) == 1
-    assert memos[0]() is None
+    assert len(graphs) == 1 and sums
+    assert graphs[0]() is None
+    assert all(ref() is None for ref in sums)
+
+
+def test_cusp_graph_sums_are_graph_states():
+    # at p=3 the running sums of levels 0-2 reach only the spans of the two
+    # nonzero states, and the graph hands back its state objects for them,
+    # so it keeps two spans in all
+    cfg = CharConfig(3)
+    walk = _RootWalk(graph_generator(poly_parse("x0^2 + x1^3", Ring(3, 2)), cfg), cfg)
+    sums = [K for pieces in walk.levels(2) for K in _cumulative_scan(pieces, walk.zero, walk.graph)]
+    states = list(walk.graph._known.values())
+    assert len(states) == 2
+    assert all(any(K is state for state in states) for K in sums)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -875,6 +896,7 @@ CONFIG_MISMATCHES = {
         _simple_list(cfg), GridRational(cfg.q, 0, cfg), 0, cfg
     ),
     "s_set_simple": lambda cfg: s_set_simple(_simple_list(cfg), 1, cfg),
+    "frobenius_root": lambda cfg: frobenius_root(Submodule.full(1, CUSP3.ring), 1, cfg),
     "ltm_scan": lambda cfg: ltm_scan(CUSP3_LIST, 1, cfg),
     "s_set": lambda cfg: s_set(CUSP3_LIST, 1, cfg),
     "list_test_module": lambda cfg: list_test_module(
