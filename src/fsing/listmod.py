@@ -12,17 +12,18 @@ the base-q digits of n, through finitely many states.  The states and steps
 are a `frobenius._RootGraph`, the graph the test ideals of `testideal` run
 on too, so each (state, digit) step is taken once per call, and a step is
 their kernel `frobenius._root_generators` with the digit's slice of A(t)
-as its multiplier.  The running sum and the jump test are `_cumulative_scan`
-and `_jump_report`.  The running sums live on the same graph
-(`_RootGraph.add`): a sum is keyed by the canonical keys of its two terms,
-and each span is one object, a state where a sum reaches a state's span.
-The levels e = 0..e_max of `estimate_jumping_numbers` share it, so a sum
-that several levels reach costs one Buchberger run in all, and a level's
-scan is lookups over its q^{e+1} pieces: b_function of the cusp graph at
-p=3 runs Buchberger 10 times at e_max 4 and 10 alike (18 and 30 with a
-fresh sum per level).  Every list entry point takes a `MatrixList` or the
-`TMatrix` A(t) itself; a list is assembled once, and a matrix is never
-decomposed.
+as its multiplier.  A level's running sum is a step function on its grid,
+kept as its breaks and built from the level below (`_RootWalk.levels`), and
+its jump set is read off the breaks (`_jump_report`).  The running sums live
+on the same graph (`_RootGraph.add`): a sum is keyed by the canonical keys
+of its two terms, and each span is one object, a state where a sum reaches a
+state's span.  The levels e = 0..e_max of `estimate_jumping_numbers` share
+it, so a sum that several levels reach costs one Buchberger run in all, and
+a level costs q (breaks + 1) lookups: b_function of the cusp graph at p=3
+runs Buchberger 10 times at e_max 4 and 10 alike (18 and 30 with a fresh
+sum per level), and at p=5 takes about a millisecond at e_max 12.  Every
+list entry point takes a `MatrixList` or the `TMatrix` A(t) itself; a list
+is assembled once, and a matrix is never decomposed.
 
 A simple list r_0 .. r_{q-1} is the 1x1 matrix list A(t) = sum r_n t^n, and
 its test ideals are read off that list's walk.  A step keeps the t-exponents
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InternalConsistencyError, ProblemFormatError
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
@@ -48,6 +49,8 @@ from .polyring import (
 from .rationals import GridRational, detect_chain_limit, frac_ceil
 
 Matrix = tuple[tuple[Poly, ...], ...]
+# a scan m -> scan(m) as its breaks (m, scan(m)): m = 0 and each m where it changes
+Breaks = list[tuple[int, Submodule]]
 
 
 def _mat_check(mat: Sequence[Sequence[Poly]], l: int, ring: Ring) -> Matrix:
@@ -159,23 +162,40 @@ class TMatrix:
         """The digit-r slices of A(t) on R^rank, r < q, once per rank, and
         whether A(t) carries a coordinate past the bound rank // l - 1 on t.
 
-        c x^a t^m in row i of column j sends x^w t^s in slot j to digit
-        r = (m+s) mod q, as c x^(w+a) in slot i of t^((m+s) div q)."""
+        A slice builds a row at its first use (`_DigitSlice`), since a walk's
+        states touch few of the rank slots.  The shift grows with the slot,
+        so the top slot alone decides whether a term goes past the bound."""
         got = self._by_rank.get(rank)
         if got is None:
-            q, l = self.cfg.q, self.l
-            bound = rank // l - 1
-            mults: List[List[list]] = [[[] for _ in range(rank)] for _ in range(q)]
-            over = False
-            for idx in range(rank):
-                s, j = divmod(idx, l)
-                for i in range(l):
-                    for mono, c in self.mat[i][j].terms.items():
-                        shift, r = divmod(mono[-1] + s, q)
-                        over = over or shift > bound
-                        mults[r][idx].append((shift * l + i, mono[:-1], c))
-            got = self._by_rank[rank] = (over, mults)
+            q, bound = self.cfg.q, rank // self.l - 1
+            over = any(
+                (mono[-1] + bound) // q > bound
+                for row in self.mat for entry in row for mono in entry.terms
+            )
+            got = self._by_rank[rank] = (over, [_DigitSlice(self.mat, q, r) for r in range(q)])
         return got
+
+
+class _DigitSlice(dict):
+    """The digit-r slice of a matrix over R[t], each row built at first use.
+
+    c x^a t^m in row i of column j sends x^w t^s in slot j (coordinate
+    s*l + j) to digit r = (m+s) mod q, as c x^(w+a) in slot i of
+    t^((m+s) div q)."""
+
+    def __init__(self, mat: Matrix, q: int, r: int):
+        super().__init__()
+        self.mat, self.q, self.r = mat, q, r
+
+    def __missing__(self, idx: int) -> list:
+        l, q = len(self.mat), self.q
+        s, j = divmod(idx, l)
+        self[idx] = row = [
+            ((m[-1] + s) // q * l + i, m[:-1], c)
+            for i in range(l) for m, c in self.mat[i][j].terms.items()
+            if (m[-1] + s) % q == self.r
+        ]
+        return row
 
 
 @dataclass(frozen=True)
@@ -344,47 +364,9 @@ def _grid_index(lam: GridRational, e: int, cfg: CharConfig) -> int:
     return m
 
 
-def _cumulative_scan(
-    pieces: Iterable[Submodule], zero: Submodule, graph: _RootGraph
-) -> List[Submodule]:
-    """Running sums zero + pieces[0] + ... + pieces[i], one per piece.
-
-    A piece the sum contains leaves it unchanged.  A piece object seen
-    before adds nothing and is not looked up again: the root graph hands
-    back one object per state, and a level holds q^{e+1} pieces but only a
-    few states.  Each new piece goes through `graph.add`, which takes each
-    distinct (sum, piece) step once; scans on one graph (the levels
-    e = 0..e_max of one `estimate_jumping_numbers` call) share their steps
-    too.  Equal sums are the same object.
-    """
-    out: List[Submodule] = []
-    cum = zero
-    # keeps each piece alive, so that no id in it is reused: a caller may
-    # pass pieces that no graph holds
-    seen: Dict[int, Submodule] = {}
-    for piece in pieces:
-        if id(piece) not in seen:
-            seen[id(piece)] = piece
-            cum = graph.add(cum, piece)
-        out.append(cum)
-    return out
-
-
-def _jump_report(scan: Sequence[Submodule], e: int, cfg: CharConfig) -> SeReport:
-    """Grid points m/q^{e+1} in (0,1) where the cumulative scan strictly grows next.
-
-    scan[m-1] is the value at m/q^{e+1}; by monotonicity in lambda, m/q^{e+1}
-    is in S_e exactly when scan[m] != scan[m-1] (the adjacent-point test).
-    `_cumulative_scan` repeats the same object where the sum did not grow, so
-    identity is tested first.
-    """
-    jumps = tuple(
-        GridRational(m, e, cfg)
-        for m in range(1, len(scan))
-        if scan[m] is not scan[m - 1] and scan[m] != scan[m - 1]
-    )
-    return SeReport(e, jumps)
-
+def _jump_report(breaks: Breaks, e: int, cfg: CharConfig) -> SeReport:
+    """Grid points m/q^{e+1} in (0,1) where the scan strictly grows next: m + 1 is a break."""
+    return SeReport(e, tuple(GridRational(m - 1, e, cfg) for m, _ in breaks if m > 1))
 
 
 # -- the digit-wise walk ------------------------------------------------------
@@ -422,9 +404,9 @@ class _RootWalk:
     n, lowest first (see `_expand_state`).  That is exact: the level-e
     product is P_e = P_{e-1}^[q] A with Frobenius acting on t as well, a
     root of B^[q] K is B times the root of K, and roots compose.  The graph
-    takes each (state, digit) step once for the life of the walk, so every
-    prefix is shared by all levels, and it keeps the running sums of every
-    scan of the walk's levels, which start from `zero`.  A walk takes a
+    takes each (state, digit) step once for the life of the walk and keeps
+    the running sums of its levels, which start from `zero`; `levels` steps
+    the sums of the level below, not the pieces.  A walk takes a
     `MatrixList` or A(t) itself.
     """
 
@@ -441,55 +423,71 @@ class _RootWalk:
         """The piece at n on level e: e + 1 steps along the digits of n."""
         return self.graph.walk(self.start, n, e + 1)[0]
 
-    def levels(self, e_max: int) -> Iterator[List[Submodule]]:
-        """The pieces at n = 0 .. q^{e+1} - 1, for e = 0 .. e_max in turn.
+    def levels(self, e_max: int) -> Iterator[Breaks]:
+        """The scans of levels e = 0 .. e_max in turn, each as its breaks.
 
-        The children of a level's states are looked up once per state
-        object, not once per piece: a level holds q^{e+1} pieces but only a
-        few distinct objects.
+        scan_e(m) is the sum of the pieces at n < m, m = 0 .. q^{e+1}.  Roots
+        are additive and a piece's top digit is its last step, so with
+        m = d q^e + m', m' < q^e, and U = scan_{e-1}(q^e),
+        scan_e(m) = step(U, 0) + ... + step(U, d-1) + step(scan_{e-1}(m'), d).
+        Level e changes only at d q^e + m' for the breaks m' of level e-1,
+        and costs q (breaks + 1) graph lookups; level -1 is 0 below 1 and
+        the start state at 1.
         """
-        q, child = self.graph.q, self.graph.child
-        states = [self.start]
-        for _ in range(e_max + 1):
-            kids: Dict[int, List[Submodule]] = {}
-            for K in states:
-                if id(K) not in kids:
-                    kids[id(K)] = [child(K, r) for r in range(q)]
-            states = [kids[id(K)][r] for r in range(q) for K in states]
-            yield states
+        graph, q = self.graph, self.graph.q
+        breaks: Breaks = [(0, self.zero), (1, self.start)]
+        for e in range(e_max + 1):
+            size, top, acc = q**e, breaks[-1][1], self.zero
+            steps: Breaks = []
+            for d in range(q):
+                steps += [
+                    (d * size + m, graph.add(acc, graph.child(S, d))) for m, S in breaks if m < size
+                ]
+                acc = graph.add(acc, graph.child(top, d))
+            steps.append((q * size, acc))
+            # steps[0] is (0, zero); a step is a break when its span is not the last one's
+            breaks = steps[:1] + [
+                (m, S) for (_, last), (m, S) in zip(steps, steps[1:]) if S is not last and S != last
+            ]
+            yield breaks
+
+
+def _level(A: TMatrix | MatrixList, e: int, cfg: CharConfig) -> Breaks:
+    """The breaks of the level-e scan of A."""
+    if e < 0:
+        raise ValueError("e must be non-negative")
+    *_, breaks = _RootWalk(A, cfg).levels(e)
+    return breaks
 
 
 def ltm_scan(A: TMatrix | MatrixList, e: int, cfg: CharConfig) -> List[Submodule]:
     """Cumulative list test modules at the grid points m/q^{e+1}, m = 1..q^{e+1}.
 
-    Index m-1 of the returned list is tau({A_{k,n}}, m/q^{e+1}, e).  The
-    modules are exact (spans and `==` are those of the pruned roots), but
-    their generator lists are not irredundant.
+    Index m-1 of the returned list is tau({A_{k,n}}, m/q^{e+1}, e), read
+    off the level's breaks, so equal entries are one object.  The modules
+    are exact (spans and `==` are those of the pruned roots), but their
+    generator lists are not irredundant.
     """
-    if e < 0:
-        raise ValueError("e must be non-negative")
-    walk = _RootWalk(A, cfg)
-    for pieces in walk.levels(e):
-        pass
-    return _cumulative_scan(pieces, walk.zero, walk.graph)
+    breaks = _level(A, e, cfg)
+    ends = [m for m, _ in breaks[1:]] + [cfg.q ** (e + 1) + 1]
+    return [S for (m, S), end in zip(breaks, ends) for _ in range(max(m, 1), end)]
 
 
 def list_test_module(
     A: TMatrix | MatrixList, lam: GridRational, e: int, cfg: CharConfig
 ) -> Submodule:
-    """tau({A_{k,n}}, lambda, e) inside R^{l(N+1)}, N = floor(d/(q-1)).
+    """tau({A_{k,n}}, lambda, e) inside R^{l(N+1)}, N = floor(d/(q-1)): the
+    level's last break at or below lambda's grid index.
 
-    Only the pieces up to lambda's grid index are summed.  As with
-    `ltm_scan`, the generator list of the result is not irredundant.
+    As with `ltm_scan`, the generator list of the result is not irredundant.
     """
     m = _grid_index(lam, e, cfg)
-    walk = _RootWalk(A, cfg)
-    return _cumulative_scan((walk.piece(n, e) for n in range(m)), walk.zero, walk.graph)[-1]
+    return next(S for b, S in reversed(_level(A, e, cfg)) if b <= m)
 
 
 def s_set(A: TMatrix | MatrixList, e: int, cfg: CharConfig) -> SeReport:
     """Grid points in (0,1) where the list test module strictly grows next."""
-    return _jump_report(ltm_scan(A, e, cfg), e, cfg)
+    return _jump_report(_level(A, e, cfg), e, cfg)
 
 
 # -- simple lists: the 1x1 matrix list ----------------------------------------
@@ -534,7 +532,7 @@ def simple_tau_scan(r: Sequence[Poly], e: int, cfg: CharConfig) -> List[Submodul
 def simple_list_tau(
     r: Sequence[Poly], lam: GridRational, e: int, cfg: CharConfig
 ) -> Submodule:
-    """Sum of simple_list_I over all grid points up to lam; no piece above it is rooted."""
+    """Sum of simple_list_I over all grid points up to lam, read off the level's breaks."""
     return _rank_one(list_test_module(_simple_list(r, cfg), lam, e, cfg))
 
 
@@ -615,9 +613,10 @@ def estimate_jumping_numbers(
     Each chain's numerators satisfy m_{e+b} = q^b m_e + c once periodic; the
     fit window (preperiod and period) is max(1, e_max // 2).  Chains with no
     fit, or that die out before e_max, are reported unresolved.  The levels
-    e = 0..e_max share one `_RootWalk`: each (state, digit) step is taken
-    once for all levels, and the running sums of all level scans are kept
-    on the walk's graph, which keys each sum by the canonical keys of its
+    e = 0..e_max share one `_RootWalk`, which builds each level's breaks
+    from those of the level below: each (state, digit) step is taken once
+    for all levels, and the running sums of all levels are kept on the
+    walk's graph, which keys each sum by the canonical keys of its
     two terms and keeps one object per span.  A sum two levels reach is
     computed once, so the Buchberger runs do not grow with e_max (10 for
     the cusp graph at p=3, at e_max 4 and 10 alike).  The graph and its
@@ -625,10 +624,9 @@ def estimate_jumping_numbers(
     """
     if e_max < 2:
         raise ValueError("e_max must be at least 2")
-    walk = _RootWalk(A, cfg)
     s_sets = {
-        e: _jump_report(_cumulative_scan(pieces, walk.zero, walk.graph), e, cfg)
-        for e, pieces in enumerate(walk.levels(e_max))
+        e: _jump_report(breaks, e, cfg)
+        for e, breaks in enumerate(_RootWalk(A, cfg).levels(e_max))
     }
     window = max(1, e_max // 2)
     chains = []

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from fsing.errors import InternalConsistencyError, ProblemFormatError
 from fsing.frobenius import _root_generators, _RootGraph, _scalar, frobenius_root
 from fsing.listmod import (
     MatrixList,
+    SeReport,
     TMatrix,
     _expand_state,
     _twisted_power,
@@ -22,8 +24,6 @@ from fsing.listmod import (
     estimate_jumping_numbers,
     h_expand,
     list_test_module,
-    _cumulative_scan,
-    _jump_report,
     _RootWalk,
     load_problem,
     ltm_scan,
@@ -307,7 +307,7 @@ class TestListTestModule:
                 assert s_set(ml, e, cfg).values() == s_set_simple(r, e, cfg).values()
 
     def test_partial_sums_match_full_scan(self):
-        # list_test_module and simple_list_tau root only the pieces up to m
+        # list_test_module and simple_list_tau read one grid point off the breaks
         cfg = CharConfig(3)
         ring = Ring(3, 2)
         f = poly_parse("x0^2 + x1^3", ring)
@@ -659,9 +659,23 @@ def legacy_scan(ml, e, cfg):
         one = _scalar(Poly.const(ring, 1), rank)
         return _root_generators(Submodule(rank, tuple(cols), ring), fam.e, fam.cfg, one)
 
-    pieces = map(piece, range(cfg.q**fam.e))
-    # the sums alone go on this graph; it never takes a step
-    return _cumulative_scan(pieces, Submodule.zero(rank, ring), _RootGraph(None, cfg))
+    return fold_scan(map(piece, range(cfg.q**fam.e)), Submodule.zero(rank, ring))
+
+
+def fold_scan(pieces, zero):
+    """Running sums zero + pieces[0] + ... + pieces[i], one per piece, by module_sum."""
+    out, cum = [], zero
+    for piece in pieces:
+        if not piece <= cum:
+            cum = module_sum(cum, piece)
+        out.append(cum)
+    return out
+
+
+def jump_report(scan, e, cfg):
+    """S_e read point by point: m/q^{e+1} is a jump when scan[m] != scan[m-1]."""
+    jumps = (GridRational(m, e, cfg) for m in range(1, len(scan)) if scan[m] != scan[m - 1])
+    return SeReport(e, tuple(jumps))
 
 
 @st.composite
@@ -707,7 +721,7 @@ def test_walk_matches_legacy_scan(ml, e):
     assert len(got) == len(want)
     for m, (a, b) in enumerate(zip(got, want), start=1):
         assert a == b, f"module {m}/{cfg.q ** (e + 1)}"
-    report = _jump_report(want, e, cfg)
+    report = jump_report(want, e, cfg)
     assert s_set(ml, e, cfg) == report
     assert estimate_jumping_numbers(ml, cfg, max(e, 2)).s_sets[e] == report
 
@@ -748,6 +762,21 @@ def test_matrix_multipliers_built_once_per_rank():
     b_function(A, cfg, 4)
     assert list(A._by_rank) == [rank]
     assert A._digit_multipliers(rank) is table
+
+
+def test_large_list_index_builds_only_touched_rows():
+    # x0 at index (k, 0) gives rank 1.5k + 1 at p=3, but the walk's states
+    # touch a few slots; a dense q x rank table took 111 MB here
+    cfg = CharConfig(3)
+    ring = Ring(3, 1)
+    ml = MatrixList(1, cfg, ring, {(200000, 0): ((poly_parse("x0", ring),),)})
+    tracemalloc.start()
+    try:
+        b_function(ml, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize("e_max", [4, 10])
@@ -795,15 +824,63 @@ def test_running_sums_freed_when_call_returns(monkeypatch):
 
 
 def test_cusp_graph_sums_are_graph_states():
-    # at p=3 the running sums of levels 0-2 reach only the spans of the two
-    # nonzero states, and the graph hands back its state objects for them,
-    # so it keeps two spans in all
+    # at p=3 the breaks of levels 0-2 past m = 0 reach only the spans of the
+    # two nonzero states, and the graph hands back its state objects for
+    # them, so it keeps two spans in all
     cfg = CharConfig(3)
     walk = _RootWalk(graph_generator(poly_parse("x0^2 + x1^3", Ring(3, 2)), cfg), cfg)
-    sums = [K for pieces in walk.levels(2) for K in _cumulative_scan(pieces, walk.zero, walk.graph)]
+    sums = [S for breaks in walk.levels(2) for _, S in breaks[1:]]
     states = list(walk.graph._known.values())
     assert len(states) == 2
     assert all(any(K is state for state in states) for K in sums)
+
+
+CUSP5_GRAPH = ("x0^2 + x1^3", CharConfig(5))
+D5_GRAPH = ("x0^2*x1 + x1^4", CharConfig(3))
+
+
+@pytest.mark.parametrize("f, cfg, sizes", [
+    (*CUSP5_GRAPH, [3] * 13),
+    (*D5_GRAPH, [3] + [4] * 12),
+], ids=["cusp-p5", "D5-p3"])
+def test_level_breaks_stay_bounded(f, cfg, sizes):
+    # a level holds its breaks, not its q^{e+1} grid points; each level is
+    # checked before the next is built
+    walk = _RootWalk(graph_generator(poly_parse(f, Ring(cfg.p, 2)), cfg), cfg)
+    e = -1
+    for e, breaks in enumerate(walk.levels(12)):
+        assert len(breaks) == sizes[e], f"level {e}"
+    assert e == 12
+
+
+@pytest.mark.parametrize("f, cfg, roots", [
+    (*CUSP5_GRAPH, (Fraction(4, 5),)),
+    (*D5_GRAPH, (Fraction(5, 8), Fraction(7, 8))),
+], ids=["cusp-p5", "D5-p3"])
+def test_b_function_deep_e_max(f, cfg, roots):
+    A = graph_generator(poly_parse(f, Ring(cfg.p, 2)), cfg)
+    result = b_function(A, cfg, 12)
+    assert result.roots == roots
+    assert not result.unresolved
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(small_matrix_lists(), st.integers(0, 5))
+@example(graph_list("x0^2*x1 + x1^2", CharConfig(3)), 5)
+@example(rank_two_q4_list(), 4)
+def test_level_breaks_match_piece_fold(ml, e):
+    # the breaks, expanded to grid points, against a fold over every piece
+    # of the level, each reached along its digits on a walk of its own
+    cfg = ml.cfg
+    while cfg.q ** (e + 1) > 1024:
+        e -= 1
+    walk = _RootWalk(ml, cfg)
+    want = fold_scan((walk.piece(n, e) for n in range(cfg.q ** (e + 1))), walk.zero)
+    got = ltm_scan(ml, e, cfg)
+    assert len(got) == len(want)
+    for m, (a, b) in enumerate(zip(got, want), start=1):
+        assert a == b, f"module {m}/{cfg.q ** (e + 1)}"
+    assert s_set(ml, e, cfg) == jump_report(want, e, cfg)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -847,31 +924,22 @@ def test_simple_list_module_outside_t0_slot_raises():
         listmod._rank_one(Submodule(2, (VectorR((zero, one)),), ring))
 
 
-def test_jump_report_compares_only_distinct_neighbours(monkeypatch):
-    # _cumulative_scan repeats one object wherever the sum did not grow; the
-    # adjacent-point test skips those pairs and compares only the others
+def test_b_function_equality_tests(monkeypatch):
+    # a level compares spans only where a value is not the last break's
+    # object: each of the five levels has two breaks past m = 0, so one
+    # b_function call runs 10 comparisons, not one per grid point
     cfg = CharConfig(3)
     A = graph_generator(poly_parse("x0^2 + x1^3", Ring(3, 2)), cfg)
-    scans, compared = [], []
-    plain_eq, plain_report = Submodule.__eq__, listmod._jump_report
+    compared = []
+    plain_eq = Submodule.__eq__
 
     def counting_eq(self, other):
         compared.append(other)
         return plain_eq(self, other)
 
-    def recording_report(scan, e, cfg):
-        scans.append(scan)
-        with monkeypatch.context() as m:
-            m.setattr(Submodule, "__eq__", counting_eq)
-            return plain_report(scan, e, cfg)
-
-    monkeypatch.setattr(listmod, "_jump_report", recording_report)
+    monkeypatch.setattr(Submodule, "__eq__", counting_eq)
     b_function(A, cfg, 4)
-    pairs = [(s[m - 1], s[m]) for s in scans for m in range(1, len(s))]
-    distinct = sum(a is not b for a, b in pairs)
-    # five levels of q^{e+1} - 1 pairs each; one distinct pair per jump
-    assert (len(scans), len(pairs), distinct) == (5, 358, 5)
-    assert len(compared) == distinct
+    assert len(compared) == 10
 
 
 CFG3 = CharConfig(3)

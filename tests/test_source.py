@@ -78,3 +78,40 @@ def unused_imports(path):
 def test_no_unused_imports(path):
     # an import left behind when its last use moves elsewhere
     assert unused_imports(path) == [], f"{path.name} imports names it does not use"
+
+
+def private_definitions(tree):
+    """(line, name) of each private function, method or class defined in `tree`."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        (node.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, kinds) and node.name.startswith("_") and not node.name.endswith("__")
+    ]
+
+
+def referenced_names(tree):
+    """Every name `tree` reads, as a name, an attribute or an import."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out |= {alias.name for alias in node.names}
+    return out
+
+
+def test_no_unreferenced_private_names():
+    # a private helper whose last caller went away in a refactor; a
+    # definition is not a reference, so the name must be read somewhere
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    used = set().union(*map(referenced_names, trees.values()))
+    unused = [
+        f"{name}:{line} {defined}"
+        for name, tree in trees.items()
+        for line, defined in private_definitions(tree)
+        if defined not in used
+    ]
+    assert unused == [], f"private names nothing in src/fsing references: {unused}"

@@ -14,7 +14,6 @@ from fsing.modgb import Submodule, VectorR, contains_all, module_sum
 from fsing.polyring import CharConfig, Poly, PowerCache, Ring, frobenius_power, poly_parse
 from fsing.rationals import GridRational, frac_ceil, snap_interval
 from fsing.listmod import (
-    _jump_report,
     s_set_simple,
     simple_list_I,
     simple_list_tau,
@@ -28,6 +27,7 @@ from fsing.testideal import (
     tau_f,
     tau_f_stable,
 )
+from test_listmod import jump_report
 
 
 def ideal(ring, *texts):
@@ -472,7 +472,7 @@ def test_simple_tau_scan_matches_product_oracle(data, e):
         assert got_I == piece, f"simple_list_I at m = {m}"
         assert got_tau == prefix, f"simple_list_tau at m = {m}"
         assert got_I.rank == got_tau.rank == scan[m - 1].rank == 1
-    assert s_set_simple(r, e, cfg) == _jump_report(want, e, cfg)
+    assert s_set_simple(r, e, cfg) == jump_report(want, e, cfg)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
