@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 user error (bad flags, parse or validation failure),
 check, which signals a bug).  All exact rationals cross the boundary as
 {"num": ..., "den": ...} pairs; floating point is rejected on input.
 JSON output is byte-identical across runs for identical inputs.
-run(argv) may be called repeatedly in one process: it builds its parser once.
+run(argv) may be called repeatedly in one process: it builds its parser once,
+and a call whose first argument names a subcommand is parsed by that
+subcommand's parser alone unless arguments are left over.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .bfun import b_function, graph_generator
 from .errors import FsingError, InternalConsistencyError, ResourceLimitExceeded
@@ -245,7 +247,7 @@ def _cmd_graphgen(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser() -> Tuple[_Parser, Dict[str, _Parser]]:
     parser = _Parser(prog="fsing", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -300,12 +302,24 @@ def _build_parser() -> _Parser:
     gg.add_argument("--num-vars", type=int, default=None)
     gg.set_defaults(func=_cmd_graphgen)
 
-    return parser
+    return parser, subs.choices
+
+
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """argv parsed by the parser of the subcommand argv[0] names, or by the
+    full parser, which prints every message, when none is named or left over."""
+    parser, commands = _build_parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         # --limit-pairs caps this call only
         with pair_limit(args.limit_pairs):

@@ -101,7 +101,8 @@ class _RootGraph:
     terms.  Each span a step or a sum returns is kept as one object, so two
     steps or sums that reach one span hand back the same object, and a
     running sum over the states is itself a state where their spans meet;
-    the seeds a caller walks or sums from are not kept.  The zero module is
+    a seed a caller walks or sums from is kept only if it is passed to
+    `kept`, which `f_jumping_exponents` does.  The zero module is
     its own child and is never stepped.  The graph lives as long as its
     owner; nothing is kept at module level.  `cfg` is the characteristic
     the steps are taken in.
@@ -113,7 +114,7 @@ class _RootGraph:
         self.edges: Dict[Tuple[Tuple[frozenset, ...], int], Submodule] = {}
         self._sums: Dict[Tuple[Tuple[frozenset, ...], ...], Submodule] = {}
 
-    def _kept(self, K: Submodule) -> Submodule:
+    def kept(self, K: Submodule) -> Submodule:
         """The one object kept for the span of K."""
         return self._known.setdefault(K._canonical(), K)
 
@@ -124,7 +125,7 @@ class _RootGraph:
             return K
         kid = self.edges.get((key, d))
         if kid is None:
-            kid = self.edges[key, d] = self._kept(self.step(K, d))
+            kid = self.edges[key, d] = self.kept(self.step(K, d))
         return kid
 
     def add(self, cum: Submodule, piece: Submodule) -> Submodule:
@@ -136,7 +137,7 @@ class _RootGraph:
             total = cum
             if not cum._contains_flats(piece._flats):
                 both = Submodule._from_flats(cum.rank, cum.ring, cum._flats + piece._flats)
-                total = self._kept(both._basis_module())
+                total = self.kept(both._basis_module())
             self._sums[key] = total
         return total
 

@@ -17,14 +17,12 @@ The Buchberger loop takes S-pairs in the normal selection strategy: the pair
 whose lcm is smallest in grevlex comes first, ties broken by the indices
 (i, j) of the pair.  The key of a pair never changes once the pair exists, so
 the queue is a heap of (key, i, j) entries, each pushed once when its pair is
-created.  The loop applies the chain (lcm) criterion and two shortcuts, as
-the S-pair of two monic terms (one coefficient times one module term) is 0:
-when every generator is a term, the monic generators are returned as they
-are and no pair queue is built (`--limit-pairs` never trips on such a
-module, the kind most scans hand over), and a popped pair of two terms is
-marked processed, for the chain criterion, but not reduced.  The coprime
-product criterion is an ideal-theoretic shortcut whose usual proof does not
-carry to module tails, and at this problem scale it buys nothing.
+created.  The loop applies the chain (lcm) criterion and one shortcut: the
+S-pair of two monic terms (one coefficient times one module term) is 0, so
+a popped pair of two terms is marked processed, for the chain criterion,
+but not reduced.  The coprime product criterion is an ideal-theoretic
+shortcut whose usual proof does not carry to module tails, and at this
+problem scale it buys nothing.
 
 The queue's one cap, `DEFAULT_PAIR_LIMIT` unless a `with pair_limit(n):`
 block sets another, is held in a context variable, so it applies to one
@@ -32,16 +30,20 @@ thread or task and is restored when the block exits.  A module uses the cap
 in force when its basis is first computed; a basis already computed is
 never recomputed under another cap.
 
-`_buchberger` hands its basis to `_reduce_basis` as (lead, element) pairs,
-so no lead is computed twice.  The interreduction visits the leads by
+`Submodule._reduced` computes each basis once, by `_basis`.  A module
+generated by terms, the kind most scans hand over, has its minimal terms as
+its reduced basis (Cox-Little-O'Shea, ch. 2 sec. 4), found with no pair
+queue, so `--limit-pairs` never trips on it.  Other lists go through
+`_buchberger`, which hands its basis to `_reduce_basis` as (lead, element)
+pairs, so no lead is computed twice.  The interreduction visits the leads by
 (position, degree), ascending, and tests each only against the leads kept
 before it, as no later lead can divide it; of equal leads the first is kept.
 Only a survivor with more than one term is reduced against the others.
 
 A module can hand over its span as the module generated by its own reduced
 basis (`Submodule._basis_module`), with that basis already in place: later
-equality, membership and sums cost no further Buchberger run.  The test-ideal
-roots are carried this way, one Buchberger run per root level.
+equality, membership and sums compute no further basis.  The test-ideal
+roots are carried this way, one `_basis` call per root level.
 
 `prune_generators` (n Buchberger runs for n generators) now serves only the
 public `frobenius_root`, whose irredundant, degree-bounded generator list is
@@ -213,21 +215,18 @@ def _normal_form(flat: FlatVec, basis: List[Tuple[ModTerm, FlatVec]], p: int) ->
         term = _lead(work)
         pos, mono = term
         c = work[term]
-        reduced = False
         for (gpos, gmono), gflat in basis:
             if gpos == pos and _divides(gmono, mono):
                 _sub_into(work, _shift(gflat, _mono_div(mono, gmono), c, p), p)
-                reduced = True
                 break
-        if not reduced:
+        else:
             remainder[term] = c
             del work[term]
     return remainder
 
 
 def _make_monic(flat: FlatVec, p: int) -> FlatVec:
-    lc = flat[_lead(flat)]
-    inv = pow(lc, -1, p)
+    inv = pow(flat[_lead(flat)], -1, p)
     return {t: (c * inv) % p for t, c in flat.items()}
 
 
@@ -235,16 +234,8 @@ def _buchberger(
     gens: List[FlatVec], p: int, pair_limit: int
 ) -> List[Tuple[ModTerm, FlatVec]]:
     """A monic Groebner basis of the span of `gens`, as (lead, element) pairs."""
-    G: List[FlatVec] = []
-    leads: List[ModTerm] = []
-    for g in gens:
-        if g:
-            mg = _make_monic(g, p)
-            G.append(mg)
-            leads.append(_lead(mg))
-    # every S-pair of two terms in one position is 0
-    if all(len(g) == 1 for g in G):
-        return list(zip(leads, G))
+    G = [_make_monic(g, p) for g in gens if g]
+    leads = [_lead(g) for g in G]
 
     pairs: List[Tuple[tuple, int, int]] = []
 
@@ -267,22 +258,15 @@ def _buchberger(
         processed.add((i, j))
         if len(G[i]) == 1 and len(G[j]) == 1:
             continue  # the S-pair of two monic terms is 0
-        pi, mi = leads[i]
-        pj, mj = leads[j]
+        (pi, mi), (_, mj) = leads[i], leads[j]
         lcm = _mono_lcm(mi, mj)
         # chain criterion: some k with lead in the same position dividing the
         # lcm, both side pairs already handled
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j) or leads[k][0] != pi:
-                continue
-            if _divides(leads[k][1], lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in processed and pjk in processed:
-                    skip = True
-                    break
-        if skip:
+        if any(
+            k not in (i, j) and leads[k][0] == pi and _divides(leads[k][1], lcm)
+            and (min(i, k), max(i, k)) in processed and (min(j, k), max(j, k)) in processed
+            for k in range(len(G))
+        ):
             continue
         s = dict(_shift(G[i], _mono_div(lcm, mi), 1, p))
         _sub_into(s, _shift(G[j], _mono_div(lcm, mj), 1, p), p)
@@ -327,6 +311,26 @@ def _reduce_basis(
     return reduced
 
 
+def _basis(flats: List[FlatVec], p: int, cap: int) -> List[Tuple[ModTerm, FlatVec]]:
+    """The reduced basis of the span of `flats`, (lead, element) pairs,
+    largest lead first, under the pair cap `cap`.  A term list's basis is its
+    minimal terms, monic: visited in ascending term order, each term is
+    tested only against the terms kept before it."""
+    for g in flats:
+        if len(g) > 1:
+            return _reduce_basis(_buchberger(flats, p, cap), p)
+    keep: List[ModTerm] = []
+    for term in sorted({t for g in flats for t in g}, key=_term_key):
+        pos, mono = term
+        for kpos, kmono in keep:
+            if kpos == pos and _divides(kmono, mono):
+                break
+        else:
+            keep.append(term)
+    keep.reverse()
+    return [(t, {t: 1}) for t in keep]
+
+
 class Submodule:
     """Finitely generated submodule of R^l with an on-demand reduced basis."""
 
@@ -351,15 +355,15 @@ class Submodule:
         self._flats = flats
         self._generators: Optional[Tuple[VectorR, ...]] = None
         self._flat_basis: Optional[List[Tuple[ModTerm, FlatVec]]] = None
-        self._basis: Optional[Tuple[VectorR, ...]] = None
+        self._vectors: Optional[Tuple[VectorR, ...]] = None
         self._key: Optional[Tuple[frozenset, ...]] = None
 
     @classmethod
     def _from_flats(cls, rank: int, ring: Ring, flats: List[FlatVec]) -> "Submodule":
         """Internal constructor from flat vectors of R^rank, kept as given and
-        never mutated.  Zero and repeated generators may stay: `_buchberger`
-        skips a zero vector, a repeat reduces to zero against its first copy,
-        and `_reduce_basis` drops a repeated lead."""
+        never mutated.  Zero and repeated generators may stay: `_basis` skips
+        a zero vector and a repeated term, `_buchberger` reduces a repeat to
+        zero, and `_reduce_basis` drops a repeated lead."""
         out = cls.__new__(cls)
         out._init(rank, ring, flats)
         return out
@@ -387,14 +391,13 @@ class Submodule:
     def _reduced(self) -> List[Tuple[ModTerm, FlatVec]]:
         """The flat reduced basis as (lead, element) pairs, largest lead first."""
         if self._flat_basis is None:
-            G = _buchberger(self._flats, self.ring.p, _pair_limit.get())
-            self._flat_basis = _reduce_basis(G, self.ring.p)
+            self._flat_basis = _basis(self._flats, self.ring.p, _pair_limit.get())
         return self._flat_basis
 
     def reduced_basis(self) -> Tuple[VectorR, ...]:
-        if self._basis is None:
-            self._basis = tuple(_unflatten(g, self.rank, self.ring) for _, g in self._reduced())
-        return self._basis
+        if self._vectors is None:
+            self._vectors = tuple(_unflatten(g, self.rank, self.ring) for _, g in self._reduced())
+        return self._vectors
 
     def _canonical(self) -> Tuple[frozenset, ...]:
         """The reduced basis as a key, equal exactly for equal spans of one rank and ring."""
@@ -411,7 +414,7 @@ class Submodule:
         """
         basis = self._reduced()
         out = Submodule._from_flats(self.rank, self.ring, [g for _, g in basis])
-        out._flat_basis, out._basis, out._key = basis, self._basis, self._key
+        out._flat_basis, out._vectors, out._key = basis, self._vectors, self._key
         return out
 
     def _contains_flats(self, flats: Iterable[FlatVec]) -> bool:

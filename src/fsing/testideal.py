@@ -222,7 +222,9 @@ def f_jumping_exponents(f: Poly, cfg: CharConfig, e_max: int) -> List[Fraction]:
     grid interval are equal the root is constant on the whole interval, and
     only intervals with unequal ends are split at their midpoint.  A width-1
     interval with unequal ends drops at its right end.  With J drops this
-    roots about J e_max log2(q) grid points instead of q^{e_max}.
+    roots about J e_max log2(q) grid points instead of q^{e_max}.  Every
+    root, the grid's ends included, is the graph's one object for its span,
+    so identity decides equality and no reduced bases are compared.
     """
     check_char(f.ring, cfg)
     if f.is_zero() or f.is_constant():
@@ -234,12 +236,12 @@ def f_jumping_exponents(f: Poly, cfg: CharConfig, e_max: int) -> List[Fraction]:
     window = max(1, -(-e_max // 2))
     powers = PowerCache(f)
     graph = _power_graph(powers, cfg)
-    full = Submodule.full(1, f.ring)
+    full = graph.kept(Submodule.full(1, f.ring))
     roots = {0: full}
 
     def root(k: int) -> Submodule:
         if k not in roots:
-            roots[k] = _digit_root(k, e_max, full, graph, powers)
+            roots[k] = graph.kept(_digit_root(k, e_max, full, graph, powers))
         return roots[k]
 
     out: List[Fraction] = []
@@ -248,7 +250,7 @@ def f_jumping_exponents(f: Poly, cfg: CharConfig, e_max: int) -> List[Fraction]:
     while stack:
         lo, hi = stack.pop()
         left, right = root(lo), root(hi)
-        if left is right or left == right:
+        if left is right:
             continue
         if hi - lo > 1:
             mid = (lo + hi) // 2

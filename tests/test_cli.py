@@ -196,14 +196,16 @@ def test_pair_limit_applies_to_one_call(capsys):
     ["bfun", "--input", "INPUT", "--e-max", "3"],
 ], ids=["froot", "tau", "tau-e", "fjump", "sset", "jumps", "bfun"])
 def test_limit_pairs_reaches_every_buchberger_run(monkeypatch, capsys, tame_problem, command):
+    # recorded at the one basis entry point: a term-generated module never
+    # reaches `_buchberger`, but its basis is computed under the same cap
     caps = []
-    buchberger = modgb._buchberger
+    basis = modgb._basis
 
-    def recording(gens, p, cap):
+    def recording(flats, p, cap):
         caps.append(cap)
-        return buchberger(gens, p, cap)
+        return basis(flats, p, cap)
 
-    monkeypatch.setattr(modgb, "_buchberger", recording)
+    monkeypatch.setattr(modgb, "_basis", recording)
     argv = [tame_problem if arg == "INPUT" else arg for arg in command]
     assert run(argv + ["--limit-pairs", "7"]) == 0
     assert caps and set(caps) == {7}
@@ -310,6 +312,36 @@ def exit_code(argv):
 
 TAU = ["tau", "--f", "x0^2+x1^3", "--alpha", "5/6", "-p", "3", "--json"]
 FROOT = ["froot", "--gens", "x0^4;x0^2*x1^2 + x1^4", "--e", "1", "-p", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--help"],
+    ["bogus"],
+    ["tau", "--help"],
+    ["tau"],
+    TAU + ["--bogus"],
+    ["fjump", "--f", "x0^2+x1^3", "-p", "2", "--e", "2"],
+    ["tau", "--f", "x0^3", "--alpha=1/3", "-p", "2"],
+], ids=["empty", "help", "bogus", "tau-help", "tau-bare", "tau-bogus", "prefix", "equals"])
+def test_subcommand_dispatch_matches_the_full_parser(monkeypatch, capsys, argv):
+    # a subcommand's own parser reads its arguments, but stdout, stderr and
+    # the exit code are those of parsing with the full parser
+    dispatched = (exit_code(argv), *capsys.readouterr())
+    parser = _build_parser()[0]
+    monkeypatch.setattr(cli, "_parse", parser.parse_args)
+    assert (exit_code(argv), *capsys.readouterr()) == dispatched
+
+
+def test_subcommand_call_skips_the_full_parser(monkeypatch, capsys):
+    parser = _build_parser()[0]
+
+    def refused(argv):
+        raise AssertionError("the full parser ran")
+
+    monkeypatch.setattr(parser, "parse_args", refused)
+    assert run(TAU) == 0
+    assert capsys.readouterr().out == run_cli(*TAU).stdout
 
 
 @pytest.mark.parametrize("failing, code, following", [

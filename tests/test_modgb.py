@@ -1,7 +1,9 @@
+import contextlib
 import heapq
 import random
 import threading
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from fsing.modgb import (
     DEFAULT_PAIR_LIMIT,
     Submodule,
     VectorR,
+    _basis,
     _buchberger,
     _flatten,
     _lead,
@@ -521,21 +524,74 @@ def test_term_generators_queue_no_pair(monkeypatch):
     ]
     counts = count_kernel_work(monkeypatch)
     flats = [_flatten(v) for v in gens]
-    assert [g for _, g in _buchberger(flats, ring.p, 1)] == [
-        {(0, (2, 0)): 1},
-        {(0, (1, 1)): 1},
-        {(1, (0, 3)): 1},
-        {(0, (2, 0)): 1},
-        {(0, (2, 1)): 1},
-        {(1, (0, 3)): 1},
+    assert _basis(flats, ring.p, 1) == [
+        ((0, (2, 0)), {(0, (2, 0)): 1}),
+        ((0, (1, 1)), {(0, (1, 1)): 1}),
+        ((1, (0, 3)), {(1, (0, 3)): 1}),
     ]
     with pair_limit(1):
         basis = Submodule._from_flats(2, ring, flats).reduced_basis()
     assert basis == (vec(ring, "x0^2", "0"), vec(ring, "x0*x1", "0"), vec(ring, "0", "x1^3"))
     assert counts == {"pairs": 0, "normal_forms": 0}
     # the counters see the pair loop whenever one generator has two terms
-    _buchberger(flats + [_flatten(vec(ring, "x0 + x1", "0"))], ring.p, DEFAULT_PAIR_LIMIT)
+    _basis(flats + [_flatten(vec(ring, "x0 + x1", "0"))], ring.p, DEFAULT_PAIR_LIMIT)
     assert counts["pairs"] > 0 and counts["normal_forms"] > 0
+
+
+@st.composite
+def term_generator_lists(draw):
+    """Flat term lists at rank 1-3 over F_2, F_3, F_5 or F_7 in two variables,
+    with zero vectors, repeated terms and coefficients other than 1, and a
+    two-term vector whose lead sits in the position of the first term."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rank = draw(st.integers(1, 3))
+    monos = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    pool = draw(st.lists(st.tuples(st.integers(0, rank - 1), monos), min_size=1, max_size=6))
+    coeffs = st.integers(1, p - 1)
+    gens = [{pool[0]: draw(coeffs)}]
+    for _ in range(draw(st.integers(0, 9))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            gens.append({})
+        else:
+            gens.append({draw(st.sampled_from(pool)): draw(coeffs)})
+    gens = draw(st.permutations(gens))
+    pos, (a, b) = pool[0]
+    two_terms = {(pos, (a + 1, b)): draw(coeffs), (pos, (a, b + 1)): draw(coeffs)}
+    return p, gens, two_terms
+
+
+@contextlib.contextmanager
+def recorded_pushes():
+    """The S-pairs `modgb` queues inside the block."""
+    pushed = []
+
+    def heappush(heap, item):
+        pushed.append(item)
+        heapq.heappush(heap, item)
+
+    fake = SimpleNamespace(heappush=heappush, heappop=heapq.heappop)
+    with mock.patch.object(modgb, "heapq", fake):
+        yield pushed
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(term_generator_lists())
+def test_term_basis_matches_reference(case):
+    # a term list's basis, leads and order included, is the reference run's,
+    # with no pair queued even under a cap of 1; one two-term vector beside a
+    # term of its position sends the list through the pair loop
+    p, gens, two_terms = case
+    with recorded_pushes() as pushed:
+        assert _basis([dict(g) for g in gens], p, 1) == ref_reduce_basis(
+            ref_buchberger([dict(g) for g in gens], p), p
+        )
+    assert pushed == []
+    mixed = gens + [two_terms]
+    with recorded_pushes() as pushed:
+        assert _basis([dict(g) for g in mixed], p, DEFAULT_PAIR_LIMIT) == ref_reduce_basis(
+            ref_buchberger([dict(g) for g in mixed], p), p
+        )
+    assert pushed
 
 
 def test_pair_limit_is_scoped_to_its_thread():

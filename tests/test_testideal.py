@@ -798,17 +798,17 @@ def test_ascent_roots_only_the_newest_step(monkeypatch):
     ids=["fjump-cusp-p7-e2", "tau-cusp-5/7-p5"],
 )
 def test_buchberger_runs_per_problem(monkeypatch, solve, runs):
-    # one Buchberger run per distinct (state, digit) root; pruning each
-    # root's n generators would cost n + 1 (249 and 39 runs on these two
-    # problems)
+    # one reduced basis per distinct (state, digit) root, counted at the one
+    # basis entry point, term-generated roots included; pruning each root's
+    # n generators would cost n + 1 (249 and 39 runs on these two problems)
     calls = []
-    buchberger = modgb._buchberger
+    basis = modgb._basis
 
     def counted(*args):
         calls.append(None)
-        return buchberger(*args)
+        return basis(*args)
 
-    monkeypatch.setattr(modgb, "_buchberger", counted)
+    monkeypatch.setattr(modgb, "_basis", counted)
     solve()
     assert len(calls) == runs
 
@@ -821,6 +821,25 @@ def test_bisection_roots_few_grid_points(monkeypatch):
     f = poly_parse("x0^2+x1^3", Ring(13, 2))
     assert f_jumping_exponents(f, CharConfig(13), 3) == [Fraction(5, 6), Fraction(1)]
     assert len(calls) == 16
+
+
+@pytest.mark.parametrize(
+    "cfg, e_max", [(CharConfig(7), 2), (CharConfig(7, 2), 1), (CharConfig(7, 2), 2)]
+)
+def test_bisection_compares_roots_by_identity(monkeypatch, cfg, e_max):
+    # every root the bisection compares, the grid's two ends included, is
+    # its graph's one object for its span, so no reduced bases are compared
+    compared = []
+    plain_eq = Submodule.__eq__
+
+    def counting_eq(self, other):
+        compared.append(other)
+        return plain_eq(self, other)
+
+    monkeypatch.setattr(Submodule, "__eq__", counting_eq)
+    f = poly_parse("x0^2+x1^3", Ring(7, 2))
+    assert f_jumping_exponents(f, cfg, e_max) == [Fraction(5, 6), Fraction(1)]
+    assert compared == []
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
