@@ -2,6 +2,10 @@
 
 The roots of the b-function are 1 - lambda over the detected jumping numbers
 lambda in (0,1), with a jumping number of exactly 1 contributing the root 1.
+
+The jump sets stay on the integer grid: the shift witness tests a jump
+m/q^{e+1} against a limit L/D by integer cross-multiplication, and the only
+`Fraction`s built here are the roots.
 """
 
 from __future__ import annotations
@@ -46,22 +50,21 @@ class BFunctionResult:
 
 
 def _shift_witness(report: JumpReport, cfg: CharConfig, e_max: int) -> Optional[int]:
-    """Smallest N with every S_e element within q^N/q^{e+1} below some limit."""
-    limits = [c.limit for c in report.chains if c.limit is not None]
+    """Smallest N with every S_e element within q^N/q^{e+1} below some limit.
+
+    A jump m/q^{e+1} lies within q^N/q^{e+1} below a limit L/D when
+    0 <= L q^{e+1} - m D < q^N D, which is tested in integers.
+    """
+    limits = [
+        (c.limit.numerator, c.limit.denominator) for c in report.chains if c.limit is not None
+    ]
     if not limits:
         return 0 if all(not r.jumps for r in report.s_sets.values()) else None
-    values = {e: rep.values() for e, rep in report.s_sets.items()}
+    q = cfg.q
+    jumps = [(q ** (e + 1), g.m) for e, rep in report.s_sets.items() for g in rep.jumps]
     for n_shift in range(0, e_max + 1):
-        ok = True
-        for e, level in values.items():
-            slack = Fraction(cfg.q**n_shift, cfg.q ** (e + 1))
-            for value in level:
-                if not any(0 <= lam - value < slack for lam in limits):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        slack = q**n_shift
+        if all(any(0 <= L * den - m * D < slack * D for L, D in limits) for den, m in jumps):
             return n_shift
     return None
 

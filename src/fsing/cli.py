@@ -27,6 +27,7 @@ from .frobenius import frobenius_root
 from .listmod import estimate_jumping_numbers, h_expand, load_problem_file, s_set
 from .modgb import DEFAULT_PAIR_LIMIT, Submodule, VectorR, pair_limit
 from .polyring import MAX_VARS, CharConfig, Ring, poly_parse
+from .rationals import GridRational
 from .testideal import tau_f, tau_f_stable, f_jumping_exponents
 
 _ALPHA_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
@@ -110,7 +111,8 @@ def _submodule_report(N: Submodule, as_json: bool) -> None:
 
 
 def _sset_obj(report) -> list:
-    return [_frac_obj(g.value) for g in report.jumps]
+    """The jumps m/q^{e+1} as {"num", "den"} pairs, reduced by one gcd each."""
+    return [{"num": num, "den": den} for num, den in map(GridRational.reduced, report.jumps)]
 
 
 def _chain_obj(c) -> dict:

@@ -69,11 +69,12 @@ def _root_generators(N: Submodule, e: int, cfg: CharConfig, mult: Multiplier) ->
     c x^(w+m) in position j: `_scalar(g, rank)` for g N, a digit's slice of
     A(t) for a list walk's step.  No product module is built: the products
     of one generator are summed mod p and each nonzero sum c x^m in position
-    j, m = q^e w + u, is filed at once as c x^w in position j of residue u's
-    vector, so a sum is split once however many term pairs it collects.  At
-    e = 0 the result is the product.  For the identity the span and degree
-    bound are those of `frobenius_root`, unpruned and not deduped: x0^2 and
-    x0^3 at q = 2 both give x0, and both copies stay.
+    j, m = q^e w + u, is split by one divmod per variable and filed at once
+    as c x^w in position j of residue u's vector, so a sum is split once
+    however many term pairs it collects.  At e = 0 the result is the
+    product.  For the identity the span and degree bound are those of
+    `frobenius_root`, unpruned and not deduped: x0^2 and x0^3 at q = 2 both
+    give x0, and both copies stay.
     """
     s, p = cfg.q**e, cfg.p
     out: List[FlatVec] = []
@@ -86,7 +87,12 @@ def _root_generators(N: Submodule, e: int, cfg: CharConfig, mult: Multiplier) ->
         per_u: Dict[Monomial, FlatVec] = {}
         for (pos, m), c in prod.items():
             if c := c % p:
-                per_u.setdefault(tuple([x % s for x in m]), {})[pos, tuple([x // s for x in m])] = c
+                w, u = [], []
+                for x in m:
+                    x_w, x_u = divmod(x, s)
+                    w.append(x_w)
+                    u.append(x_u)
+                per_u.setdefault(tuple(u), {})[pos, tuple(w)] = c
         out.extend(per_u[u] for u in sorted(per_u))
     return Submodule._from_flats(N.rank, N.ring, out)
 

@@ -25,6 +25,13 @@ sum per level), and at p=5 takes about a millisecond at e_max 12.  Every
 list entry point takes a `MatrixList` or the `TMatrix` A(t) itself; a list
 is assembled once, and a matrix is never decomposed.
 
+Jump-set elements stay on the integer grid from the walk to the report: an
+element of S_e is its numerator m on the grid q^{e+1}, held by a
+`GridRational` (m, e, cfg), and the chain match (`_build_chains`) compares
+numerators, not values.  A `Fraction` is built only where the API hands one
+out: `GridRational.value`, a chain's witnesses and limit, and the report's
+estimates.
+
 A simple list r_0 .. r_{q-1} is the 1x1 matrix list A(t) = sum r_n t^n, and
 its test ideals are read off that list's walk.  A step keeps the t-exponents
 m = r (mod q) of A K and roots t^m to t^(m div q); with deg_t A < q no state
@@ -365,8 +372,11 @@ def _grid_index(lam: GridRational, e: int, cfg: CharConfig) -> int:
 
 
 def _jump_report(breaks: Breaks, e: int, cfg: CharConfig) -> SeReport:
-    """Grid points m/q^{e+1} in (0,1) where the scan strictly grows next: m + 1 is a break."""
-    return SeReport(e, tuple(GridRational(m - 1, e, cfg) for m, _ in breaks if m > 1))
+    """Grid points m/q^{e+1} in (0,1) where the scan strictly grows next: m + 1 is a break.
+
+    Every break past the first lies in [1, q^{e+1}], so each m - 1 with
+    m > 1 is in range and its grid point skips the range check."""
+    return SeReport(e, tuple(GridRational._on_grid(m - 1, e, cfg) for m, _ in breaks if m > 1))
 
 
 # -- the digit-wise walk ------------------------------------------------------
@@ -574,20 +584,21 @@ def _build_chains(
 ) -> List[List[Tuple[int, int]]]:
     """Match each S_{e} element to the nearest S_{e-1} element, ties upward.
 
-    Returns root-to-leaf paths of (e, numerator) pairs.
+    Returns root-to-leaf paths of (e, numerator) pairs.  The match runs on
+    the numerators: m/q^{e+1} and h/q^e are q^{e+1} apart by |h q - m|, so
+    the key (|h q - m|, -h) orders the candidates h as their values would.
     """
+    q = cfg.q
     parents: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
-    prev: List[Tuple[int, Fraction]] = []
+    prev: List[int] = []
     for e in range(e_max + 1):
-        # (numerator, value) of each jump, the value computed once per level
-        cur = [(g.m, g.value) for g in s_sets[e].jumps]
-        for m, value in cur:
-            node = (e, m)
-            if not prev:
-                parents[node] = None
-                continue
-            best = min(prev, key=lambda h: (abs(h[1] - value), -h[1]))
-            parents[node] = (e - 1, best[0])
+        cur = [g.m for g in s_sets[e].jumps]
+        for m in cur:
+            if prev:
+                best = min(prev, key=lambda h: (abs(h * q - m), -h))
+                parents[(e, m)] = (e - 1, best)
+            else:
+                parents[(e, m)] = None
         prev = cur
     children: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
     for node, par in parents.items():

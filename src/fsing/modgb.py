@@ -225,17 +225,20 @@ def _normal_form(flat: FlatVec, basis: List[Tuple[ModTerm, FlatVec]], p: int) ->
     return remainder
 
 
-def _make_monic(flat: FlatVec, p: int) -> FlatVec:
-    inv = pow(flat[_lead(flat)], -1, p)
-    return {t: (c * inv) % p for t, c in flat.items()}
+def _make_monic(flat: FlatVec, p: int) -> Tuple[ModTerm, FlatVec]:
+    """(lead, monic multiple of `flat`): scaling keeps the lead term."""
+    lead = _lead(flat)
+    inv = pow(flat[lead], -1, p)
+    return lead, {t: (c * inv) % p for t, c in flat.items()}
 
 
 def _buchberger(
     gens: List[FlatVec], p: int, pair_limit: int
 ) -> List[Tuple[ModTerm, FlatVec]]:
     """A monic Groebner basis of the span of `gens`, as (lead, element) pairs."""
-    G = [_make_monic(g, p) for g in gens if g]
-    leads = [_lead(g) for g in G]
+    monic = [_make_monic(g, p) for g in gens if g]
+    leads = [lead for lead, _ in monic]
+    G = [g for _, g in monic]
 
     pairs: List[Tuple[tuple, int, int]] = []
 
@@ -272,8 +275,7 @@ def _buchberger(
         _sub_into(s, _shift(G[j], _mono_div(lcm, mj), 1, p), p)
         nf = _normal_form(s, list(zip(leads, G)), p)
         if nf:
-            nf = _make_monic(nf, p)
-            new_lead = _lead(nf)
+            new_lead, nf = _make_monic(nf, p)
             G.append(nf)
             leads.append(new_lead)
             n = len(G) - 1

@@ -17,6 +17,7 @@ graded reverse lexicographic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import PolyParseError
@@ -93,7 +94,7 @@ class Ring:
 
 def grevlex_key(m: Monomial):
     """Sort key: larger key means larger monomial in graded reverse lex."""
-    return (sum(m), tuple(-e for e in reversed(m)))
+    return (sum(m), tuple(map(neg, reversed(m))))
 
 
 class Poly:

@@ -40,13 +40,27 @@ class GridRational:
                 f"grid numerator {self.m} outside (0, q^{self.e + 1}]"
             )
 
+    @classmethod
+    def _on_grid(cls, m: int, e: int, cfg: CharConfig) -> "GridRational":
+        """The grid point m / q^{e+1} for an m the caller knows lies in
+        (0, q^{e+1}]: a break of a level scan.  Skips the range check."""
+        point = object.__new__(cls)
+        point.__dict__.update(m=m, e=e, cfg=cfg)
+        return point
+
     @property
     def value(self) -> Fraction:
         return Fraction(self.m, self.cfg.q ** (self.e + 1))
 
+    def reduced(self) -> tuple[int, int]:
+        """The numerator and denominator of `value`, with no `Fraction` built."""
+        den = self.cfg.q ** (self.e + 1)
+        g = gcd(self.m, den)
+        return self.m // g, den // g
+
     def __str__(self) -> str:
-        v = self.value
-        return f"{v.numerator}/{v.denominator}"
+        num, den = self.reduced()
+        return f"{num}/{den}"
 
 
 def snap_interval(

@@ -1,11 +1,18 @@
+import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fsing.bfun import b_function, graph_generator
-from fsing.listmod import TMatrix, decompose_A
+from fsing.bfun import _shift_witness, b_function, graph_generator
+from fsing.listmod import (
+    ChainEstimate, JumpReport, SeReport, TMatrix, _build_chains, decompose_A,
+    estimate_jumping_numbers,
+)
 from fsing.polyring import CharConfig, Poly, Ring, poly_parse
+from fsing.rationals import GridRational
 from fsing.testideal import tau_f_stable
 
 
@@ -141,3 +148,129 @@ def test_graph_roots_with_period_two_digits(text, p, e_max, roots):
     for rho in res.roots:
         below, at, above = (tau_f_stable(f, x, cfg) for x in (rho - step, rho, rho + step))
         assert below != at and at == above, f"no jump at {rho}"
+
+
+# -- the chain match and the shift witness on the integer grid ----------------
+
+
+def ref_parents(s_sets, e_max):
+    """The `Fraction` chain match that the numerator one replaced: each S_e
+    element's nearest S_{e-1} element by value, ties toward the larger."""
+    parents = {}
+    prev = []
+    for e in range(e_max + 1):
+        cur = [(g.m, g.value) for g in s_sets[e].jumps]
+        for m, value in cur:
+            best = min(prev, key=lambda h: (abs(h[1] - value), -h[1])) if prev else None
+            parents[(e, m)] = None if best is None else (e - 1, best[0])
+        prev = cur
+    return parents
+
+
+def ref_shift_witness(report, cfg, e_max):
+    """The `Fraction` shift witness that the integer one replaced."""
+    limits = [c.limit for c in report.chains if c.limit is not None]
+    if not limits:
+        return 0 if all(not r.jumps for r in report.s_sets.values()) else None
+    for n_shift in range(e_max + 1):
+        if all(
+            any(0 <= lam - value < Fraction(cfg.q**n_shift, cfg.q ** (e + 1)) for lam in limits)
+            for e, rep in report.s_sets.items()
+            for value in rep.values()
+        ):
+            return n_shift
+    return None
+
+
+def parents_of(paths):
+    """The parent of every node on the root-to-leaf paths of `_build_chains`."""
+    return {node: above for path in paths for above, node in zip([None] + path, path)}
+
+
+@st.composite
+def jump_reports(draw):
+    """Jump sets S_0 .. S_e_max at q in {2, 3, 5} and chain limits in (0, 1].
+
+    A limit is an eventually periodic c / (q^a (q^b - 1)) or a grid point.
+    Each level holds numerators next to q h for the level below's h, which
+    puts some of them halfway between two candidates (a tie of the match),
+    numerators at or just below a limit on the grid (the ends of the
+    witness window), and a few at random."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    cfg = CharConfig(q)
+    e_max = draw(st.integers(0, 4))
+    dens = [q**a * (q**b - 1) for a in range(3) for b in (1, 2)] + [q, q**2, q**3]
+    limit = st.sampled_from(dens).flatmap(
+        lambda d: st.integers(1, d).map(lambda c: Fraction(c, d))
+    )
+    limits = draw(st.lists(limit, max_size=3))
+    s_sets, prev = {}, []
+    for e in range(e_max + 1):
+        size = q ** (e + 1)
+        near = [
+            q * h + draw(st.integers(-q, q)) for h in prev for _ in range(draw(st.integers(0, 2)))
+        ]
+        below = [
+            lam.numerator * size // lam.denominator - draw(st.integers(0, 2)) for lam in limits
+        ]
+        ms = near + below + draw(st.lists(st.integers(1, size - 1), max_size=2))
+        prev = sorted({m for m in ms if 0 < m < size})
+        s_sets[e] = SeReport(e, tuple(GridRational(m, e, cfg) for m in prev))
+    chains = tuple(ChainEstimate(0, (), (), True, lam) for lam in limits)
+    if draw(st.booleans()):
+        chains += (ChainEstimate(0, (), (), False),)  # a chain with no fit
+    return cfg, e_max, JumpReport(s_sets, chains, ())
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(jump_reports())
+@example((CharConfig(2), 2, JumpReport(  # 3/8 is as far from 1/4 as from 2/4: the larger wins
+    {0: SeReport(0, ()),
+     1: SeReport(1, (GridRational(1, 1, CharConfig(2)), GridRational(2, 1, CharConfig(2)))),
+     2: SeReport(2, (GridRational(3, 2, CharConfig(2)),))}, (), ())))
+@example((CharConfig(3), 1, JumpReport(  # a jump at the limit itself: N = 0
+    {0: SeReport(0, ()), 1: SeReport(1, (GridRational(3, 1, CharConfig(3)),))},
+    (ChainEstimate(0, (), (), True, Fraction(1, 3)),), ())))
+def test_grid_chain_match_and_witness_match_fraction_oracles(case):
+    cfg, e_max, report = case
+    paths = _build_chains(report.s_sets, e_max, cfg)
+    assert parents_of(paths) == ref_parents(report.s_sets, e_max)
+    assert _shift_witness(report, cfg, e_max) == ref_shift_witness(report, cfg, e_max)
+    for rep in report.s_sets.values():
+        assert [g.reduced() for g in rep.jumps] == [
+            (v.numerator, v.denominator) for v in rep.values()
+        ]
+
+
+def fractions_built(fn, *args):
+    """How many `Fraction`s `fn(*args)` constructs."""
+    new = Fraction.__new__.__code__
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code is new
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+@pytest.mark.parametrize("text, p, e_max", [
+    ("x0^2*x1+x1^4", 3, 5),  # D5: two period-2 limits
+    ("x0^3+x1^4", 5, 4),  # E6
+])
+def test_chain_match_and_witness_build_no_fraction(text, p, e_max):
+    cfg = CharConfig(p)
+    A = graph_generator(poly_parse(text, Ring(p, 2)), cfg)
+    report = estimate_jumping_numbers(A, cfg, e_max)
+    assert any(c.limit is not None for c in report.chains)
+    # the hook counts: the Fraction oracles build many
+    assert fractions_built(ref_parents, report.s_sets, e_max) > 0
+    assert fractions_built(ref_shift_witness, report, cfg, e_max) > 0
+    assert fractions_built(_build_chains, report.s_sets, e_max, cfg) == 0
+    assert fractions_built(_shift_witness, report, cfg, e_max) == 0

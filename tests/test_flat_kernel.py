@@ -124,6 +124,22 @@ def test_scaled_matches_reference(N, e, data):
     assert got.reduced_basis() == Submodule(N.rank, want, N.ring).reduced_basis()
 
 
+@pytest.mark.parametrize("nvars, texts", [
+    (0, ["2", "1"]),
+    (1, ["x0^7 + 2*x0^3", "x0^9"]),
+    (3, ["x0^4*x1^2*x2^5 + x2^3", "x1^10 + 2*x0*x2"]),
+])
+@pytest.mark.parametrize("e", [0, 1, 2])
+def test_root_generators_split_every_width(nvars, texts, e):
+    # each exponent is split by one divmod per variable, the constants of a
+    # ring with no variables included
+    cfg = CharConfig(3)
+    ring = Ring(3, nvars)
+    N = Submodule(2, [VectorR(tuple(poly_parse(t, ring) for t in texts))], ring)
+    got = _root_generators(N, e, cfg, _scalar(Poly.const(ring, 1), N.rank))
+    assert got.generators == tuple(ref_root_generators(N.generators, e, cfg))
+
+
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(modules(), st.integers(1, 2))
 def test_root_generators_match_reference(N, e):

@@ -451,6 +451,8 @@ def test_buchberger_and_reduced_basis_match_reference(case):
     expected = ref_buchberger([dict(g) for g in gens], p)
     G = _buchberger([dict(g) for g in gens], p, DEFAULT_PAIR_LIMIT)
     assert [g for _, g in G] == expected
+    # the leads handed to `_reduce_basis` are those of the monic elements
+    assert [lead for lead, _ in G] == [ref_lead(g) for g in expected]
     assert _reduce_basis(G, p) == ref_reduce_basis(expected, p)
     N = Submodule._from_flats(rank, ring, [dict(g) for g in gens])
     assert N.reduced_basis() == tuple(

@@ -114,6 +114,13 @@ def test_grevlex_order():
     assert grevlex_key((1, 0, 0)) > grevlex_key((0, 1, 0)) > grevlex_key((0, 0, 1))
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda width: st.tuples(*[st.integers(0, 10**6)] * width)))
+def test_grevlex_key_matches_formula(m):
+    # the key built by map(neg, reversed(m)) against the generator it replaced
+    assert grevlex_key(m) == (sum(m), tuple(-e for e in reversed(m)))
+
+
 def test_frobenius_power():
     cfg = CharConfig(2)
     ring = Ring(2, 2)
