@@ -24,7 +24,6 @@ from .listmod import (
     SeReport,
     TMatrix,
     assemble_A,
-    decompose_A,
     estimate_jumping_numbers,
     h_expand,
     list_test_module,
@@ -40,8 +39,6 @@ from .modgb import (
     VectorR,
     contains,
     contains_all,
-    equals,
-    module_sum,
     prune_generators,
 )
 from .polyring import (

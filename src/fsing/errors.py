@@ -28,14 +28,7 @@ class ResourceLimitExceeded(FsingError):
 
 
 class StabilizationError(FsingError):
-    """An iterated chain failed to stabilize before its cap.
-
-    Carries the last two computed terms for inspection.
-    """
-
-    def __init__(self, message: str, last_two=None):
-        super().__init__(message)
-        self.last_two = last_two
+    """An iterated chain failed to stabilize before its cap."""
 
 
 class InternalConsistencyError(FsingError):

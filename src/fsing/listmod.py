@@ -20,10 +20,9 @@ of its two terms, and each span is one object, a state where a sum reaches a
 state's span.  The levels e = 0..e_max of `estimate_jumping_numbers` share
 it, so a sum that several levels reach costs one Buchberger run in all, and
 a level costs q (breaks + 1) lookups: b_function of the cusp graph at p=3
-runs Buchberger 10 times at e_max 4 and 10 alike (18 and 30 with a fresh
-sum per level), and at p=5 takes about a millisecond at e_max 12.  Every
-list entry point takes a `MatrixList` or the `TMatrix` A(t) itself; a list
-is assembled once, and a matrix is never decomposed.
+runs Buchberger 10 times at e_max 4 and 10 alike, and at p=5 takes about a
+millisecond at e_max 12.  Every list entry point takes a `MatrixList` or
+the `TMatrix` A(t) itself; a list is assembled once.
 
 Jump-set elements stay on the integer grid from the walk to the report: an
 element of S_e is its numerator m on the grid q^{e+1}, held by a
@@ -70,19 +69,8 @@ def _mat_check(mat: Sequence[Sequence[Poly]], l: int, ring: Ring) -> Matrix:
     return tuple(tuple(row) for row in mat)
 
 
-def _mat_zero(l: int, ring: Ring) -> Matrix:
-    z = Poly.zero(ring)
-    return tuple((z,) * l for _ in range(l))
-
-
 def _mat_is_zero(mat: Matrix) -> bool:
     return all(entry.is_zero() for row in mat for entry in row)
-
-
-def _mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -124,9 +112,6 @@ class MatrixList:
             if not _mat_is_zero(mat):
                 cleaned[(k, n)] = mat
         object.__setattr__(self, "entries", cleaned)
-
-    def matrix(self, k: int, n: int) -> Matrix:
-        return self.entries.get((k, n), _mat_zero(self.l, self.base_ring))
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -225,37 +210,18 @@ class HFamily:
 
 
 def assemble_A(mlist: MatrixList) -> TMatrix:
-    """A(t) = sum over (k, n) of A_{k,n} t^{kq+n}."""
-    t_ring = mlist.base_ring.with_extra("t")
-    q = mlist.cfg.q
-    acc = _mat_zero(mlist.l, t_ring)
+    """A(t) = sum over (k, n) of A_{k,n} t^{kq+n}.
+
+    Distinct (k, n) give distinct powers of t, so each cell's term map is
+    filled directly: no term is met twice."""
+    q, l = mlist.cfg.q, mlist.l
+    cells: List[List[Dict[Monomial, int]]] = [[{} for _ in range(l)] for _ in range(l)]
     for (k, n), mat in sorted(mlist.entries.items()):
-        lifted = tuple(
-            tuple(x.lift_to(t_ring, k * q + n) for x in row) for row in mat
-        )
-        acc = _mat_add(acc, lifted)
-    return TMatrix(acc, mlist.cfg)
-
-
-def decompose_A(A: TMatrix, cfg: CharConfig) -> MatrixList:
-    """Split each t-exponent v as v = kq + n with 0 <= n < q."""
-    _check_cfg(A, cfg)
-    q = cfg.q
-    l = A.l
-    base = A.ring.base()
-    pieces: Dict[Tuple[int, int], List[List[Poly]]] = {}
-    for i in range(l):
-        for j in range(l):
-            for v, coeff in A.mat[i][j].split_extra().items():
-                k, n = divmod(v, q)
-                mat = pieces.get((k, n))
-                if mat is None:
-                    z = Poly.zero(base)
-                    mat = [[z] * l for _ in range(l)]
-                    pieces[(k, n)] = mat
-                mat[i][j] = mat[i][j] + coeff
-    entries = {kn: tuple(tuple(row) for row in mat) for kn, mat in pieces.items()}
-    return MatrixList(l, cfg, base, entries)
+        for row, cell_row in zip(mat, cells):
+            for x, cell in zip(row, cell_row):
+                cell.update((m + (k * q + n,), c) for m, c in x.terms.items())
+    t_ring = mlist.base_ring.with_extra("t")
+    return TMatrix(tuple(tuple(Poly(t_ring, cell) for cell in row) for row in cells), mlist.cfg)
 
 
 def _check_cfg(A: TMatrix | MatrixList, cfg: CharConfig) -> None:
@@ -372,11 +338,8 @@ def _grid_index(lam: GridRational, e: int, cfg: CharConfig) -> int:
 
 
 def _jump_report(breaks: Breaks, e: int, cfg: CharConfig) -> SeReport:
-    """Grid points m/q^{e+1} in (0,1) where the scan strictly grows next: m + 1 is a break.
-
-    Every break past the first lies in [1, q^{e+1}], so each m - 1 with
-    m > 1 is in range and its grid point skips the range check."""
-    return SeReport(e, tuple(GridRational._on_grid(m - 1, e, cfg) for m, _ in breaks if m > 1))
+    """Grid points m/q^{e+1} in (0,1) where the scan strictly grows next: m + 1 is a break."""
+    return SeReport(e, tuple(GridRational(m - 1, e, cfg) for m, _ in breaks if m > 1))
 
 
 # -- the digit-wise walk ------------------------------------------------------
@@ -584,35 +547,27 @@ def _build_chains(
 ) -> List[List[Tuple[int, int]]]:
     """Match each S_{e} element to the nearest S_{e-1} element, ties upward.
 
-    Returns root-to-leaf paths of (e, numerator) pairs.  The match runs on
-    the numerators: m/q^{e+1} and h/q^e are q^{e+1} apart by |h q - m|, so
-    the key (|h q - m|, -h) orders the candidates h as their values would.
+    Returns root-to-leaf paths of (e, numerator) pairs, sorted stably by
+    their first node.  The match runs on the numerators: m/q^{e+1} and
+    h/q^e are q^{e+1} apart by |h q - m|, so the key (|h q - m|, -h) orders
+    the candidates h as their values would.  Each element extends the path
+    of its match; a path of the level below that no element extends is a
+    leaf, and so is every path at e_max.
     """
     q = cfg.q
-    parents: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
-    prev: List[int] = []
+    paths: List[List[Tuple[int, int]]] = []
+    below: Dict[int, List[Tuple[int, int]]] = {}
     for e in range(e_max + 1):
-        cur = [g.m for g in s_sets[e].jumps]
-        for m in cur:
-            if prev:
-                best = min(prev, key=lambda h: (abs(h * q - m), -h))
-                parents[(e, m)] = (e - 1, best)
-            else:
-                parents[(e, m)] = None
-        prev = cur
-    children: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for node, par in parents.items():
-        if par is not None:
-            children.setdefault(par, []).append(node)
-    paths = []
-    for node in parents:
-        if node not in children:  # leaf
-            path = [node]
-            while parents[path[-1]] is not None:
-                path.append(parents[path[-1]])
-            path.reverse()
-            paths.append(path)
-    paths.sort(key=lambda p: (p[0][0], p[0][1]))
+        level: Dict[int, List[Tuple[int, int]]] = {}
+        extended = set()
+        for m in (g.m for g in s_sets[e].jumps):
+            best = min(below, key=lambda h: (abs(h * q - m), -h), default=None)
+            extended.add(best)
+            level[m] = below.get(best, []) + [(e, m)]
+        paths += [path for h, path in below.items() if h not in extended]
+        below = level
+    paths += below.values()
+    paths.sort(key=lambda path: path[0])
     return paths
 
 
@@ -624,14 +579,8 @@ def estimate_jumping_numbers(
     Each chain's numerators satisfy m_{e+b} = q^b m_e + c once periodic; the
     fit window (preperiod and period) is max(1, e_max // 2).  Chains with no
     fit, or that die out before e_max, are reported unresolved.  The levels
-    e = 0..e_max share one `_RootWalk`, which builds each level's breaks
-    from those of the level below: each (state, digit) step is taken once
-    for all levels, and the running sums of all levels are kept on the
-    walk's graph, which keys each sum by the canonical keys of its
-    two terms and keeps one object per span.  A sum two levels reach is
-    computed once, so the Buchberger runs do not grow with e_max (10 for
-    the cusp graph at p=3, at e_max 4 and 10 alike).  The graph and its
-    sums are freed when the call returns.
+    e = 0..e_max come from one `_RootWalk`, whose graph and sums are freed
+    when the call returns.
     """
     if e_max < 2:
         raise ValueError("e_max must be at least 2")
@@ -648,7 +597,7 @@ def estimate_jumping_numbers(
             Fraction(m, cfg.q ** (e + 1)) for e, m in path
         )
         reached = path[-1][0] == e_max
-        fit = detect_chain_limit(nums, start_e, cfg, window, window)
+        fit = detect_chain_limit(nums, start_e, cfg, window)
         if fit is None:
             chains.append(ChainEstimate(start_e, nums, witnesses, reached))
         else:

@@ -45,7 +45,7 @@ basis (`Submodule._basis_module`), with that basis already in place: later
 equality, membership and sums compute no further basis.  The test-ideal
 roots are carried this way, one `_basis` call per root level.
 
-`prune_generators` (n Buchberger runs for n generators) now serves only the
+`prune_generators` (n Buchberger runs for n generators) serves only the
 public `frobenius_root`, whose irredundant, degree-bounded generator list is
 part of its contract.  It needs one forward pass.  A generator that is not in
 the span of the others stays outside it when later generators are removed,
@@ -460,27 +460,6 @@ def contains(N: Submodule, v: VectorR) -> bool:
 
 def contains_all(N: Submodule, vectors: Iterable[VectorR]) -> bool:
     return all(contains(N, v) for v in vectors)
-
-
-def equals(N1: Submodule, N2: Submodule) -> bool:
-    if N1.rank != N2.rank:
-        raise RankMismatchError(f"rank {N1.rank} vs {N2.rank}")
-    return N1 == N2
-
-
-def module_sum(N1: Submodule, N2: Submodule) -> Submodule:
-    if N1.rank != N2.rank:
-        raise RankMismatchError(f"rank {N1.rank} vs {N2.rank}")
-    if N1.ring != N2.ring:
-        raise ValueError("ring mismatch")
-    # as the public constructor, keep no zero vector and one copy of each
-    flats, seen = [], set()
-    for g in N1._flats + N2._flats:
-        key = frozenset(g.items())
-        if g and key not in seen:
-            flats.append(g)
-            seen.add(key)
-    return Submodule._from_flats(N1.rank, N1.ring, flats)
 
 
 def prune_generators(N: Submodule) -> Submodule:

@@ -40,14 +40,6 @@ class GridRational:
                 f"grid numerator {self.m} outside (0, q^{self.e + 1}]"
             )
 
-    @classmethod
-    def _on_grid(cls, m: int, e: int, cfg: CharConfig) -> "GridRational":
-        """The grid point m / q^{e+1} for an m the caller knows lies in
-        (0, q^{e+1}]: a break of a level scan.  Skips the range check."""
-        point = object.__new__(cls)
-        point.__dict__.update(m=m, e=e, cfg=cfg)
-        return point
-
     @property
     def value(self) -> Fraction:
         return Fraction(self.m, self.cfg.q ** (self.e + 1))
@@ -63,10 +55,9 @@ class GridRational:
         return f"{num}/{den}"
 
 
-def snap_interval(
-    lo: Fraction, hi: Fraction, q: int, max_a: int, max_b: int
-) -> Optional[Fraction]:
-    """Smallest-denominator rational c/(q^a (q^b - 1)) in (lo, hi].
+def snap_interval(lo: Fraction, hi: Fraction, q: int, window: int) -> Optional[Fraction]:
+    """Smallest-denominator rational c/(q^a (q^b - 1)) in (lo, hi], with
+    a <= window and 1 <= b <= window.
 
     Ties between reduced candidates of equal denominator break toward the
     larger value.  Returns None when no candidate fits in the window.
@@ -77,8 +68,8 @@ def snap_interval(
     fraction with g = gcd(c, den), and builds one `Fraction` at the end.
     """
     best = None
-    for a in range(max_a + 1):
-        for b in range(1, max_b + 1):
+    for a in range(window + 1):
+        for b in range(1, window + 1):
             den = q**a * (q**b - 1)
             c_hi = (hi.numerator * den) // hi.denominator
             c_lo = (lo.numerator * den) // lo.denominator
@@ -102,7 +93,7 @@ class ChainFit:
 
 
 def detect_chain_limit(
-    numerators: Sequence[int], start_e: int, cfg: CharConfig, max_a: int, max_b: int
+    numerators: Sequence[int], start_e: int, cfg: CharConfig, window: int
 ) -> Optional[ChainFit]:
     """Fit m_{e+b} = q^b m_e + c to numerators[i] = m at level start_e + i.
 
@@ -111,14 +102,14 @@ def detect_chain_limit(
     b levels, and the block read from another phase is a rotation of it, so
     its c differs (the chain 1, 1, 3, 10, 30, 91, 273 at q = 3 has
     10 = 9*1 + 1, 91 = 9*10 + 1 but 30 = 9*3 + 3, with limit 1/8).  Scans
-    periods b and preperiods a smallest-first and requires at least two
-    consistent equations in the phase before accepting.  The limit of
-    m_e / q^{e+1} is then (m_a (q^b - 1) + c) / (q^{a+1} (q^b - 1)).
+    periods b and preperiods a up to window, smallest-first, and requires
+    at least two consistent equations in the phase before accepting.  The
+    limit of m_e / q^{e+1} is then (m_a (q^b - 1) + c) / (q^{a+1} (q^b - 1)).
     """
     q = cfg.q
     n = len(numerators)
-    for b in range(1, max_b + 1):
-        for a in range(max_a + 1):
+    for b in range(1, window + 1):
+        for a in range(window + 1):
             last = n - b - 1
             if last - a < b:
                 continue  # fewer than two equations in the phase of a

@@ -90,6 +90,19 @@ def _digit_root(n: int, e: int, K: Submodule, graph: _RootGraph, powers: PowerCa
     return _root_generators(K, 0, graph.cfg, _scalar(powers.power(n), K.rank)) if n else K
 
 
+def _checked_powers(
+    f: Poly, alpha: Fraction, cfg: CharConfig, powers: Optional[PowerCache]
+) -> PowerCache:
+    """The inputs of `tau_f` and `tau_f_stable` checked, and the power cache
+    of f: `powers`, or a new one."""
+    check_char(f.ring, cfg)
+    if f.is_zero():
+        raise ValueError("f must be nonzero")
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+    return powers or PowerCache(f)
+
+
 def tau_f(
     f: Poly,
     alpha: Fraction,
@@ -98,14 +111,9 @@ def tau_f(
     powers: Optional[PowerCache] = None,
 ) -> Submodule:
     """The e-th member (f^{ceil(alpha q^e)})^[1/q^e] of the chain for tau(f^alpha)."""
-    check_char(f.ring, cfg)
-    if f.is_zero():
-        raise ValueError("f must be nonzero")
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    powers = _checked_powers(f, alpha, cfg, powers)
     if e < 0:
         raise ValueError("e must be non-negative")
-    powers = powers or PowerCache(f)
     k = frac_ceil(alpha * cfg.q**e)
     return _digit_root(k, e, Submodule.full(1, f.ring), _power_graph(powers, cfg), powers)
 
@@ -187,12 +195,7 @@ def tau_f_stable(
     (f = x0^3 over F_2 at alpha = 8/25 pauses at e = 1, 2).  For alpha < 1
     the generators are the reduced basis.
     """
-    check_char(f.ring, cfg)
-    if f.is_zero():
-        raise ValueError("f must be nonzero")
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    powers = powers or PowerCache(f)
+    powers = _checked_powers(f, alpha, cfg, powers)
     full = Submodule.full(1, f.ring)
     if alpha == 0:
         return full
@@ -256,6 +259,6 @@ def f_jumping_exponents(f: Poly, cfg: CharConfig, e_max: int) -> List[Fraction]:
             mid = (lo + hi) // 2
             stack += [(mid, hi), (lo, mid)]
             continue
-        snapped = snap_interval(Fraction(lo, grid), Fraction(hi, grid), q, window, window)
+        snapped = snap_interval(Fraction(lo, grid), Fraction(hi, grid), q, window)
         out.append(snapped if snapped is not None else Fraction(hi, grid))
     return out

@@ -12,7 +12,6 @@ from fsing.bfun import b_function, graph_generator
 from fsing.frobenius import bracket_power, frobenius_root
 from fsing.listmod import (
     TMatrix,
-    decompose_A,
     estimate_jumping_numbers,
     h_expand,
     ltm_scan,
@@ -24,6 +23,7 @@ from fsing.modgb import Submodule, VectorR, contains_all
 from fsing.polyring import CharConfig, Poly, Ring, poly_parse
 from fsing.testideal import f_jumping_exponents
 
+from matrix_lists import decompose
 from test_listmod import h_recursion_check
 
 
@@ -62,7 +62,7 @@ def test_criterion_1_tame_end_to_end():
     with Criterion(1, "tame q=3, A=[t]: S_e sets, jumping number 1/2, b = s - 1/2", 5):
         cfg = CharConfig(3)
         A = tmat(cfg, 0, [["t"]])
-        ml = decompose_A(A, cfg)
+        ml = decompose(A)
         want = {0: [Fraction(1, 3)], 1: [Fraction(4, 9)], 2: [Fraction(13, 27)]}
         for e in range(3):
             assert [g.value for g in s_set(ml, e, cfg).jumps] == want[e]
@@ -85,7 +85,7 @@ def test_criterion_3_wild_example():
     with Criterion(3, "wild q=2: S_e collapse onto {m/2}, roots divide s(s-1/2)", 10):
         cfg = CharConfig(2)
         A = tmat(cfg, 0, [["t", "1"], ["0", "t"]])
-        report = estimate_jumping_numbers(decompose_A(A, cfg), cfg, 6)
+        report = estimate_jumping_numbers(decompose(A), cfg, 6)
         assert all(c.resolved for c in report.chains)
         # every jump-set element for e <= 3 sits on a chain whose exact limit
         # has the collapsed form m/2
@@ -113,7 +113,7 @@ def test_criterion_4_graph_generator_vs_simple_list():
         ring = Ring(3, 1)
         f = poly_parse("x0^2", ring)
         A = graph_generator(f, cfg)
-        ml = decompose_A(A, cfg)
+        ml = decompose(A)
         r = [f**2, f, Poly.const(ring, 1)]
         rank = A.tdeg // (cfg.q - 1) + 1
         for e in range(3):
@@ -241,9 +241,9 @@ TAME_J2 = (CharConfig(3), [["t^3"]], 0)
 def _suite_lists():
     out = []
     for cfg, rows, nvars in (TAME, TAME_J2, WILD):
-        out.append((cfg, decompose_A(tmat(cfg, nvars, rows), cfg)))
+        out.append((cfg, decompose(tmat(cfg, nvars, rows))))
     cfg3 = CharConfig(3)
-    out.append((cfg3, decompose_A(graph_generator(poly_parse("x0^2", Ring(3, 1)), cfg3), cfg3)))
+    out.append((cfg3, decompose(graph_generator(poly_parse("x0^2", Ring(3, 1)), cfg3))))
     return out
 
 

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from fsing.bfun import _shift_witness, b_function, graph_generator
 from fsing.listmod import (
-    ChainEstimate, JumpReport, SeReport, TMatrix, _build_chains, decompose_A,
+    ChainEstimate, JumpReport, SeReport, TMatrix, _build_chains,
     estimate_jumping_numbers,
 )
 from fsing.polyring import CharConfig, Poly, Ring, poly_parse
 from fsing.rationals import GridRational
 from fsing.testideal import tau_f_stable
+
+from matrix_lists import decompose
 
 
 def tmat(cfg, nvars, rows):
@@ -45,7 +47,7 @@ class TestGraphGenerator:
     def test_list_is_powers_of_f(self):
         cfg = CharConfig(3)
         f = poly_parse("x0^2", Ring(3, 1))
-        ml = decompose_A(graph_generator(f, cfg), cfg)
+        ml = decompose(graph_generator(f, cfg))
         for n in range(cfg.q):
             assert ml.entries[(0, n)][0][0] == f ** (cfg.q - 1 - n)
 
@@ -182,6 +184,37 @@ def ref_shift_witness(report, cfg, e_max):
     return None
 
 
+def ref_build_chains(s_sets, e_max, cfg):
+    """The parent/child-graph chain match that the one-pass one replaced:
+    a parent map, then a walk up from each leaf, then a stable sort."""
+    q = cfg.q
+    parents = {}
+    prev = []
+    for e in range(e_max + 1):
+        cur = [g.m for g in s_sets[e].jumps]
+        for m in cur:
+            if prev:
+                best = min(prev, key=lambda h: (abs(h * q - m), -h))
+                parents[(e, m)] = (e - 1, best)
+            else:
+                parents[(e, m)] = None
+        prev = cur
+    children = {}
+    for node, par in parents.items():
+        if par is not None:
+            children.setdefault(par, []).append(node)
+    paths = []
+    for node in parents:
+        if node not in children:  # leaf
+            path = [node]
+            while parents[path[-1]] is not None:
+                path.append(parents[path[-1]])
+            path.reverse()
+            paths.append(path)
+    paths.sort(key=lambda p: (p[0][0], p[0][1]))
+    return paths
+
+
 def parents_of(paths):
     """The parent of every node on the root-to-leaf paths of `_build_chains`."""
     return {node: above for path in paths for above, node in zip([None] + path, path)}
@@ -234,6 +267,8 @@ def jump_reports(draw):
 def test_grid_chain_match_and_witness_match_fraction_oracles(case):
     cfg, e_max, report = case
     paths = _build_chains(report.s_sets, e_max, cfg)
+    # the paths in their order, as `jumps --json` prints them, shared prefixes included
+    assert paths == ref_build_chains(report.s_sets, e_max, cfg)
     assert parents_of(paths) == ref_parents(report.s_sets, e_max)
     assert _shift_witness(report, cfg, e_max) == ref_shift_witness(report, cfg, e_max)
     for rep in report.s_sets.values():

@@ -251,25 +251,6 @@ def test_hexpand_list_and_matrix_forms_agree(tmp_path, tame_problem):
         assert from_list.stdout == from_matrix.stdout
 
 
-@pytest.mark.parametrize("command", [["sset", "--e", "2"], ["jumps", "--e-max", "3"]])
-def test_list_commands_never_decompose_a_matrix(monkeypatch, capsys, tame_problem, command):
-    # sset and jumps walk A(t) as given; a matrix file is not split into its
-    # list and assembled again
-    calls = []
-    decompose = listmod.decompose_A
-
-    def counting(*args):
-        calls.append(args)
-        return decompose(*args)
-
-    # patched where it is defined and where the CLI would import it
-    for module in (listmod, cli):
-        monkeypatch.setattr(module, "decompose_A", counting, raising=False)
-    assert run(command[:1] + ["--input", tame_problem] + command[1:] + ["--json"]) == 0
-    assert capsys.readouterr().out
-    assert calls == []
-
-
 @pytest.mark.parametrize("command", [
     "froot", "tau", "fjump", "hexpand", "sset", "jumps", "bfun", "graphgen",
 ])

@@ -20,7 +20,6 @@ from fsing.listmod import (
     _twisted_power,
     _validate_family,
     assemble_A,
-    decompose_A,
     estimate_jumping_numbers,
     h_expand,
     list_test_module,
@@ -33,10 +32,12 @@ from fsing.listmod import (
     simple_list_tau,
     simple_tau_scan,
 )
-from fsing.modgb import Submodule, VectorR, module_sum
+from fsing.modgb import Submodule, VectorR
 from fsing.polyring import CharConfig, Poly, Ring, frobenius_power, poly_parse
 from fsing.rationals import GridRational
 from fsing.testideal import f_jumping_exponents, tau_f, tau_f_stable
+
+from matrix_lists import decompose
 
 
 def tmat(cfg, nvars, rows):
@@ -68,7 +69,7 @@ class TestAssembleDecompose:
     def test_decompose_graph_of_square(self):
         cfg = CharConfig(3)
         A = tmat(cfg, 1, [["x0^4 + x0^2*t + t^2"]])
-        ml = decompose_A(A, cfg)
+        ml = decompose(A)
         assert sorted(ml.entries) == [(0, 0), (0, 1), (0, 2)]
         assert str(ml.entries[(0, 0)][0][0]) == "x0^4"
         assert str(ml.entries[(0, 1)][0][0]) == "x0^2"
@@ -76,17 +77,17 @@ class TestAssembleDecompose:
 
     def test_decompose_t_to_the_q(self):
         cfg = CharConfig(2)
-        ml = decompose_A(tmat(cfg, 0, [["t^2"]]), cfg)
+        ml = decompose(tmat(cfg, 0, [["t^2"]]))
         assert sorted(ml.entries) == [(1, 0)]
 
     def test_decompose_zero(self):
         cfg = CharConfig(2)
-        assert decompose_A(tmat(cfg, 0, [["0"]]), cfg).is_zero()
+        assert decompose(tmat(cfg, 0, [["0"]])).is_zero()
 
     def test_roundtrip(self):
         cfg = CharConfig(3)
         A = tmat(cfg, 1, [["x0 + x0*t^4 + 2*t^7"]])
-        assert assemble_A(decompose_A(A, cfg)).mat == A.mat
+        assert assemble_A(decompose(A)).mat == A.mat
 
     def test_out_of_range_index_rejected(self):
         cfg = CharConfig(2)
@@ -247,7 +248,7 @@ def test_h_recursion_wild():
 class TestListTestModule:
     def test_tame_values_e0(self):
         cfg = CharConfig(3)
-        ml = decompose_A(tame_matrix(cfg), cfg)
+        ml = decompose(tame_matrix(cfg))
         scan = ltm_scan(ml, 0, cfg)
         ring = Ring(3, 0)
         assert scan[0].is_zero()
@@ -272,7 +273,7 @@ class TestListTestModule:
 
     def test_grid_point_lookup(self):
         cfg = CharConfig(3)
-        ml = decompose_A(tame_matrix(cfg), cfg)
+        ml = decompose(tame_matrix(cfg))
         lam = GridRational(2, 0, cfg)
         assert list_test_module(ml, lam, 0, cfg) == Submodule.full(1, Ring(3, 0))
 
@@ -312,8 +313,8 @@ class TestListTestModule:
         ring = Ring(3, 2)
         f = poly_parse("x0^2 + x1^3", ring)
         r = [f ** (cfg.q - 1 - n) for n in range(cfg.q)]
-        ml = decompose_A(graph_generator(f, cfg), cfg)
-        wild = decompose_A(wild_matrix(), CharConfig(2))
+        ml = decompose(graph_generator(f, cfg))
+        wild = decompose(wild_matrix())
         for e in range(3):
             for mlist in (ml, wild):
                 scan = ltm_scan(mlist, e, mlist.cfg)
@@ -325,7 +326,7 @@ class TestListTestModule:
 
     def test_chain_in_e(self):
         cfg = CharConfig(2)
-        ml = decompose_A(wild_matrix(), cfg)
+        ml = decompose(wild_matrix())
         for m in range(1, 2 + 1):
             for e in range(3):
                 high = list_test_module(
@@ -338,14 +339,14 @@ class TestListTestModule:
 class TestSSet:
     def test_tame(self):
         cfg = CharConfig(3)
-        ml = decompose_A(tame_matrix(cfg), cfg)
+        ml = decompose(tame_matrix(cfg))
         want = [Fraction(1, 3), Fraction(4, 9), Fraction(13, 27)]
         for e in range(3):
             assert [g.value for g in s_set(ml, e, cfg).jumps] == [want[e]]
 
     def test_wild(self):
         cfg = CharConfig(2)
-        ml = decompose_A(wild_matrix(), cfg)
+        ml = decompose(wild_matrix())
         got = {e: [g.value for g in s_set(ml, e, cfg).jumps] for e in range(4)}
         assert got == {
             0: [Fraction(1, 2)],
@@ -358,7 +359,7 @@ class TestSSet:
 class TestEstimate:
     def test_tame_chain(self):
         cfg = CharConfig(3)
-        ml = decompose_A(tame_matrix(cfg), cfg)
+        ml = decompose(tame_matrix(cfg))
         report = estimate_jumping_numbers(ml, cfg, 4)
         assert report.estimates == (Fraction(1, 2),)
         (chain,) = report.chains
@@ -367,7 +368,7 @@ class TestEstimate:
 
     def test_wild_chains(self):
         cfg = CharConfig(2)
-        ml = decompose_A(wild_matrix(), cfg)
+        ml = decompose(wild_matrix())
         report = estimate_jumping_numbers(ml, cfg, 6)
         assert report.estimates == (Fraction(1, 2), Fraction(1))
         assert all(c.resolved for c in report.chains)
@@ -584,7 +585,7 @@ def reference_scan(ml, e, cfg):
             cols = oracle_columns(fam.table[n], ml.l, rank, ring)
             if cols:
                 root = frobenius_root(Submodule(rank, cols, ring), e + 1, cfg)
-                cum = module_sum(cum, root)
+                cum = Submodule(cum.rank, cum.generators + root.generators, cum.ring)
         out.append(cum)
     return out
 
@@ -663,11 +664,11 @@ def legacy_scan(ml, e, cfg):
 
 
 def fold_scan(pieces, zero):
-    """Running sums zero + pieces[0] + ... + pieces[i], one per piece, by module_sum."""
+    """Running sums zero + pieces[0] + ... + pieces[i], one per piece."""
     out, cum = [], zero
     for piece in pieces:
         if not piece <= cum:
-            cum = module_sum(cum, piece)
+            cum = Submodule(cum.rank, cum.generators + piece.generators, cum.ring)
         out.append(cum)
     return out
 
@@ -696,7 +697,7 @@ def small_matrix_lists(draw):
 
 
 def graph_list(text, cfg):
-    return decompose_A(graph_generator(poly_parse(text, Ring(cfg.p, 2)), cfg), cfg)
+    return decompose(graph_generator(poly_parse(text, Ring(cfg.p, 2)), cfg))
 
 
 def rank_two_q4_list():
@@ -745,7 +746,7 @@ def test_cusp_graph_state_expansions(monkeypatch, p):
     cfg = CharConfig(p)
     A = graph_generator(poly_parse("x0^2 + x1^3", Ring(p, 2)), cfg)
     calls = count_expansions(monkeypatch)
-    report = estimate_jumping_numbers(decompose_A(A, cfg), cfg, 4)
+    report = estimate_jumping_numbers(decompose(A), cfg, 4)
     assert report.estimates == (Fraction(1, p),)
     assert len(calls) == len(set(calls)) == 2 * cfg.q
     assert len({K for K, _ in calls}) == 2
@@ -946,7 +947,7 @@ def test_b_function_equality_tests(monkeypatch):
 CFG3 = CharConfig(3)
 CUSP3 = poly_parse("x0^2 + x1^3", Ring(3, 2))
 CUSP3_GRAPH = graph_generator(CUSP3, CFG3)
-CUSP3_LIST = decompose_A(CUSP3_GRAPH, CFG3)
+CUSP3_LIST = decompose(CUSP3_GRAPH)
 
 
 def _simple_list(cfg):
@@ -974,12 +975,11 @@ CONFIG_MISMATCHES = {
     "estimate_jumping_numbers": lambda cfg: estimate_jumping_numbers(CUSP3_LIST, cfg, 2),
     "b_function": lambda cfg: b_function(CUSP3_GRAPH, cfg, 3),
     "h_expand": lambda cfg: h_expand(CUSP3_GRAPH, 1, cfg),
-    "decompose_A": lambda cfg: decompose_A(CUSP3_GRAPH, cfg),
     "graph_generator": lambda cfg: graph_generator(CUSP3, cfg),
     "MatrixList": lambda cfg: MatrixList(1, cfg, CUSP3.ring, {(0, 0): ((CUSP3,),)}),
 }
 MATRIX_ENTRY_POINTS = ["ltm_scan", "s_set", "list_test_module", "estimate_jumping_numbers",
-                       "b_function", "h_expand", "decompose_A"]
+                       "b_function", "h_expand"]
 
 
 @pytest.mark.parametrize("name, cfg", [

@@ -1,12 +1,14 @@
 """Checks on the library source itself."""
 
 import ast
+import re
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "fsing").glob("*.py"))
+REPO = Path(__file__).resolve().parent.parent
+SOURCES = sorted((REPO / "src" / "fsing").glob("*.py"))
 MODULES = {path.stem for path in SOURCES}
 
 
@@ -115,3 +117,23 @@ def test_no_unreferenced_private_names():
         if defined not in used
     ]
     assert unused == [], f"private names nothing in src/fsing references: {unused}"
+
+
+def test_every_export_has_a_use():
+    # a public name that no library path uses is kept only for users, and
+    # README says so; one that neither uses is dead code
+    init = REPO / "src" / "fsing" / "__init__.py"
+    exported = [
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    used = set().union(*(
+        referenced_names(ast.parse(path.read_text(), filename=str(path)))
+        for path in SOURCES if path != init
+    ))
+    readme = (REPO / "README.md").read_text()
+    named = {word for span in re.findall(r"`([^`]*)`", readme) for word in re.findall(r"\w+", span)}
+    unused = [name for name in exported if name not in used | named]
+    assert unused == [], f"fsing exports that src/fsing and README.md never use: {unused}"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fsing import modgb, testideal
 from fsing.errors import StabilizationError
 from fsing.frobenius import _RootGraph, frobenius_root
-from fsing.modgb import Submodule, VectorR, contains_all, module_sum
+from fsing.modgb import Submodule, VectorR, contains_all
 from fsing.polyring import CharConfig, Poly, PowerCache, Ring, frobenius_power, poly_parse
 from fsing.rationals import GridRational, frac_ceil, snap_interval
 from fsing.listmod import (
@@ -300,7 +300,7 @@ def ref_tau_f_stable(f, alpha, cfg):
             step = frobenius_root(scaled, d, cfg)
             if contains_all(cur, step.generators):
                 break
-            cur = module_sum(cur, step)
+            cur = Submodule(cur.rank, cur.generators + step.generators, cur.ring)
         out = frobenius_root(cur, c, cfg) if c else cur
     fs = f**shift
     return Submodule(1, tuple(g.poly_mul(fs) for g in out.generators), ring)
@@ -314,7 +314,7 @@ def ref_f_jumping_exponents(f, cfg, e_max):
         cur = ref_root_of_power(f, k, e_max, cfg)
         if cur != prev:
             lo, hi = Fraction(k - 1, grid), Fraction(k, grid)
-            snapped = snap_interval(lo, hi, cfg.q, window, window)
+            snapped = snap_interval(lo, hi, cfg.q, window)
             out.append(snapped if snapped is not None else hi)
         prev = cur
     return out
@@ -438,7 +438,7 @@ def ref_simple_tau_scan(r, e, cfg, pieces=None):
         pieces = ref_simple_pieces(r, e, cfg)
     out, cum = [], Submodule.zero(1, r[0].ring)
     for piece in pieces:
-        cum = module_sum(cum, piece)
+        cum = Submodule(cum.rank, cum.generators + piece.generators, cum.ring)
         out.append(cum)
     return out
 
@@ -682,7 +682,7 @@ def naive_ascend(a, d, seed, graph, powers, cap):
         step = testideal._digit_root(a, d, cur, graph, powers)
         if cur._contains_flats(step._flats):
             return cur
-        cur = module_sum(cur, step)
+        cur = Submodule(cur.rank, cur.generators + step.generators, cur.ring)
     raise StabilizationError(f"test-ideal ascent did not stabilize within {cap} steps")
 
 
@@ -871,7 +871,7 @@ def linear_f_jumping_exponents(f, cfg, e_max):
         if cur != prev:
             lo = Fraction(k - 1, grid)
             hi = Fraction(k, grid)
-            snapped = snap_interval(lo, hi, q, window, window)
+            snapped = snap_interval(lo, hi, q, window)
             out.append(snapped if snapped is not None else hi)
         prev = cur
     return out
