@@ -6,9 +6,11 @@ Exit codes: 0 success, 1 user error (bad flags, parse or validation failure),
 check, which signals a bug).  All exact rationals cross the boundary as
 {"num": ..., "den": ...} pairs; floating point is rejected on input.
 JSON output is byte-identical across runs for identical inputs.
-run(argv) may be called repeatedly in one process: it builds its parser once,
-and a call whose first argument names a subcommand is parsed by that
-subcommand's parser alone unless arguments are left over.
+run(argv) may be called repeatedly in one process: it builds its parser once.
+A call that names a subcommand and gives only its flags, each required one,
+and values that convert and do not start with '-' is read by a table taken
+from the subcommand's argparse actions; argparse parses any other call and
+writes every help, usage and error text.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .polyring import MAX_VARS, CharConfig, Ring, poly_parse
 from .rationals import GridRational
 from .testideal import tau_f, tau_f_stable, f_jumping_exponents
 
-_ALPHA_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
+_ALPHA_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,7 +77,7 @@ def _add_input_flag(sub):
 
 def _infer_num_vars(texts: List[str], given: Optional[int]) -> int:
     if given is None:
-        indices = [int(m) for t in texts for m in re.findall(r"x(\d+)", t)]
+        indices = [int(m) for t in texts for m in re.findall(r"x([0-9]+)", t)]
         given = max(indices, default=-1) + 1
     if given > MAX_VARS:
         raise FsingError(f"{given} ring variables exceed the cap of {MAX_VARS}")
@@ -248,8 +250,50 @@ def _cmd_graphgen(args) -> int:
     return 0
 
 
+def _flag_table(sub: _Parser) -> tuple:
+    """(option string -> action of `sub`'s single-value and store-const flags,
+    the defaults its parse starts from, its required actions)."""
+    flags = {
+        opt: action for action in sub._actions
+        if isinstance(action, (argparse._StoreAction, argparse._StoreConstAction))
+        and action.nargs in (None, 0) and action.choices is None
+        for opt in action.option_strings
+    }
+    defaults = dict(sub._defaults)
+    defaults.update(
+        (a.dest, a.default) for a in sub._actions if argparse.SUPPRESS not in (a.dest, a.default)
+    )
+    return flags, defaults, [a for a in sub._actions if a.required]
+
+
+def _read(table: tuple, argv: List[str]) -> Optional[argparse.Namespace]:
+    """The Namespace argparse makes of argv, or None where argv is not one
+    the reader takes (see the module docstring)."""
+    flags, defaults, required = table
+    seen = {}
+    tokens = iter(argv)
+    try:
+        for opt in tokens:
+            action = flags[opt]
+            if action.nargs == 0:
+                seen[action] = action.const
+                continue
+            value = next(tokens)
+            if value[:1] == "-":
+                return None
+            seen[action] = value if action.type is None else action.type(value)
+    except (KeyError, StopIteration, TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    if any(action not in seen for action in required):
+        return None
+    args = argparse.Namespace(**defaults)
+    for action, value in seen.items():
+        setattr(args, action.dest, value)
+    return args
+
+
 @functools.cache
-def _build_parser() -> Tuple[_Parser, Dict[str, _Parser]]:
+def _build_parser() -> Tuple[_Parser, Dict[str, tuple]]:
     parser = _Parser(prog="fsing", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -304,20 +348,19 @@ def _build_parser() -> Tuple[_Parser, Dict[str, _Parser]]:
     gg.add_argument("--num-vars", type=int, default=None)
     gg.set_defaults(func=_cmd_graphgen)
 
-    return parser, subs.choices
+    return parser, {name: _flag_table(sub) for name, sub in subs.choices.items()}
 
 
 def _parse(argv: List[str]) -> argparse.Namespace:
-    """argv parsed by the parser of the subcommand argv[0] names, or by the
-    full parser, which prints every message, when none is named or left over."""
-    parser, commands = _build_parser()
-    sub = commands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extras = sub.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    """argv read by the flag reader of the subcommand argv[0] names, or
+    parsed by the full parser, which prints every message."""
+    parser, tables = _build_parser()
+    table = tables.get(argv[0]) if argv else None
+    args = _read(table, argv[1:]) if table else None
+    if args is None:
+        return parser.parse_args(argv)
+    args.command = argv[0]
+    return args
 
 
 def run(argv: Optional[List[str]] = None) -> int:

@@ -692,11 +692,13 @@ def load_problem(obj: dict):
 
 
 def load_problem_file(path: str):
+    """Load a problem file: JSON bytes in UTF-8, -16 or -32, a BOM allowed,
+    whatever the locale."""
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
+        with open(path, "rb") as fh:
+            obj = json.loads(fh.read())
     except OSError as exc:
         raise ProblemFormatError(f"cannot read problem file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ProblemFormatError(f"problem file is not valid JSON: {exc}") from None
     return load_problem(obj)

@@ -12,12 +12,17 @@ ring variables x0..x{n-1}, and an optional distinguished variable (``t`` or
 
 The canonical monomial order, used everywhere for deterministic output, is
 graded reverse lexicographic.
+
+`poly_parse` reads ASCII polynomial text by splitting it on '+', '*' and '^';
+a token walk reads any text the split declines and raises each PolyParseError
+at the offset of the first bad token.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import neg
+from string import ascii_letters, digits
 from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import PolyParseError
@@ -307,18 +312,25 @@ class Poly:
 
 # -- parsing -------------------------------------------------------------------
 
+_NAME_CHARS = ascii_letters + digits
+
+
 def poly_parse(text: str, ring: Ring) -> Poly:
     """Parse the polynomial grammar into a canonical Poly.
 
     expression = term ('+' term)* ; term = integer ('*' factor)* | factor
     ('*' factor)* ; factor = variable ('^' natural)?.  Variables are
-    x0..x{n-1} plus the ring's distinguished variable, if any.  Whitespace is
-    insignificant.  Coefficients are reduced mod p.
+    x0..x{n-1} plus the ring's distinguished variable, if any; integers and
+    names are ASCII.  Whitespace is insignificant.  Coefficients are reduced
+    mod p.
     """
+    terms = _split_terms(text, ring)
+    if terms is not None:
+        return Poly._trusted(ring, terms)
     tokens = _tokenize(text)
     if not tokens:
         raise PolyParseError("empty polynomial", 0)
-    terms: Dict[Monomial, int] = {}
+    terms = {}
     idx = 0
     while True:
         idx, mono, coeff = _parse_term(tokens, idx, ring)
@@ -334,6 +346,31 @@ def poly_parse(text: str, ring: Ring) -> Poly:
     return Poly(ring, terms)
 
 
+def _split_terms(text: str, ring: Ring) -> Optional[Dict[Monomial, int]]:
+    """The term map of ASCII `text` read by splitting it on '+', '*' and '^',
+    or None where a piece is not one integer or one power of a variable."""
+    if not text.isascii():
+        return None
+    terms: Dict[Monomial, int] = {}
+    for term in text.split("+"):
+        factors = term.split("*")
+        head = factors[0].strip()
+        coeff = int(head) if head.isdigit() else 1
+        expo = [0] * ring.width
+        for factor in factors[1:] if head.isdigit() else factors:
+            name, caret, power = factor.partition("^")
+            power = power.strip() if caret else "1"
+            if not power.isdigit():
+                return None
+            try:
+                expo[_var_index(name.strip(), ring, 0)] += int(power)
+            except PolyParseError:
+                return None
+        mono = tuple(expo)
+        terms[mono] = terms.get(mono, 0) + coeff
+    return terms
+
+
 def _tokenize(text: str):
     tokens = []
     i = 0
@@ -344,15 +381,15 @@ def _tokenize(text: str):
         elif ch in "+*^":
             tokens.append((ch, ch, i))
             i += 1
-        elif ch.isdigit():
+        elif ch in digits:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in digits:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
-        elif ch.isalpha():
+        elif ch in ascii_letters:
             j = i
-            while j < len(text) and (text[j].isalnum()):
+            while j < len(text) and text[j] in _NAME_CHARS:
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j

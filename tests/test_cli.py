@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -5,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsing import cli, listmod, modgb
 from fsing.cli import _build_parser, run
@@ -306,12 +309,81 @@ FROOT = ["froot", "--gens", "x0^4;x0^2*x1^2 + x1^4", "--e", "1", "-p", "2"]
     ["tau", "--f", "x0^3", "--alpha=1/3", "-p", "2"],
 ], ids=["empty", "help", "bogus", "tau-help", "tau-bare", "tau-bogus", "prefix", "equals"])
 def test_subcommand_dispatch_matches_the_full_parser(monkeypatch, capsys, argv):
-    # a subcommand's own parser reads its arguments, but stdout, stderr and
-    # the exit code are those of parsing with the full parser
+    # argv the flag reader declines reaches the full parser: stdout, stderr
+    # and the exit code are those of parsing with the full parser alone
     dispatched = (exit_code(argv), *capsys.readouterr())
     parser = _build_parser()[0]
     monkeypatch.setattr(cli, "_parse", parser.parse_args)
     assert (exit_code(argv), *capsys.readouterr()) == dispatched
+
+
+def parse_outcome(parse, argv):
+    """(Namespace or exit code, stdout, stderr) of parsing argv with `parse`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+# values of every kind: good and bad for int, rational and text flags, and
+# ones argparse reads by rules the flag reader leaves to it
+VALUES = ["2", "0", "1/3", "x0^2+x1^3", " 3", "٣", "1_0", "", "0.5", "5/0", "x", "a b",
+          "-1", "-p", "--json", "-x0 + 1", "--"]
+
+
+def subparser(command):
+    parser = _build_parser()[0]
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[command]
+
+
+@st.composite
+def command_lines(draw, command):
+    """argv for `command` drawn from its own option strings: required flags
+    mostly present, any flag repeated or missing its value, abbreviations,
+    '--opt=value', '--', '-h' and stray values, in any order."""
+    sub = subparser(command)
+    options = sorted(opt for action in sub._actions for opt in action.option_strings)
+    longs = [opt for opt in options if opt.startswith("--")]
+    values = st.one_of(st.just("2"), st.sampled_from(VALUES))
+    items = [
+        [opt, draw(values)]
+        for action in sub._actions if action.required and draw(st.integers(0, 9))
+        for opt in [draw(st.sampled_from(action.option_strings))]
+    ]
+    items += draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(options), values).map(list),
+        st.sampled_from(options).map(lambda opt: [opt]),
+        st.tuples(st.sampled_from(longs), values).map(lambda ov: ["=".join(ov)]),
+        st.sampled_from(sorted({opt[:k] for opt in longs for k in range(3, len(opt))})).map(
+            lambda prefix: [prefix, "2"]
+        ),
+        st.sampled_from(["--", "--bogus", "-h", "x0"]).map(lambda junk: [junk]),
+    ), max_size=4))
+    return [command] + [arg for item in draw(st.permutations(items)) for arg in item]
+
+
+COMMANDS = ["froot", "tau", "fjump", "hexpand", "sset", "jumps", "bfun", "graphgen"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flag_reader_matches_argparse(command, data):
+    # the argv the reader takes must parse to argparse's Namespace, and the
+    # rest must reach argparse: the same Namespace, or the same exit code,
+    # stdout and stderr, as parsing with the full parser alone
+    argv = data.draw(command_lines(command))
+    parser, tables = _build_parser()
+    expected = parse_outcome(parser.parse_args, argv)
+    assert parse_outcome(cli._parse, argv) == expected
+    read = cli._read(tables[command], argv[1:])
+    if read is not None:
+        read.command = command
+        assert (read, "", "") == expected
 
 
 def test_subcommand_call_skips_the_full_parser(monkeypatch, capsys):
@@ -424,3 +496,23 @@ def test_command_line_num_vars_cap(capsys, argv):
 def test_num_vars_at_the_cap(capsys):
     assert run(["froot", "--gens", "x63^2", "--e", "1", "-p", "2"]) == 0
     assert capsys.readouterr().out == "x63\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tau", "--f", "x²", "--alpha", "1/2", "-p", "3"], "unexpected character '²' (at position 1)"),
+    (["tau", "--f", "x٣", "--alpha", "1/2", "-p", "3"], "unexpected character '٣' (at position 1)"),
+    (["fjump", "--f", "2²*x0", "-p", "3", "--e-max", "1"],
+     "unexpected character '²' (at position 1)"),
+], ids=["superscript", "arabic-indic-index", "superscript-coefficient"])
+def test_non_ascii_polynomial_is_a_parse_error(capsys, argv, message):
+    # the digit runs of the grammar and of the variable count are ASCII
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"fsing: error: {message}\n")
+
+
+def test_non_ascii_alpha_is_a_usage_error(capsys):
+    assert exit_code(["tau", "--f", "x0", "--alpha", "٣/4", "-p", "3"]) == 1
+    assert capsys.readouterr().err.endswith(
+        "fsing tau: error: argument --alpha: expected an exact rational 'num' or"
+        " 'num/den', got '٣/4'\n"
+    )

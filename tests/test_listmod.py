@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import tracemalloc
 import weakref
@@ -25,6 +26,7 @@ from fsing.listmod import (
     list_test_module,
     _RootWalk,
     load_problem,
+    load_problem_file,
     ltm_scan,
     s_set,
     s_set_simple,
@@ -451,6 +453,24 @@ class TestProblemJson:
         }
         with pytest.raises(ProblemFormatError):
             load_problem(obj)
+
+    CUSP_FILE = '{"p": 3, "gamma": 1, "num_vars": 2, "rank": 1, "matrix": [["x0^2 + t"]]}'
+
+    def test_file_with_a_byte_that_is_not_utf8(self, tmp_path):
+        # a decoding failure is a malformed file, not a bare ValueError
+        path = tmp_path / "latin1.json"
+        path.write_bytes(self.CUSP_FILE.replace("t", "t\xff", 1).encode("latin-1"))
+        with pytest.raises(ProblemFormatError, match="not valid JSON: 'utf-8' codec"):
+            load_problem_file(str(path))
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32-be"])
+    def test_file_is_read_as_json_bytes(self, tmp_path, encoding):
+        # JSON's own encoding detection, whatever the locale: a UTF-8 byte
+        # order mark is accepted, as are UTF-16 and UTF-32
+        path = tmp_path / f"{encoding}.json"
+        path.write_bytes(self.CUSP_FILE.encode(encoding))
+        problem, cfg = load_problem_file(str(path))
+        assert (problem, cfg) == load_problem(json.loads(self.CUSP_FILE))
 
 
 # -- the H-family check ---------------------------------------------------------

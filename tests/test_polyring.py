@@ -12,7 +12,10 @@ from fsing.polyring import (
     frobenius_power,
     grevlex_key,
     poly_parse,
+    _split_terms,
 )
+
+import poly_walk
 
 
 def test_charconfig_rejects_composite():
@@ -242,3 +245,65 @@ def test_public_constructor_keeps_checks():
         Poly(ring, {(1, -1): 1})
     with pytest.raises(ValueError, match="negative"):
         Poly.monomial(Ring(3, 0), ()).lift_to(Ring(3, 0, "t"), -1)
+
+
+# -- the split reader and the token walk ----------------------------------------------
+# poly_parse reads well-formed ASCII text by splitting it and hands any other
+# text to the token walk.  `poly_walk` keeps the walk as it was before the
+# split reader: on ASCII text the two must agree term for term, in the same
+# order, and error for error.
+
+
+@pytest.mark.parametrize("text, position", [
+    ("x²", 1),         # superscript two: was int("²") raising a bare ValueError
+    ("2²*x0", 1),      # was int("2²") raising a bare ValueError
+    ("x٣", 1),         # Arabic-Indic three: was read as x3
+    ("٣*x0", 0),       # was read as the coefficient 3
+    ("x0 + é", 5),     # a letter outside ASCII
+])
+def test_non_ascii_digits_and_letters_are_unexpected(text, position):
+    with pytest.raises(PolyParseError) as exc:
+        poly_parse(text, Ring(5, 4))
+    assert str(exc.value) == f"unexpected character {text[position]!r} (at position {position})"
+    assert exc.value.position == position
+
+
+def outcome(parse, text, ring):
+    try:
+        return list(parse(text, ring).terms.items())
+    except PolyParseError as exc:
+        return str(exc), exc.position
+
+
+PIECES = ["x0", "x1", "x01", "x9", "t", "tau", "y", "0", "2", "10", "007", "+", "*", "^", " ", "\t"]
+RINGS = [Ring(3, 2), Ring(3, 2, "t"), Ring(5, 10, "tau")]
+
+
+@st.composite
+def well_formed(draw):
+    """Text of the grammar's shape, with names the ring may not have."""
+    blank = st.sampled_from(["", " ", "\t", "  "])
+    names = st.sampled_from(["x0", "x1", "x01", "x9", "t", "tau", "y"])
+    numbers = st.sampled_from(["0", "2", "10", "007"])
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        factors = [
+            draw(names) + (draw(blank) + "^" + draw(blank) + draw(numbers) if draw(st.booleans()) else "")
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        if not factors or draw(st.booleans()):
+            factors.insert(0, draw(numbers))
+        terms.append(draw(blank) + (draw(blank) + "*" + draw(blank)).join(factors) + draw(blank))
+    return "+".join(terms)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(
+    st.one_of(well_formed(), st.lists(st.sampled_from(PIECES), max_size=12).map("".join)),
+    st.sampled_from(RINGS),
+)
+def test_split_reader_matches_the_token_walk(text, ring):
+    result = outcome(poly_parse, text, ring)
+    assert result == outcome(poly_walk.poly_parse, text, ring)
+    # the walk runs only to report an error
+    assert (_split_terms(text, ring) is not None) == isinstance(result, list)

@@ -6,8 +6,11 @@ is compared with `perfbench/reference.json`, as the benchmark does for the
 problems it draws.  Problem files are written under the test's own
 temporary directory, and their digests are checked too.  A change that
 moves a byte of any benchmark output fails here without a benchmark run.
+Every call, graphgen included, must be read by the CLI's flag reader:
+argparse is refused for the whole test.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -40,7 +43,11 @@ def sha256(data: bytes) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_outputs_match_reference(name, tmp_path):
+def test_outputs_match_reference(name, tmp_path, monkeypatch):
+    def refused(self, args=None, namespace=None):
+        raise AssertionError(f"argparse ran on {args}")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refused)
     reference = REFERENCE[name]
     solved, mismatched = set(), []
     for problem in workloads.WORKLOADS[name].universe():
