@@ -77,7 +77,10 @@ def _add_input_flag(sub):
 
 def _infer_num_vars(texts: List[str], given: Optional[int]) -> int:
     if given is None:
-        indices = [int(m) for t in texts for m in re.findall(r"x([0-9]+)", t)]
+        try:
+            indices = [int(m) for t in texts for m in re.findall(r"x([0-9]+)", t)]
+        except ValueError:  # an index past int's digit limit
+            raise FsingError("a variable index is too long to read") from None
         given = max(indices, default=-1) + 1
     if given > MAX_VARS:
         raise FsingError(f"{given} ring variables exceed the cap of {MAX_VARS}")

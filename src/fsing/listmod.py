@@ -57,6 +57,8 @@ from .rationals import GridRational, detect_chain_limit, frac_ceil
 Matrix = tuple[tuple[Poly, ...], ...]
 # a scan m -> scan(m) as its breaks (m, scan(m)): m = 0 and each m where it changes
 Breaks = list[tuple[int, Submodule]]
+# the digit slices of A(t) on one rank, and the bound on t a state would pass, or None
+DigitSlices = Tuple[List[Multiplier], Optional[int]]
 
 
 def _mat_check(mat: Sequence[Sequence[Poly]], l: int, ring: Ring) -> Matrix:
@@ -123,7 +125,6 @@ class TMatrix:
 
     mat: Matrix
     cfg: CharConfig
-    _by_rank: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         l = len(self.mat)
@@ -149,23 +150,6 @@ class TMatrix:
 
     def is_zero(self) -> bool:
         return _mat_is_zero(self.mat)
-
-    def _digit_multipliers(self, rank: int) -> Tuple[bool, List[Multiplier]]:
-        """The digit-r slices of A(t) on R^rank, r < q, once per rank, and
-        whether A(t) carries a coordinate past the bound rank // l - 1 on t.
-
-        A slice builds a row at its first use (`_DigitSlice`), since a walk's
-        states touch few of the rank slots.  The shift grows with the slot,
-        so the top slot alone decides whether a term goes past the bound."""
-        got = self._by_rank.get(rank)
-        if got is None:
-            q, bound = self.cfg.q, rank // self.l - 1
-            over = any(
-                (mono[-1] + bound) // q > bound
-                for row in self.mat for entry in row for mono in entry.terms
-            )
-            got = self._by_rank[rank] = (over, [_DigitSlice(self.mat, q, r) for r in range(q)])
-        return got
 
 
 class _DigitSlice(dict):
@@ -224,14 +208,10 @@ def assemble_A(mlist: MatrixList) -> TMatrix:
     return TMatrix(tuple(tuple(Poly(t_ring, cell) for cell in row) for row in cells), mlist.cfg)
 
 
-def _check_cfg(A: TMatrix | MatrixList, cfg: CharConfig) -> None:
-    if cfg != A.cfg:
-        raise ValueError("characteristic mismatch between matrix and config")
-
-
 def _matrix_of(A: TMatrix | MatrixList, cfg: CharConfig) -> TMatrix:
     """A(t) at cfg: the matrix itself, or a list assembled once."""
-    _check_cfg(A, cfg)
+    if cfg != A.cfg:
+        raise ValueError("characteristic mismatch between matrix and config")
     return assemble_A(A) if isinstance(A, MatrixList) else A
 
 
@@ -345,24 +325,38 @@ def _jump_report(breaks: Breaks, e: int, cfg: CharConfig) -> SeReport:
 # -- the digit-wise walk ------------------------------------------------------
 
 
-def _expand_state(K: Submodule, A: TMatrix, cfg: CharConfig, r: int) -> Submodule:
+def _digit_slices(A: TMatrix, rank: int) -> DigitSlices:
+    """The digit-r slices of A(t) on R^rank, r < q, and the bound
+    N = rank // l - 1 on t if A(t) carries a coordinate past it, else None.
+
+    A slice builds a row at its first use (`_DigitSlice`), since a walk's
+    states touch few of the rank slots.  The shift grows with the slot,
+    so column j's top slot (rank - 1 - j) // l, which is N when l divides
+    the rank, alone decides whether its terms go past the bound."""
+    q, l, bound = A.cfg.q, A.l, rank // A.l - 1
+    over = any(
+        (mono[-1] + (rank - 1 - j) // l) // q > bound
+        for row in A.mat for j, entry in enumerate(row) for mono in entry.terms
+    )
+    return [_DigitSlice(A.mat, q, r) for r in range(q)], bound if over else None
+
+
+def _expand_state(K: Submodule, slices: DigitSlices, cfg: CharConfig, r: int) -> Submodule:
     """The child step(K, r) of a state K in R^{l(N+1)} for the digit r < q.
 
     Coordinate s*l + i of K is slot i of t^s.  step(K, r) multiplies each
     generator v(t) by A(t), keeps the terms x^a t^m with m = r (mod q) and
     roots them one level in x and t: x^a t^m goes to the x-residue a mod q
     with coefficient x^(a div q) t^(m div q).  The t-part is the digit-r
-    slice of A(t) (`TMatrix._digit_multipliers`, at cfg, which is A's); the
-    x-part is `_root_generators` on that multiplier.  A child's t-degree is
-    at most floor((d + N)/q) <= N; a coordinate of K, zero or not, that A(t)
-    would carry past N is an internal error once K has a generator, and the
-    zero state steps to zero.
+    slice of A(t) in `slices` (`_digit_slices` of A at K's rank, cfg being
+    A's); the x-part is `_root_generators` on that multiplier.  A child's
+    t-degree is at most floor((d + N)/q) <= N; a coordinate of K, zero or
+    not, that A(t) would carry past N is an internal error once K has a
+    generator, and the zero state steps to zero.
     """
-    over, mults = A._digit_multipliers(K.rank)
-    if K._flats and over:
-        raise InternalConsistencyError(
-            f"a Frobenius-root state exceeds the tau-degree bound {K.rank // A.l - 1}"
-        )
+    mults, N = slices
+    if K._flats and N is not None:
+        raise InternalConsistencyError(f"a Frobenius-root state exceeds the tau-degree bound {N}")
     # the generators go straight to Buchberger: a repeated one reduces to
     # zero, so no dedupe is needed
     return _root_generators(K, 1, cfg, mults[r])._basis_module()
@@ -380,7 +374,8 @@ class _RootWalk:
     takes each (state, digit) step once for the life of the walk and keeps
     the running sums of its levels, which start from `zero`; `levels` steps
     the sums of the level below, not the pieces.  A walk takes a
-    `MatrixList` or A(t) itself.
+    `MatrixList` or A(t) itself, and builds the digit slices of A(t) for
+    its one rank once (`_digit_slices`); they go with the graph.
     """
 
     def __init__(self, A: TMatrix | MatrixList, cfg: CharConfig):
@@ -390,7 +385,8 @@ class _RootWalk:
         units = [{(i, (0,) * ring.width): 1} for i in range(A.l)]
         self.start = Submodule._from_flats(rank, ring, units)._basis_module()
         self.zero = Submodule.zero(rank, ring)
-        self.graph = _RootGraph(lambda K, r: _expand_state(K, A, cfg, r), cfg)
+        slices = _digit_slices(A, rank)
+        self.graph = _RootGraph(lambda K, r: _expand_state(K, slices, cfg, r), cfg)
 
     def piece(self, n: int, e: int) -> Submodule:
         """The piece at n on level e: e + 1 steps along the digits of n."""
@@ -466,14 +462,10 @@ def s_set(A: TMatrix | MatrixList, e: int, cfg: CharConfig) -> SeReport:
 # -- simple lists: the 1x1 matrix list ----------------------------------------
 
 
-def _check_list(r: Sequence[Poly], cfg: CharConfig) -> None:
-    if len(r) != cfg.q:
-        raise ValueError(f"list has length {len(r)}, expected q = {cfg.q}")
-
-
 def _simple_list(r: Sequence[Poly], cfg: CharConfig) -> MatrixList:
     """The 1x1 matrix list A(t) = sum r_n t^n; `MatrixList` checks the rings."""
-    _check_list(r, cfg)
+    if len(r) != cfg.q:
+        raise ValueError(f"list has length {len(r)}, expected q = {cfg.q}")
     return MatrixList(1, cfg, r[0].ring, {(0, n): ((r_n,),) for n, r_n in enumerate(r)})
 
 
@@ -701,4 +693,6 @@ def load_problem_file(path: str):
         raise ProblemFormatError(f"cannot read problem file: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ProblemFormatError(f"problem file is not valid JSON: {exc}") from None
+    except ValueError as exc:  # a number past int's digit limit
+        raise ProblemFormatError(f"problem file holds a number too long to read: {exc}") from None
     return load_problem(obj)

@@ -352,23 +352,31 @@ def _split_terms(text: str, ring: Ring) -> Optional[Dict[Monomial, int]]:
     if not text.isascii():
         return None
     terms: Dict[Monomial, int] = {}
-    for term in text.split("+"):
-        factors = term.split("*")
-        head = factors[0].strip()
-        coeff = int(head) if head.isdigit() else 1
-        expo = [0] * ring.width
-        for factor in factors[1:] if head.isdigit() else factors:
-            name, caret, power = factor.partition("^")
-            power = power.strip() if caret else "1"
-            if not power.isdigit():
-                return None
-            try:
+    try:
+        for term in text.split("+"):
+            factors = term.split("*")
+            head = factors[0].strip()
+            coeff = int(head) if head.isdigit() else 1
+            expo = [0] * ring.width
+            for factor in factors[1:] if head.isdigit() else factors:
+                name, caret, power = factor.partition("^")
+                power = power.strip() if caret else "1"
+                if not power.isdigit():
+                    return None
                 expo[_var_index(name.strip(), ring, 0)] += int(power)
-            except PolyParseError:
-                return None
-        mono = tuple(expo)
-        terms[mono] = terms.get(mono, 0) + coeff
+            mono = tuple(expo)
+            terms[mono] = terms.get(mono, 0) + coeff
+    except (PolyParseError, ValueError):  # not a variable of the ring, or past int's digit limit
+        return None
     return terms
+
+
+def _natural(digit_text: str, pos: int) -> int:
+    """The value of the ASCII digits at offset `pos`; `int` refuses more than its digit limit."""
+    try:
+        return int(digit_text)
+    except ValueError:
+        raise PolyParseError(f"integer of {len(digit_text)} digits is too long", pos) from None
 
 
 def _tokenize(text: str):
@@ -404,7 +412,7 @@ def _var_index(name: str, ring: Ring, pos: int) -> int:
     if name in ("t", "tau"):
         raise PolyParseError(f"variable {name!r} is not available in this ring", pos)
     if name.startswith("x") and name[1:].isdigit():
-        i = int(name[1:])
+        i = _natural(name[1:], pos)
         if i < ring.nvars:
             return i
     raise PolyParseError(f"unknown variable {name!r}", pos)
@@ -416,7 +424,7 @@ def _parse_term(tokens, idx, ring: Ring):
     expo = [0] * ring.width
     saw_factor = False
     if kind == "int":
-        coeff = int(value)
+        coeff = _natural(value, pos)
         idx += 1
     elif kind == "name":
         expo[_var_index(value, ring, pos)] += 1
@@ -443,7 +451,7 @@ def _parse_power(tokens, idx, expo, ring: Ring, var_pos: int):
         if idx + 1 >= len(tokens) or tokens[idx + 1][0] != "int":
             raise PolyParseError("expected a natural number after '^'", tokens[idx][2])
         # the '^1' case already added 1; add the remainder
-        n = int(tokens[idx + 1][1])
+        n = _natural(tokens[idx + 1][1], tokens[idx + 1][2])
         name = tokens[idx - 1][1]
         expo[_var_index(name, ring, var_pos)] += n - 1
         return idx + 2
@@ -485,7 +493,8 @@ def frobenius_decompose(f: Poly, e: int, cfg: CharConfig) -> Dict[Monomial, Poly
     for m, c in f.terms.items():
         w = tuple(v // s for v in m)
         u = tuple(v % s for v in m)
-        buckets.setdefault(u, {})[w] = buckets.setdefault(u, {}).get(w, 0) + c
+        bucket = buckets.setdefault(u, {})
+        bucket[w] = bucket.get(w, 0) + c
     out = {}
     for u, terms in buckets.items():
         a = Poly._trusted(f.ring, terms)
@@ -495,38 +504,30 @@ def frobenius_decompose(f: Poly, e: int, cfg: CharConfig) -> Dict[Monomial, Poly
 
 
 class PowerCache:
-    """Memoized powers of one polynomial f over F_p.
+    """Powers of one polynomial f over F_p, keeping the digit powers f^0 .. f^{p-1}.
 
     f^n = (f^{n // p})^[p] f^{n mod p}: in characteristic p the p-th power
     only scales exponents by p, so the one real product per base-p digit of
     n has a factor f^{n mod p} of degree below p deg(f), and no squaring of
-    large powers ever happens.
+    large powers ever happens.  The digit powers are kept because a call
+    asks for them again: a root graph's steps multiply by f^d, d < q, and
+    every root of an ascent ends with the same f^N.  A power n >= p is
+    built afresh, one product per nonzero base-p digit.
     """
 
     def __init__(self, f: Poly):
         self.f = f
         self._prime_cfg = CharConfig(f.ring.p)
-        self._cache: Dict[int, Poly] = {0: Poly.const(f.ring, 1), 1: f}
+        self._digits = [Poly.const(f.ring, 1), f]
 
     def power(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative power")
-        cached = self._cache.get(n)
-        if cached is not None:
-            return cached
         high, low = divmod(n, self._prime_cfg.p)
-        if high == 0:
-            # f^low = f^k f ... f from the largest cached k below low, every
-            # power on the way cached: a loop, so the depth does not grow with p
-            k = low - 1
-            while k not in self._cache:
-                k -= 1
-            result = self._cache[k]
-            for j in range(k + 1, low + 1):
-                result = self._cache[j] = result * self.f
-        else:
-            result = frobenius_power(self.power(high), 1, self._prime_cfg)
-            if low:
-                result = result * self.power(low)
-        self._cache[n] = result
-        return result
+        digits = self._digits
+        while len(digits) <= low:  # each from the one below: the depth does not grow with p
+            digits.append(digits[-1] * self.f)
+        if not high:
+            return digits[low]
+        result = frobenius_power(self.power(high), 1, self._prime_cfg)
+        return result * digits[low] if low else result

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fsing import cli, listmod, modgb
 from fsing.cli import _build_parser, run
-from fsing.errors import InternalConsistencyError
+from fsing.errors import FsingError, InternalConsistencyError
 from fsing.modgb import DEFAULT_PAIR_LIMIT
 from fsing.polyring import MAX_VARS
 
@@ -508,6 +508,17 @@ def test_non_ascii_polynomial_is_a_parse_error(capsys, argv, message):
     # the digit runs of the grammar and of the variable count are ASCII
     assert run(argv) == 1
     assert capsys.readouterr() == ("", f"fsing: error: {message}\n")
+
+
+def test_integer_past_digit_limit_is_a_typed_error(capsys):
+    # int() refuses more than 4300 digits with a bare ValueError; the
+    # variable count and the parser give an FsingError
+    with pytest.raises(FsingError, match="variable index is too long"):
+        cli._infer_num_vars(["x" + "9" * 5000], None)
+    assert run(["tau", "--f", "x0^" + "9" * 5000, "--alpha", "1/3", "-p", "2"]) == 1
+    assert capsys.readouterr() == (
+        "", "fsing: error: integer of 5000 digits is too long (at position 3)\n"
+    )
 
 
 def test_non_ascii_alpha_is_a_usage_error(capsys):

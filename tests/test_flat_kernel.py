@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from fsing.errors import InternalConsistencyError
 from fsing.frobenius import _root_generators, _scalar, frobenius_root
-from fsing.listmod import TMatrix, _expand_state
+from fsing.listmod import TMatrix, _digit_slices, _expand_state
 from fsing.modgb import Submodule, VectorR, prune_generators
 from fsing.polyring import CharConfig, Monomial, Poly, Ring, frobenius_decompose, poly_parse
 
@@ -178,11 +178,23 @@ def outcome(children):
         return str(exc)
 
 
+def rank_three_state():
+    # l = 2 does not divide rank 3: the top slot t^1 holds column 0 only,
+    # and t^2 carries it past the bound 0
+    cfg = CharConfig(3)
+    t_ring, ring = Ring(3, 2, "t"), Ring(3, 2)
+    zero_t, zero = Poly.zero(t_ring), Poly.zero(ring)
+    A = TMatrix(((poly_parse("t^2", t_ring), zero_t), (zero_t, zero_t)), cfg)
+    return A, cfg, Submodule(3, (VectorR((zero, zero, Poly.const(ring, 1))),), ring)
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(states())
+@example(rank_three_state())
 def test_expand_state_matches_reference(case):
     A, cfg, K = case
-    got = outcome(lambda: [_expand_state(K, A, cfg, r) for r in range(cfg.q)])
+    slices = _digit_slices(A, K.rank)
+    got = outcome(lambda: [_expand_state(K, slices, cfg, r) for r in range(cfg.q)])
     want = outcome(
         lambda: [Submodule(K.rank, g, K.ring) for g in ref_expand_state(K, A, cfg)]
     )
@@ -197,7 +209,7 @@ def test_expand_state_checks_zero_coordinates():
     A = TMatrix(((Poly(Ring(2, 0, "t"), {(3,): 1}),),), cfg)
     K = Submodule(2, (VectorR((Poly.const(ring, 1), Poly.zero(ring))),), ring)
     with pytest.raises(InternalConsistencyError, match="tau-degree bound 1"):
-        _expand_state(K, A, cfg, 0)
+        _expand_state(K, _digit_slices(A, K.rank), cfg, 0)
     with pytest.raises(InternalConsistencyError, match="tau-degree bound 1"):
         ref_expand_state(K, A, cfg)
 

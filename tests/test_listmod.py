@@ -17,6 +17,7 @@ from fsing.listmod import (
     MatrixList,
     SeReport,
     TMatrix,
+    _digit_slices,
     _expand_state,
     _twisted_power,
     _validate_family,
@@ -463,6 +464,14 @@ class TestProblemJson:
         with pytest.raises(ProblemFormatError, match="not valid JSON: 'utf-8' codec"):
             load_problem_file(str(path))
 
+    def test_file_with_a_number_past_the_digit_limit(self, tmp_path):
+        # json.loads refuses an integer of more than 4300 digits with a bare
+        # ValueError, outside JSONDecodeError
+        path = tmp_path / "long.json"
+        path.write_text(self.CUSP_FILE.replace('"num_vars": 2', '"num_vars": ' + "9" * 5000))
+        with pytest.raises(ProblemFormatError, match="number too long to read"):
+            load_problem_file(str(path))
+
     @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32-be"])
     def test_file_is_read_as_json_bytes(self, tmp_path, encoding):
         # JSON's own encoding detection, whatever the locale: a UTF-8 byte
@@ -750,9 +759,9 @@ def test_walk_matches_legacy_scan(ml, e):
 def count_expansions(monkeypatch):
     calls = []
 
-    def counting(K, A, cfg, r):
+    def counting(K, slices, cfg, r):
         calls.append((K.reduced_basis(), r))
-        return _expand_state(K, A, cfg, r)
+        return _expand_state(K, slices, cfg, r)
 
     monkeypatch.setattr(listmod, "_expand_state", counting)
     return calls
@@ -772,17 +781,30 @@ def test_cusp_graph_state_expansions(monkeypatch, p):
     assert len({K for K, _ in calls}) == 2
 
 
-def test_matrix_multipliers_built_once_per_rank():
-    # the walk reads the digit slices of A(t) from one table for its rank,
-    # built at the first step and kept on the matrix
+def test_walk_leaves_nothing_on_matrix():
+    # the digit slices of A(t) belong to the call's walk, not to the matrix
     cfg = CharConfig(3)
     A = graph_generator(poly_parse("x0^2 + x1^3", Ring(3, 2)), cfg)
-    rank = A.l * (A.tdeg // (cfg.q - 1) + 1)
     b_function(A, cfg, 4)
-    table = A._digit_multipliers(rank)
-    b_function(A, cfg, 4)
-    assert list(A._by_rank) == [rank]
-    assert A._digit_multipliers(rank) is table
+    assert set(vars(A)) == {"mat", "cfg"}
+
+
+def test_digit_slices_freed_when_call_returns(monkeypatch):
+    # the walk builds its slices once, for its one rank, and nothing keeps
+    # them alive after the call
+    built, slices = [], []
+
+    def recording(A, rank):
+        built.append(rank)
+        got = _digit_slices(A, rank)
+        slices.extend(weakref.ref(s) for s in got[0])
+        return got
+
+    monkeypatch.setattr(listmod, "_digit_slices", recording)
+    cfg = CharConfig(3)
+    b_function(graph_generator(poly_parse("x0^2 + x1^3", Ring(3, 2)), cfg), cfg, 4)
+    assert len(built) == 1 and len(slices) == cfg.q
+    assert all(ref() is None for ref in slices)
 
 
 def test_large_list_index_builds_only_touched_rows():
@@ -926,12 +948,13 @@ def test_state_past_tau_bound_raises():
     ring = Ring(2, 0)
     A = tmat(cfg, 0, [["t^3"]])
     with pytest.raises(InternalConsistencyError, match="exceeds the tau-degree bound 0"):
-        _expand_state(Submodule.full(1, ring), A, cfg, 0)
+        _expand_state(Submodule.full(1, ring), _digit_slices(A, 1), cfg, 0)
     # in R^4 (bound 3) the children of <1> are 0 and <t>
     one = Poly.const(ring, 1)
     zero = Poly.zero(ring)
     K = Submodule(4, (VectorR((one, zero, zero, zero)),), ring)
-    even, odd = (_expand_state(K, A, cfg, r) for r in range(cfg.q))
+    slices = _digit_slices(A, K.rank)
+    even, odd = (_expand_state(K, slices, cfg, r) for r in range(cfg.q))
     assert even.is_zero()
     assert odd == Submodule(4, (VectorR((zero, one, zero, zero)),), ring)
 

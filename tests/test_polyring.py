@@ -268,6 +268,19 @@ def test_non_ascii_digits_and_letters_are_unexpected(text, position):
     assert exc.value.position == position
 
 
+@pytest.mark.parametrize("text, position", [
+    ("9" * 5000 + "*x0", 0),   # a coefficient
+    ("x0^" + "9" * 5000, 3),   # an exponent
+    ("x" + "9" * 5000, 0),     # a variable index
+    ("x0 + x" + "0" * 5000, 5),
+], ids=["coefficient", "exponent", "index", "zero-index"])
+def test_integer_past_digit_limit_is_a_parse_error(text, position):
+    # int() refuses a string of more than 4300 digits with a bare ValueError
+    with pytest.raises(PolyParseError, match="digits is too long") as exc:
+        poly_parse(text, Ring(5, 4))
+    assert exc.value.position == position
+
+
 def outcome(parse, text, ring):
     try:
         return list(parse(text, ring).terms.items())

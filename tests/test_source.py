@@ -21,6 +21,28 @@ def test_no_global_statement(path):
     assert lines == [], f"{path.name} has a global statement at line(s) {lines}"
 
 
+def is_field_call(node):
+    func = node.func
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "field"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_dataclass_field_outside_init(path):
+    # a field no constructor sets is a memo on a value type; a memo belongs
+    # to the object of the call that reuses it
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and is_field_call(node)
+        and any(
+            kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+            for kw in node.keywords
+        )
+    ]
+    assert lines == [], f"{path.name} declares a field(init=False) at line(s) {lines}"
+
+
 def package_imports(path):
     """The modules of the package that `path` imports, anywhere in its tree."""
     out = set()

@@ -482,6 +482,16 @@ def test_power_cache_matches_pow(data, n):
     assert PowerCache(f).power(n) == f**n
 
 
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(nonconstant_polys(max_terms=2), st.lists(st.integers(0, 300), max_size=12))
+def test_shared_power_cache_in_any_order(data, ns):
+    # one cache serves requests in any order, powers past p among them
+    _, f = data
+    cache = PowerCache(f)
+    for n in ns:
+        assert cache.power(n) == f**n, f"f^{n}"
+
+
 def test_power_cache_all_small_powers():
     f = poly_parse("x0^2*x1+x1^3+x0+1", Ring(3, 2))
     cache = PowerCache(f)
