@@ -21,7 +21,8 @@ class RankMismatchError(FsingError):
 
 
 class ResourceLimitExceeded(FsingError):
-    """A Groebner computation exceeded its configured pair-queue cap.
+    """A computation exceeded a resource cap: the Groebner pair queue, or
+    the period of a stable test ideal's exponent.
 
     Distinct from wrong answers: nothing was truncated silently.
     """

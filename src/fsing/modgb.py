@@ -30,20 +30,22 @@ thread or task and is restored when the block exits.  A module uses the cap
 in force when its basis is first computed; a basis already computed is
 never recomputed under another cap.
 
-`Submodule._reduced` computes each basis once, by `_basis`.  A module
-generated by terms, the kind most scans hand over, has its minimal terms as
-its reduced basis (Cox-Little-O'Shea, ch. 2 sec. 4), found with no pair
-queue, so `--limit-pairs` never trips on it.  Other lists go through
+`Submodule._reduced` computes each basis once, by `_basis`.  A lone
+nonzero generator, made monic, is its own reduced basis (Cox-Little-O'Shea,
+ch. 2 sec. 7): the root steps of a test ideal mostly start from one.  A
+module generated by terms, the kind most scans hand over, has its minimal
+terms as its reduced basis (ch. 2 sec. 4).  Neither runs a pair queue, so
+`--limit-pairs` never trips on them.  Other lists go through
 `_buchberger`, which hands its basis to `_reduce_basis` as (lead, element)
 pairs, so no lead is computed twice.  The interreduction visits the leads by
 (position, degree), ascending, and tests each only against the leads kept
 before it, as no later lead can divide it; of equal leads the first is kept.
 Only a survivor with more than one term is reduced against the others.
 
-A module can hand over its span as the module generated by its own reduced
-basis (`Submodule._basis_module`), with that basis already in place: later
-equality, membership and sums compute no further basis.  The test-ideal
-roots are carried this way, one `_basis` call per root level.
+A span can be built as the module generated by its own reduced basis
+(`Submodule._spanned`), with that basis already in place: later equality,
+membership and sums compute no further basis.  The root steps and running
+sums of `frobenius._RootGraph` are built this way, one `_basis` call each.
 
 `prune_generators` (n Buchberger runs for n generators) serves only the
 public `frobenius_root`, whose irredundant, degree-bounded generator list is
@@ -182,11 +184,11 @@ def _divides(m1: Monomial, m2: Monomial) -> bool:
 
 
 def _mono_div(m2: Monomial, m1: Monomial) -> Monomial:
-    return tuple(b - a for a, b in zip(m1, m2))
+    return tuple(map(operator.sub, m2, m1))
 
 
 def _mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+    return tuple(map(max, m1, m2))
 
 
 def _shift(flat: FlatVec, mono: Monomial, c: int, p: int) -> FlatVec:
@@ -194,7 +196,7 @@ def _shift(flat: FlatVec, mono: Monomial, c: int, p: int) -> FlatVec:
     for (pos, m), cc in flat.items():
         v = (cc * c) % p
         if v:
-            out[(pos, tuple(a + b for a, b in zip(m, mono)))] = v
+            out[(pos, tuple(map(operator.add, m, mono)))] = v
     return out
 
 
@@ -315,10 +317,14 @@ def _reduce_basis(
 
 def _basis(flats: List[FlatVec], p: int, cap: int) -> List[Tuple[ModTerm, FlatVec]]:
     """The reduced basis of the span of `flats`, (lead, element) pairs,
-    largest lead first, under the pair cap `cap`.  A term list's basis is its
-    minimal terms, monic: visited in ascending term order, each term is
-    tested only against the terms kept before it."""
-    for g in flats:
+    largest lead first, under the pair cap `cap`.  One nonzero vector, made
+    monic, is its own basis.  A term list's basis is its minimal terms,
+    monic: visited in ascending term order, each term is tested only against
+    the terms kept before it."""
+    nonzero = [g for g in flats if g]
+    if len(nonzero) == 1:
+        return [_make_monic(nonzero[0], p)]
+    for g in nonzero:
         if len(g) > 1:
             return _reduce_basis(_buchberger(flats, p, cap), p)
     keep: List[ModTerm] = []
@@ -370,6 +376,17 @@ class Submodule:
         out._init(rank, ring, flats)
         return out
 
+    @classmethod
+    def _spanned(cls, rank: int, ring: Ring, flats: List[FlatVec]) -> "Submodule":
+        """The span of flat vectors of R^rank, generated by its own reduced
+        basis, with that basis in place: equality, membership and sums on it
+        compute no further basis.  A reduced basis holds no zero or repeated
+        vector."""
+        basis = _basis(flats, ring.p, _pair_limit.get())
+        out = cls._from_flats(rank, ring, [g for _, g in basis])
+        out._flat_basis = basis
+        return out
+
     @property
     def generators(self) -> Tuple[VectorR, ...]:
         if self._generators is None:
@@ -406,18 +423,6 @@ class Submodule:
         if self._key is None:
             self._key = tuple(frozenset(g.items()) for _, g in self._reduced())
         return self._key
-
-    def _basis_module(self) -> "Submodule":
-        """The same span, generated by its own reduced basis.
-
-        The basis is computed at most once and handed over, so equality and
-        membership on the result run no further Buchberger.  A reduced basis
-        holds no zero or repeated vector.
-        """
-        basis = self._reduced()
-        out = Submodule._from_flats(self.rank, self.ring, [g for _, g in basis])
-        out._flat_basis, out._vectors, out._key = basis, self._vectors, self._key
-        return out
 
     def _contains_flats(self, flats: Iterable[FlatVec]) -> bool:
         """Whether every flat vector lies in the span."""

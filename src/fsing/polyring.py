@@ -21,7 +21,7 @@ at the offset of the first bad token.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import neg
+from operator import add, neg
 from string import ascii_letters, digits
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -214,7 +214,7 @@ class Poly:
         out: Dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 out[m] = out.get(m, 0) + c1 * c2
         return Poly._trusted(self.ring, out)
 
@@ -225,7 +225,7 @@ class Poly:
         """Multiply by c * x^mono."""
         return Poly(
             self.ring,
-            {tuple(a + b for a, b in zip(m, mono)): cc * c for m, cc in self.terms.items()},
+            {tuple(map(add, m, mono)): cc * c for m, cc in self.terms.items()},
         )
 
     def __pow__(self, n: int) -> "Poly":
@@ -516,18 +516,17 @@ class PowerCache:
     """
 
     def __init__(self, f: Poly):
-        self.f = f
-        self._prime_cfg = CharConfig(f.ring.p)
-        self._digits = [Poly.const(f.ring, 1), f]
+        self.f, self.p = f, f.ring.p
+        self._digits = [Poly._trusted(f.ring, {(0,) * f.ring.width: 1}), f]
 
     def power(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative power")
-        high, low = divmod(n, self._prime_cfg.p)
+        high, low = divmod(n, self.p)
         digits = self._digits
         while len(digits) <= low:  # each from the one below: the depth does not grow with p
             digits.append(digits[-1] * self.f)
         if not high:
             return digits[low]
-        result = frobenius_power(self.power(high), 1, self._prime_cfg)
+        result = frobenius_power(self.power(high), 1, CharConfig(self.p))
         return result * digits[low] if low else result

@@ -24,17 +24,20 @@ endpoints of each interval is an exact test for a drop inside it.
 
 A stable test ideal tau(f^{a/(q^d-1)}) is the least fixed point of
 K -> K + Phi(K), Phi(K) = (f^a K)^[1/q^d], over the seed (f^c),
-c = ceil(a/(q^d-1)).  The seed lies in Phi(seed), as f^{c q^d} lies in
-(f^{a+c}), and Phi keeps inclusions, so the steps Phi^i(seed) ascend: they
-are the sums, no running sum is kept, and the first repeated step is the
-fixed point.
+c = ceil(a/(q^d-1)); a, c and d are found in integers.  The period d, the
+order of q modulo the part of alpha's denominator prime to p, is searched
+only up to `MAX_PERIOD`, since each ascent step walks d levels.  The seed
+lies in Phi(seed), as f^{c q^d} lies in (f^{a+c}), and Phi keeps
+inclusions, so the steps Phi^i(seed) ascend: they are the sums, no running
+sum is kept, and the first repeated step is the fixed point.
 
 Each level K_i is kept as the module generated by its own reduced Groebner
-basis: one Buchberger run per distinct step, reused by every later
-comparison and memo lookup.  A step multiplies and roots in one pass over
-the flat vectors of `modgb` (`frobenius._root_generators`), so neither the
-product nor a `Poly` is built until a caller reads a result.  The
-generators of a test ideal are therefore a reduced basis, not a
+basis (`Submodule._spanned`): one basis per distinct step, reused by every
+later comparison and memo lookup, and no Buchberger run for a root of one
+generator, which made monic is its own basis.  A step multiplies and roots
+in one pass over the flat vectors of `modgb` (`frobenius._root_generators`),
+so neither the product nor a `Poly` is built until a caller reads a result.
+The generators of a test ideal are therefore a reduced basis, not a
 degree-bounded list; only the public `frobenius_root`, which prunes
 instead, promises the bound deg <= floor(maxdeg / q^e).
 """
@@ -44,35 +47,39 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import StabilizationError
+from .errors import ResourceLimitExceeded, StabilizationError
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
 # every module that holds it.  The roots below use `_root_generators`.
 from .frobenius import Multiplier, _root_generators, _RootGraph, _scalar, frobenius_root  # noqa: F401
-from .modgb import Submodule, VectorR
+from .modgb import Submodule
 from .polyring import CharConfig, Poly, PowerCache, check_char
 from .rationals import frac_ceil, snap_interval
 
 DEFAULT_STABLE_CAP = 16
+# Cap on the period d of a stable alpha = a / (q^c (q^d - 1)); each ascent
+# step walks d levels; the tests need d <= 20 and the benchmarks d <= 6.
+MAX_PERIOD = 1000
 
 
 def _ideal(gen: Poly) -> Submodule:
-    return Submodule(1, (VectorR((gen,)),), gen.ring)
+    """The ideal (gen) of a nonzero gen, built from its flat vector."""
+    return Submodule._from_flats(1, gen.ring, [{(0, m): c for m, c in gen.terms.items()}])
 
 
 def _power_graph(powers: PowerCache, cfg: CharConfig) -> _RootGraph:
     """The one-level roots K -> (f^d K)^[1/q], d < q, of f = powers.f.
 
     Each step is the module generated by the root's reduced basis
-    (`Submodule._basis_module`), not a pruned generator list, so its
-    generators carry no degree bound; the span is the same.  The multiplier
-    by f^d is built once per digit, at its first step.
+    (`Submodule._spanned`), not a pruned generator list, so its generators
+    carry no degree bound; the span is the same.  The multiplier by f^d is
+    built once per digit, at its first step.
     """
     mults: Dict[int, Multiplier] = {}
 
     def step(K: Submodule, d: int) -> Submodule:
         if d not in mults:
             mults[d] = _scalar(powers.power(d), 1)
-        return _root_generators(K, 1, cfg, mults[d])._basis_module()
+        return Submodule._spanned(K.rank, K.ring, _root_generators(K, 1, cfg, mults[d]))
 
     return _RootGraph(step, cfg)
 
@@ -87,7 +94,10 @@ def _digit_root(n: int, e: int, K: Submodule, graph: _RootGraph, powers: PowerCa
     is rooted once whatever the seeds.
     """
     K, n = graph.walk(K, n, e)
-    return _root_generators(K, 0, graph.cfg, _scalar(powers.power(n), K.rank)) if n else K
+    if not n:
+        return K
+    flats = _root_generators(K, 0, graph.cfg, _scalar(powers.power(n), K.rank))
+    return Submodule._from_flats(K.rank, K.ring, flats)
 
 
 def _checked_powers(
@@ -121,25 +131,29 @@ def tau_f(
 def _pe_decompose(alpha: Fraction, cfg: CharConfig) -> Tuple[int, int, int]:
     """Write alpha = a / (q^c (q^d - 1)) with a, c, d integers, d minimal.
 
-    d = 0 encodes a pure q-power denominator (alpha = a / q^c).
+    d = 0 encodes a pure q-power denominator (alpha = a / q^c).  A period d
+    past `MAX_PERIOD` raises `ResourceLimitExceeded` before q^d is formed.
     """
     q = cfg.q
-    den = alpha.denominator
+    num, den = alpha.numerator, alpha.denominator
+    rest = den
     c = 0
-    while den % cfg.p == 0:
-        den //= cfg.p
+    while rest % cfg.p == 0:
+        rest //= cfg.p
         c += 1
     c = -(-c // cfg.gamma)  # round the p-adic valuation up to a q-power
-    if den == 1:
-        a = alpha * q**c
-        return a.numerator, c, 0
+    if rest == 1:
+        return num * q**c // den, c, 0
     d = 1
-    acc = q % den
+    acc = q % rest
     while acc != 1:
-        acc = (acc * q) % den
+        if d == MAX_PERIOD:
+            raise ResourceLimitExceeded(
+                f"the period of alpha = {alpha} under q = {q} exceeds the cap of {MAX_PERIOD}"
+            )
+        acc = (acc * q) % rest
         d += 1
-    a = alpha * q**c * (q**d - 1)
-    return a.numerator, c, d
+    return num * q**c * (q**d - 1) // den, c, d
 
 
 def _ascend(
@@ -203,8 +217,9 @@ def tau_f_stable(
     a, c, d = _pe_decompose(alpha, cfg)
     if d == 0:
         return _digit_root(a, c, full, graph, powers)
-    m, a = divmod(a, cfg.q**d - 1)
-    seed = _ideal(powers.power(frac_ceil(Fraction(a, cfg.q**d - 1))))
+    den = cfg.q**d - 1
+    m, a = divmod(a, den)
+    seed = _ideal(powers.power(-(-a // den)))
     fixed = _ascend(a, d, seed, graph, powers, e_cap)
     return _digit_root(m, c, fixed, graph, powers)
 

@@ -189,6 +189,16 @@ def test_pair_limit_applies_to_one_call(capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["tau", "--f", "x0^2+x1^3", "-p", "2", "--alpha", "1/1000003"],
+    ["tau", "--f", "x0^2+x1^3", "-p", "3", "--alpha", "99999999/100000000"],
+])
+def test_long_period_exit_code(capsys, argv):
+    # a stable alpha whose period passes testideal.MAX_PERIOD is a resource limit
+    assert run(argv) == 2
+    assert "exceeds the cap of 1000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["froot", "--gens", "x0^3;x0^2+x0*x1", "--e", "1", "-p", "2"],
     ["tau", "--f", "x0^2+x1^3", "--alpha", "1/4", "-p", "3"],

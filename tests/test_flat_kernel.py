@@ -118,7 +118,7 @@ def test_scaled_matches_reference(N, e, data):
     g = data.draw(polys(N.ring, 3))
     gamma = data.draw(st.sampled_from([1, 2])) if N.ring.p == 2 else 1
     cfg = CharConfig(N.ring.p, gamma)
-    got = _root_generators(N, e, cfg, _scalar(g, N.rank))
+    got = Submodule._from_flats(N.rank, N.ring, _root_generators(N, e, cfg, _scalar(g, N.rank)))
     want = ref_root_generators(ref_scaled(N, g), e, cfg)
     assert got.generators == tuple(want)
     assert got.reduced_basis() == Submodule(N.rank, want, N.ring).reduced_basis()
@@ -136,7 +136,9 @@ def test_root_generators_split_every_width(nvars, texts, e):
     cfg = CharConfig(3)
     ring = Ring(3, nvars)
     N = Submodule(2, [VectorR(tuple(poly_parse(t, ring) for t in texts))], ring)
-    got = _root_generators(N, e, cfg, _scalar(Poly.const(ring, 1), N.rank))
+    got = Submodule._from_flats(
+        N.rank, ring, _root_generators(N, e, cfg, _scalar(Poly.const(ring, 1), N.rank))
+    )
     assert got.generators == tuple(ref_root_generators(N.generators, e, cfg))
 
 
@@ -144,7 +146,9 @@ def test_root_generators_split_every_width(nvars, texts, e):
 @given(modules(), st.integers(1, 2))
 def test_root_generators_match_reference(N, e):
     cfg = CharConfig(N.ring.p)
-    got = _root_generators(N, e, cfg, _scalar(Poly.const(N.ring, 1), N.rank))
+    got = Submodule._from_flats(
+        N.rank, N.ring, _root_generators(N, e, cfg, _scalar(Poly.const(N.ring, 1), N.rank))
+    )
     want = ref_root_generators(N.generators, e, cfg)
     assert got.generators == tuple(want)
     assert got.reduced_basis() == Submodule(N.rank, want, N.ring).reduced_basis()

@@ -599,6 +599,40 @@ def test_term_basis_matches_reference(case):
     assert pushed
 
 
+@st.composite
+def lone_generator_lists(draw):
+    """One nonzero flat vector, a term or up to five terms, at rank 1-3 over
+    F_2, F_3 or F_5 in two variables, with zero vectors before and after it."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    rank = draw(st.integers(1, 3))
+    terms = st.tuples(
+        st.integers(0, rank - 1), st.tuples(st.integers(0, 3), st.integers(0, 3))
+    )
+    g = draw(st.dictionaries(terms, st.integers(1, p - 1), min_size=1, max_size=5))
+    before, after = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return p, [{} for _ in range(before)] + [g] + [{} for _ in range(after)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(lone_generator_lists())
+def test_lone_generator_is_its_own_basis(case):
+    # one nonzero vector made monic is the reduced basis of the pair loop and
+    # interreduction, element by element: leads, terms and coefficients; no
+    # Buchberger run, so even a cap of 1 cannot trip
+    p, gens = case
+    expected = _reduce_basis(_buchberger([dict(g) for g in gens], p, DEFAULT_PAIR_LIMIT), p)
+    runs = []
+
+    def counted(*args):
+        runs.append(None)
+        return _buchberger(*args)
+
+    with mock.patch.object(modgb, "_buchberger", counted):
+        got = _basis([dict(g) for g in gens], p, 1)
+    assert len(expected) == 1 and got == expected
+    assert runs == []
+
+
 def test_pair_limit_is_scoped_to_its_thread():
     # BUCHBERGER_CASES[0] needs a queue of 28 pairs
     ring, gens, _ = BUCHBERGER_CASES[0]

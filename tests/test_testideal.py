@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fsing import modgb, testideal
-from fsing.errors import StabilizationError
+from fsing.errors import ResourceLimitExceeded, StabilizationError
 from fsing.frobenius import _RootGraph, frobenius_root
 from fsing.modgb import Submodule, VectorR, contains_all
 from fsing.polyring import CharConfig, Poly, PowerCache, Ring, frobenius_power, poly_parse
@@ -21,6 +21,7 @@ from fsing.listmod import (
 )
 from fsing.testideal import (
     DEFAULT_STABLE_CAP,
+    MAX_PERIOD,
     _digit_root,
     _power_graph,
     f_jumping_exponents,
@@ -797,6 +798,71 @@ def test_ascent_roots_only_the_newest_step(monkeypatch):
     testideal._ascend(a, d, seed, _power_graph(powers, cfg), powers, 8)
     assert len(calls) == 3 and calls[0][0] is seed
     assert all(K is step for (_, step), (K, _) in zip(calls, calls[1:]))
+
+
+def ref_pe_decompose(alpha, cfg):
+    """`testideal._pe_decompose` in its `Fraction` form, without the period cap."""
+    q = cfg.q
+    den = alpha.denominator
+    c = 0
+    while den % cfg.p == 0:
+        den //= cfg.p
+        c += 1
+    c = -(-c // cfg.gamma)  # round the p-adic valuation up to a q-power
+    if den == 1:
+        a = alpha * q**c
+        return a.numerator, c, 0
+    d = 1
+    acc = q % den
+    while acc != 1:
+        acc = (acc * q) % den
+        d += 1
+    a = alpha * q**c * (q**d - 1)
+    return a.numerator, c, d
+
+
+@st.composite
+def pe_alphas(draw):
+    """alpha = num / (p^v den) over F_2 (q = 2 or 4), F_3 or F_5, den prime to p."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    cfg = CharConfig(p, draw(st.sampled_from([1, 2])))
+    den = draw(st.integers(1, 200).filter(lambda n: n % p))
+    full = p ** draw(st.integers(0, 5)) * den
+    return cfg, Fraction(draw(st.integers(1, 3 * full)), full)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(pe_alphas())
+def test_pe_decompose_matches_fraction_form(case):
+    # the integer set-up of the ascent gives the Fraction form's a, c and d
+    cfg, alpha = case
+    a, c, d = testideal._pe_decompose(alpha, cfg)
+    assert (a, c, d) == ref_pe_decompose(alpha, cfg)
+    assert all(type(x) is int for x in (a, c, d))
+    assert alpha == Fraction(a, cfg.q**c * (cfg.q**d - 1 if d else 1))
+
+
+@pytest.mark.parametrize("p, alpha", [(2, Fraction(1, 1000003)), (3, Fraction(99999999, 100000000))])
+def test_long_period_is_a_resource_limit(p, alpha):
+    # periods 1000002 and 5000000: the order search stops at the cap,
+    # before q^d or any root, and the call returns at once
+    f = poly_parse("x0^2+x1^3", Ring(p, 2))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitExceeded, match=f"exceeds the cap of {MAX_PERIOD}"):
+        tau_f_stable(f, alpha, CharConfig(p))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_period_cap_boundary(monkeypatch):
+    # 1/5 has period 4 at q = 2 and 1/31 period 5: a period equal to the cap
+    # is solved, one past it is refused
+    monkeypatch.setattr(testideal, "MAX_PERIOD", 4)
+    cfg = CharConfig(2)
+    f = poly_parse("x0^2+x1^3", Ring(2, 2))
+    assert testideal._pe_decompose(Fraction(1, 5), cfg) == (3, 0, 4)
+    assert tau_f_stable(f, Fraction(1, 5), cfg) == Submodule.full(1, f.ring)
+    with pytest.raises(ResourceLimitExceeded, match="exceeds the cap of 4"):
+        tau_f_stable(f, Fraction(1, 31), cfg)
 
 
 @pytest.mark.parametrize(
