@@ -74,9 +74,9 @@ def _root_generators(N: Submodule, e: int, cfg: CharConfig, mult: Multiplier) ->
     j, m = q^e w + u, is split by one divmod per variable and filed at once
     as c x^w in position j of residue u's vector, so a sum is split once
     however many term pairs it collects.  At e = 0 the result is the
-    product, one vector per generator with nothing split.  For the identity
-    the span and degree bound are those of `frobenius_root`, unpruned and
-    not deduped: x0^2 and x0^3 at q = 2 both give x0, and both copies stay.
+    product.  For the identity the span and degree bound are those of
+    `frobenius_root`, unpruned and not deduped: x0^2 and x0^3 at q = 2 both
+    give x0, and both copies stay.
     The caller builds the module: `Submodule._spanned` for a root step.
     """
     s, p = cfg.q**e, cfg.p
@@ -87,10 +87,6 @@ def _root_generators(N: Submodule, e: int, cfg: CharConfig, mult: Multiplier) ->
             for j, m2, c2 in mult[pos]:
                 t = (j, tuple(map(add, m1, m2)))
                 prod[t] = prod.get(t, 0) + c1 * c2
-        if not e:
-            if prod := {t: r for t, c in prod.items() if (r := c % p)}:
-                out.append(prod)
-            continue
         per_u: Dict[Monomial, FlatVec] = {}
         for (pos, m), c in prod.items():
             if c := c % p:
@@ -100,7 +96,7 @@ def _root_generators(N: Submodule, e: int, cfg: CharConfig, mult: Multiplier) ->
                     w.append(x_w)
                     u.append(x_u)
                 per_u.setdefault(tuple(u), {})[pos, tuple(w)] = c
-        out.extend(per_u.values() if len(per_u) == 1 else (per_u[u] for u in sorted(per_u)))
+        out.extend(per_u[u] for u in sorted(per_u))
     return out
 
 
@@ -142,19 +138,13 @@ class _RootGraph:
         return kid
 
     def add(self, cum: Submodule, piece: Submodule) -> Submodule:
-        """cum + piece: the object kept for piece's span when cum is zero and
-        piece is not, cum itself when it contains piece, else the one object
-        kept for the span of the two, generated by its reduced basis.  A
-        piece is a step of this graph, so it is generated by its reduced
-        basis as well."""
+        """cum + piece: cum itself when it contains piece, else the one
+        object kept for the span of the two, generated by its reduced basis."""
         key = (cum._canonical(), piece._canonical())
         total = self._sums.get(key)
         if total is None:
-            if key[1] and not key[0]:
-                total = self.kept(piece)
-            elif cum._contains_flats(piece._flats):
-                total = cum
-            else:
+            total = cum
+            if not cum._contains_flats(piece._flats):
                 flats = cum._flats + piece._flats
                 total = self.kept(Submodule._spanned(cum.rank, cum.ring, flats))
             self._sums[key] = total

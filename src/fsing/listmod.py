@@ -18,12 +18,11 @@ its jump set is read off the breaks (`_jump_report`).  The running sums live
 on the same graph (`_RootGraph.add`): a sum is keyed by the canonical keys
 of its two terms, and each span is one object, a state where a sum reaches a
 state's span.  The levels e = 0..e_max of `estimate_jumping_numbers` share
-it, so a sum that several levels reach costs one reduced basis in all, a
-sum 0 + piece is the piece's own object, and a level costs q (breaks + 1)
-lookups: b_function of the cusp graph at p=3 computes 9 bases at e_max 4
-and 10 alike, and at p=5 takes about a millisecond at e_max 12.  Every
-list entry point takes a `MatrixList` or the `TMatrix` A(t) itself; a list
-is assembled once.
+it, so a sum that several levels reach costs one reduced basis in all, and
+a level costs q (breaks + 1) lookups: b_function of the cusp graph at p=3
+computes 10 bases at e_max 4 and 10 alike, and at p=5 takes about a
+millisecond at e_max 12.  Every list entry point takes a `MatrixList` or
+the `TMatrix` A(t) itself; a list is assembled once.
 
 Jump-set elements stay on the integer grid from the walk to the report: an
 element of S_e is its numerator m on the grid q^{e+1}, held by a
@@ -373,9 +372,8 @@ class _RootWalk:
     product is P_e = P_{e-1}^[q] A with Frobenius acting on t as well, a
     root of B^[q] K is B times the root of K, and roots compose.  The graph
     takes each (state, digit) step once for the life of the walk and keeps
-    the running sums of its levels, which start from `zero`, where a first
-    nonzero piece is its own sum; `levels` steps the sums of the level
-    below, not the pieces.  A walk takes a
+    the running sums of its levels, which start from `zero`; `levels` steps
+    the sums of the level below, not the pieces.  A walk takes a
     `MatrixList` or A(t) itself, and builds the digit slices of A(t) for
     its one rank once (`_digit_slices`); they go with the graph.
     """

@@ -516,17 +516,18 @@ class PowerCache:
     """
 
     def __init__(self, f: Poly):
-        self.f, self.p = f, f.ring.p
-        self._digits = [Poly._trusted(f.ring, {(0,) * f.ring.width: 1}), f]
+        self.f = f
+        self._prime_cfg = CharConfig(f.ring.p)
+        self._digits = [Poly.const(f.ring, 1), f]
 
     def power(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative power")
-        high, low = divmod(n, self.p)
+        high, low = divmod(n, self._prime_cfg.p)
         digits = self._digits
         while len(digits) <= low:  # each from the one below: the depth does not grow with p
             digits.append(digits[-1] * self.f)
         if not high:
             return digits[low]
-        result = frobenius_power(self.power(high), 1, CharConfig(self.p))
+        result = frobenius_power(self.power(high), 1, self._prime_cfg)
         return result * digits[low] if low else result

@@ -51,7 +51,7 @@ from .errors import ResourceLimitExceeded, StabilizationError
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
 # every module that holds it.  The roots below use `_root_generators`.
 from .frobenius import Multiplier, _root_generators, _RootGraph, _scalar, frobenius_root  # noqa: F401
-from .modgb import Submodule
+from .modgb import Submodule, VectorR
 from .polyring import CharConfig, Poly, PowerCache, check_char
 from .rationals import frac_ceil, snap_interval
 
@@ -62,8 +62,7 @@ MAX_PERIOD = 1000
 
 
 def _ideal(gen: Poly) -> Submodule:
-    """The ideal (gen) of a nonzero gen, built from its flat vector."""
-    return Submodule._from_flats(1, gen.ring, [{(0, m): c for m, c in gen.terms.items()}])
+    return Submodule(1, (VectorR((gen,)),), gen.ring)
 
 
 def _power_graph(powers: PowerCache, cfg: CharConfig) -> _RootGraph:

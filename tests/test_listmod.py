@@ -825,10 +825,10 @@ def test_large_list_index_builds_only_touched_rows():
 
 @pytest.mark.parametrize("e_max", [4, 10])
 def test_cusp_graph_buchberger_runs_do_not_grow_with_e_max(monkeypatch, e_max):
-    # one run for the start state, q = 3 for each of the two expansions and
-    # one for each of the two distinct sums of two nonzero terms: the levels
-    # share their running sums, where each level once summed afresh (18 runs
-    # at e_max=4, 30 at e_max=10), and 0 + piece is the piece, with no run
+    # one run for the start state, q = 3 for each of the two expansions, one
+    # for the zero sum and one for each of the two distinct nonzero sums: the
+    # levels share their running sums, where each level once summed afresh
+    # (18 runs at e_max=4, 30 at e_max=10)
     cfg = CharConfig(3)
     A = graph_generator(poly_parse("x0^2 + x1^3", Ring(3, 2)), cfg)
     # counted at the one basis entry point, term-generated modules included
@@ -841,7 +841,7 @@ def test_cusp_graph_buchberger_runs_do_not_grow_with_e_max(monkeypatch, e_max):
 
     monkeypatch.setattr(modgb, "_basis", counted)
     assert b_function(A, cfg, e_max).roots == (Fraction(2, 3),)
-    assert len(calls) == 9
+    assert len(calls) == 10
 
 
 def test_running_sums_freed_when_call_returns(monkeypatch):
