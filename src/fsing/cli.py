@@ -23,14 +23,10 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .bfun import b_function, graph_generator
 from .errors import FsingError, InternalConsistencyError, ResourceLimitExceeded
 from .frobenius import frobenius_root
-from .listmod import estimate_jumping_numbers, h_expand, load_problem_file, s_set
 from .modgb import DEFAULT_PAIR_LIMIT, Submodule, VectorR, pair_limit
 from .polyring import MAX_VARS, CharConfig, Ring, poly_parse
-from .rationals import GridRational
-from .testideal import tau_f, tau_f_stable, f_jumping_exponents
 
 _ALPHA_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
 
@@ -117,7 +113,7 @@ def _submodule_report(N: Submodule, as_json: bool) -> None:
 
 def _sset_obj(report) -> list:
     """The jumps m/q^{e+1} as {"num", "den"} pairs, reduced by one gcd each."""
-    return [{"num": num, "den": den} for num, den in map(GridRational.reduced, report.jumps)]
+    return [{"num": num, "den": den} for num, den in (g.reduced() for g in report.jumps)]
 
 
 def _chain_obj(c) -> dict:
@@ -142,22 +138,26 @@ def _cmd_froot(args) -> int:
 
 
 def _cmd_tau(args) -> int:
+    import fsing.testideal as testideal
+
     ring = Ring(args.p, _infer_num_vars([args.f], args.num_vars))
     cfg = CharConfig(args.p, args.gamma)
     f = poly_parse(args.f, ring)
     if args.e is not None:
-        ideal = tau_f(f, args.alpha, args.e, cfg)
+        ideal = testideal.tau_f(f, args.alpha, args.e, cfg)
     else:
-        ideal = tau_f_stable(f, args.alpha, cfg)
+        ideal = testideal.tau_f_stable(f, args.alpha, cfg)
     _submodule_report(ideal, args.json)
     return 0
 
 
 def _cmd_fjump(args) -> int:
+    import fsing.testideal as testideal
+
     ring = Ring(args.p, _infer_num_vars([args.f], args.num_vars))
     cfg = CharConfig(args.p, args.gamma)
     f = poly_parse(args.f, ring)
-    exps = f_jumping_exponents(f, cfg, args.e_max)
+    exps = testideal.f_jumping_exponents(f, cfg, args.e_max)
     _emit(
         {"exponents": [_frac_obj(x) for x in exps]},
         args.json,
@@ -167,8 +167,10 @@ def _cmd_fjump(args) -> int:
 
 
 def _cmd_hexpand(args) -> int:
-    problem, cfg = load_problem_file(args.input)
-    fam = h_expand(problem, args.e, cfg)
+    import fsing.listmod as listmod
+
+    problem, cfg = listmod.load_problem_file(args.input)
+    fam = listmod.h_expand(problem, args.e, cfg)
     table = {
         str(n): [[str(entry) for entry in row] for row in mat]
         for n, mat in sorted(fam.table.items())
@@ -187,8 +189,10 @@ def _cmd_hexpand(args) -> int:
 
 
 def _cmd_sset(args) -> int:
-    problem, cfg = load_problem_file(args.input)
-    report = s_set(problem, args.e, cfg)
+    import fsing.listmod as listmod
+
+    problem, cfg = listmod.load_problem_file(args.input)
+    report = listmod.s_set(problem, args.e, cfg)
     _emit(
         {"e": args.e, "s_set": _sset_obj(report)},
         args.json,
@@ -198,8 +202,10 @@ def _cmd_sset(args) -> int:
 
 
 def _cmd_jumps(args) -> int:
-    problem, cfg = load_problem_file(args.input)
-    report = estimate_jumping_numbers(problem, cfg, args.e_max)
+    import fsing.listmod as listmod
+
+    problem, cfg = listmod.load_problem_file(args.input)
+    report = listmod.estimate_jumping_numbers(problem, cfg, args.e_max)
     obj = {
         "s_sets": {str(e): _sset_obj(r) for e, r in report.s_sets.items()},
         "chains": [_chain_obj(c) for c in report.chains],
@@ -219,8 +225,11 @@ def _cmd_jumps(args) -> int:
 
 
 def _cmd_bfun(args) -> int:
-    problem, cfg = load_problem_file(args.input)
-    result = b_function(problem, cfg, args.e_max)
+    import fsing.bfun as bfun
+    import fsing.listmod as listmod
+
+    problem, cfg = listmod.load_problem_file(args.input)
+    result = bfun.b_function(problem, cfg, args.e_max)
     obj = {
         "roots": [_frac_obj(r) for r in result.roots],
         "shift_N": result.shift_N,
@@ -237,11 +246,13 @@ def _cmd_bfun(args) -> int:
 
 
 def _cmd_graphgen(args) -> int:
+    import fsing.bfun as bfun
+
     num_vars = _infer_num_vars([args.f], args.num_vars)
     ring = Ring(args.p, num_vars)
     cfg = CharConfig(args.p, args.gamma)
     f = poly_parse(args.f, ring)
-    A = graph_generator(f, cfg)
+    A = bfun.graph_generator(f, cfg)
     obj = {
         "p": args.p,
         "gamma": args.gamma,

@@ -21,8 +21,9 @@ class RankMismatchError(FsingError):
 
 
 class ResourceLimitExceeded(FsingError):
-    """A computation exceeded a resource cap: the Groebner pair queue, or
-    the period of a stable test ideal's exponent.
+    """A computation exceeded a resource cap: the Groebner pair queue, the
+    period of a stable test ideal's exponent, or the levels of a test-ideal
+    root.
 
     Distinct from wrong answers: nothing was truncated silently.
     """

@@ -26,7 +26,8 @@ A stable test ideal tau(f^{a/(q^d-1)}) is the least fixed point of
 K -> K + Phi(K), Phi(K) = (f^a K)^[1/q^d], over the seed (f^c),
 c = ceil(a/(q^d-1)); a, c and d are found in integers.  The period d, the
 order of q modulo the part of alpha's denominator prime to p, is searched
-only up to `MAX_PERIOD`, since each ascent step walks d levels.  The seed
+only up to `MAX_PERIOD`, since each ascent step walks d levels; the levels
+of any one root, e and c alike, are capped at `MAX_LEVEL`.  The seed
 lies in Phi(seed), as f^{c q^d} lies in (f^{a+c}), and Phi keeps
 inclusions, so the steps Phi^i(seed) ascend: they are the sums, no running
 sum is kept, and the first repeated step is the fixed point.
@@ -59,10 +60,22 @@ DEFAULT_STABLE_CAP = 16
 # Cap on the period d of a stable alpha = a / (q^c (q^d - 1)); each ascent
 # step walks d levels; the tests need d <= 20 and the benchmarks d <= 6.
 MAX_PERIOD = 1000
+# Cap on the levels e of one root (f^k)^[1/q^e]: tau_f's e, f_jumping_exponents'
+# e_max and the c of a stable alpha = a / (q^c (q^d - 1)).  A root walks e
+# levels, each a divmod of a number near q^e, so time grows as e^2; the
+# tests need e <= 10 and the benchmarks e <= 4.
+MAX_LEVEL = 1000
 
 
 def _ideal(gen: Poly) -> Submodule:
     return Submodule(1, (VectorR((gen,)),), gen.ring)
+
+
+def _check_level(e: int, what: str) -> None:
+    """Raise `ResourceLimitExceeded` for a level e past `MAX_LEVEL`, before
+    q^e is formed."""
+    if e > MAX_LEVEL:
+        raise ResourceLimitExceeded(f"{what} = {e} exceeds the level cap of {MAX_LEVEL}")
 
 
 def _power_graph(powers: PowerCache, cfg: CharConfig) -> _RootGraph:
@@ -123,6 +136,7 @@ def tau_f(
     powers = _checked_powers(f, alpha, cfg, powers)
     if e < 0:
         raise ValueError("e must be non-negative")
+    _check_level(e, "the chain level e")
     k = frac_ceil(alpha * cfg.q**e)
     return _digit_root(k, e, Submodule.full(1, f.ring), _power_graph(powers, cfg), powers)
 
@@ -131,7 +145,8 @@ def _pe_decompose(alpha: Fraction, cfg: CharConfig) -> Tuple[int, int, int]:
     """Write alpha = a / (q^c (q^d - 1)) with a, c, d integers, d minimal.
 
     d = 0 encodes a pure q-power denominator (alpha = a / q^c).  A period d
-    past `MAX_PERIOD` raises `ResourceLimitExceeded` before q^d is formed.
+    past `MAX_PERIOD` or a c past `MAX_LEVEL` raises `ResourceLimitExceeded`
+    before q^d or q^c is formed.
     """
     q = cfg.q
     num, den = alpha.numerator, alpha.denominator
@@ -141,6 +156,7 @@ def _pe_decompose(alpha: Fraction, cfg: CharConfig) -> Tuple[int, int, int]:
         rest //= cfg.p
         c += 1
     c = -(-c // cfg.gamma)  # round the p-adic valuation up to a q-power
+    _check_level(c, "the q-power exponent c of alpha's denominator")
     if rest == 1:
         return num * q**c // den, c, 0
     d = 1
@@ -248,6 +264,7 @@ def f_jumping_exponents(f: Poly, cfg: CharConfig, e_max: int) -> List[Fraction]:
         raise ValueError("f must be nonzero and not a unit")
     if e_max < 1:
         raise ValueError("e_max must be positive")
+    _check_level(e_max, "e_max")
     q = cfg.q
     grid = q**e_max
     window = max(1, -(-e_max // 2))

@@ -199,6 +199,17 @@ def test_long_period_exit_code(capsys, argv):
     assert "exceeds the cap of 1000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["tau", "--f", "x0^2+x1^3", "-p", "2", "--alpha", "1/3", "--e", "1001"],
+    ["tau", "--f", "x0^2+x1^3", "-p", "2", "--alpha", f"1/{2**1001}"],
+    ["fjump", "--f", "x0^2+x1^3", "-p", "2", "--e-max", "1001"],
+])
+def test_deep_level_exit_code(capsys, argv):
+    # a root of more levels than testideal.MAX_LEVEL is a resource limit
+    assert run(argv) == 2
+    assert "exceeds the level cap of 1000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["froot", "--gens", "x0^3;x0^2+x0*x1", "--e", "1", "-p", "2"],
     ["tau", "--f", "x0^2+x1^3", "--alpha", "1/4", "-p", "3"],

@@ -43,23 +43,40 @@ def test_no_dataclass_field_outside_init(path):
     assert lines == [], f"{path.name} declares a field(init=False) at line(s) {lines}"
 
 
+def imported_modules(node):
+    """The modules of the package that one import statement imports."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names if a.name.split(".")[0] == "fsing"]
+        return {name.split(".")[1] if "." in name else "__init__" for name in names}
+    if not isinstance(node, ast.ImportFrom):
+        return set()
+    module = node.module or ""
+    if not node.level:
+        if module.split(".")[0] != "fsing":
+            return set()
+        module = module.partition(".")[2]
+    if module:
+        return {module.split(".")[0]}
+    # from . import name: a module, or a name of the package
+    return {a.name if a.name in MODULES else "__init__" for a in node.names}
+
+
 def package_imports(path):
     """The modules of the package that `path` imports, anywhere in its tree."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return set().union(*map(imported_modules, ast.walk(tree)))
+
+
+def import_time_imports(path):
+    """The modules of the package that `path` imports outside any function,
+    so on its own import."""
     out = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Import):
-            names = [a.name for a in node.names if a.name.split(".")[0] == "fsing"]
-            out |= {name.split(".")[1] if "." in name else "__init__" for name in names}
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if not node.level:
-                if module.split(".")[0] != "fsing":
-                    continue
-                module = module.partition(".")[2]
-            if module:
-                out.add(module.split(".")[0])
-            else:  # from . import name: a module, or a name of the package
-                out |= {a.name if a.name in MODULES else "__init__" for a in node.names}
+    todo = list(ast.parse(path.read_text(), filename=str(path)).body)
+    while todo:
+        node = todo.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            out |= imported_modules(node)
+            todo.extend(ast.iter_child_nodes(node))
     return out
 
 
@@ -72,6 +89,26 @@ def test_package_imports_are_acyclic():
         TopologicalSorter(graph).prepare()
     except CycleError as exc:
         pytest.fail(f"import cycle in src/fsing: {' -> '.join(exc.args[1])}")
+
+
+# The layers every subcommand runs; the others load when first used.
+EAGER = {"errors", "polyring", "modgb", "frobenius"}
+
+
+def lazy_table(init):
+    """name -> module of the package's `_LAZY` table, read from its source."""
+    for node in ast.parse(init.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_LAZY"]:
+            return ast.literal_eval(node.value)
+    pytest.fail("src/fsing/__init__.py has no _LAZY table")
+
+
+@pytest.mark.parametrize("name", ["__init__.py", "cli.py"])
+def test_entry_points_import_only_the_eager_layers(name):
+    # the package and the CLI import the test-ideal, rational, list-module and
+    # b-function layers only inside functions or through the lazy table, so
+    # `import fsing` and `fsing tau` do not load the list and b-function code
+    assert import_time_imports(REPO / "src" / "fsing" / name) <= EAGER
 
 
 def unused_imports(path):
@@ -150,7 +187,7 @@ def test_every_export_has_a_use():
         for node in ast.parse(init.read_text()).body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
-    ]
+    ] + list(lazy_table(init))
     used = set().union(*(
         referenced_names(ast.parse(path.read_text(), filename=str(path)))
         for path in SOURCES if path != init

@@ -21,6 +21,7 @@ from fsing.listmod import (
 )
 from fsing.testideal import (
     DEFAULT_STABLE_CAP,
+    MAX_LEVEL,
     MAX_PERIOD,
     _digit_root,
     _power_graph,
@@ -863,6 +864,44 @@ def test_period_cap_boundary(monkeypatch):
     assert tau_f_stable(f, Fraction(1, 5), cfg) == Submodule.full(1, f.ring)
     with pytest.raises(ResourceLimitExceeded, match="exceeds the cap of 4"):
         tau_f_stable(f, Fraction(1, 31), cfg)
+
+
+def test_level_cap_boundary(monkeypatch):
+    # a level equal to the cap is solved, one past it is refused: tau_f's e,
+    # f_jumping_exponents' e_max and the c of a q-power alpha alike
+    cfg = CharConfig(2)
+    f = poly_parse("x0^2+x1^3", Ring(2, 2))
+    at_cap = [
+        lambda: tau_f(f, Fraction(2, 3), 3, cfg),
+        lambda: f_jumping_exponents(f, cfg, 3),
+        lambda: tau_f_stable(f, Fraction(7, 8), cfg),
+        lambda: tau_f_stable(f, Fraction(5, 7 * 8), cfg),
+    ]
+    expected = [solve() for solve in at_cap]
+    monkeypatch.setattr(testideal, "MAX_LEVEL", 3)
+    assert [solve() for solve in at_cap] == expected
+    for solve in (
+        lambda: tau_f(f, Fraction(1, 3), 4, cfg),
+        lambda: f_jumping_exponents(f, cfg, 4),
+        lambda: tau_f_stable(f, Fraction(7, 16), cfg),
+        lambda: tau_f_stable(f, Fraction(1, 7 * 16), cfg),
+    ):
+        with pytest.raises(ResourceLimitExceeded, match="= 4 exceeds the level cap of 3"):
+            solve()
+
+
+@pytest.mark.parametrize("solve", [
+    lambda f, cfg: tau_f(f, Fraction(1, 3), 10**9, cfg),
+    lambda f, cfg: f_jumping_exponents(f, cfg, 10**9),
+    lambda f, cfg: tau_f_stable(f, Fraction(1, 2**(MAX_LEVEL + 1)), cfg),
+], ids=["tau_f", "f_jumping_exponents", "q-power alpha"])
+def test_deep_level_is_a_resource_limit(solve):
+    # the cap is checked before q^e is formed, so the call returns at once
+    f = poly_parse("x0^2+x1^3", Ring(2, 2))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitExceeded, match=f"exceeds the level cap of {MAX_LEVEL}"):
+        solve(f, CharConfig(2))
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(
