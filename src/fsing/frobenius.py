@@ -9,16 +9,17 @@ Deep roots are taken one level at a time along base-q digits, by the rules
 (Blickle-Mustata-Smith, Michigan Math. J. 57, 2008).  A one-level step
 depends only on the span of the module and the digit, so the steps form a
 finite graph on the distinct spans with edges labelled by digits
-(`_RootGraph`).  The test ideals of `testideal` and the list walks of
-`listmod` both run on it; only the step differs.  A list walk's running sums
-are kept on its graph as well, one object per span, so within one call the
-graph is the only store of spans.
+(`_RootGraph`).  The graph takes the multiplier m_d of each digit d and runs
+the one step K -> (m_d K)^[1/q] itself: m_d is f^d for the test ideals of
+`testideal` and the digit-d slice of A(t) for the list walks of `listmod`.
+A list walk's running sums are kept on its graph as well, one object per
+span, so within one call the graph is the only store of spans.
 """
 
 from __future__ import annotations
 
 from operator import add
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .modgb import FlatVec, Submodule, VectorR, prune_generators
 from .polyring import CharConfig, Monomial, Poly, check_char, frobenius_power
@@ -101,8 +102,8 @@ def _root_generators(N: Submodule, e: int, cfg: CharConfig, mult: Multiplier) ->
 
 
 class _RootGraph:
-    """The one-level steps K -> step(K, d), d < q, of one call, each taken
-    once, and the sums K -> K + P of its running sums.
+    """The one-level steps K -> (mults[d] K)^[1/q], d < q, of one call, each
+    taken once, and the sums K -> K + P of its running sums.
 
     A step depends only on the span of K and the digit d, so it is kept
     under (K._canonical(), d) and taken once, however many digit prefixes
@@ -113,12 +114,13 @@ class _RootGraph:
     a seed a caller walks or sums from is kept only if it is passed to
     `kept`, which `f_jumping_exponents` does.  The zero module is
     its own child and is never stepped.  The graph lives as long as its
-    owner; nothing is kept at module level.  `cfg` is the characteristic
-    the steps are taken in.
+    owner; nothing is kept at module level.  `mults[d]` is the multiplier
+    of digit d, read at each new step of that digit, and `cfg` is the
+    characteristic the steps are taken in.
     """
 
-    def __init__(self, step: Callable[[Submodule, int], Submodule], cfg: CharConfig):
-        self.step, self.cfg, self.q = step, cfg, cfg.q
+    def __init__(self, mults: Sequence[Multiplier], cfg: CharConfig):
+        self.mults, self.cfg, self.q = mults, cfg, cfg.q
         self._known: Dict[Tuple[frozenset, ...], Submodule] = {}
         self.edges: Dict[Tuple[Tuple[frozenset, ...], int], Submodule] = {}
         self._sums: Dict[Tuple[Tuple[frozenset, ...], ...], Submodule] = {}
@@ -128,13 +130,15 @@ class _RootGraph:
         return self._known.setdefault(K._canonical(), K)
 
     def child(self, K: Submodule, d: int) -> Submodule:
-        """step(K, d), as the one object kept for its span."""
+        """(mults[d] K)^[1/q], as the one object kept for its span and
+        generated by its reduced basis (`Submodule._spanned`)."""
         key = K._canonical()
         if not key:
             return K
         kid = self.edges.get((key, d))
         if kid is None:
-            kid = self.edges[key, d] = self.kept(self.step(K, d))
+            flats = _root_generators(K, 1, self.cfg, self.mults[d])
+            kid = self.edges[key, d] = self.kept(Submodule._spanned(K.rank, K.ring, flats))
         return kid
 
     def add(self, cum: Submodule, piece: Submodule) -> Submodule:

@@ -10,9 +10,8 @@ jumping numbers.  Those roots are never taken of the product itself: a
 digit-wise walk (`_RootWalk`) reaches each one in e+1 one-level steps along
 the base-q digits of n, through finitely many states.  The states and steps
 are a `frobenius._RootGraph`, the graph the test ideals of `testideal` run
-on too, so each (state, digit) step is taken once per call, and a step is
-their kernel `frobenius._root_generators` with the digit's slice of A(t)
-as its multiplier.  A level's running sum is a step function on its grid,
+on too, over the digit slices of A(t) as its multipliers in place of f^d,
+so each (state, digit) step is taken once per call.  A level's running sum is a step function on its grid,
 kept as its breaks and built from the level below (`_RootWalk.levels`), and
 its jump set is read off the breaks (`_jump_report`).  The running sums live
 on the same graph (`_RootGraph.add`): a sum is keyed by the canonical keys
@@ -47,7 +46,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .errors import InternalConsistencyError, ProblemFormatError
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
 # every fsing module that holds it, and its tests expect listmod among them.
-from .frobenius import Multiplier, _root_generators, _RootGraph, frobenius_root  # noqa: F401
+from .frobenius import _RootGraph, frobenius_root  # noqa: F401
 from .modgb import Submodule
 from .polyring import (
     MAX_VARS, CharConfig, Monomial, Poly, Ring, check_char, frobenius_power, poly_parse,
@@ -57,8 +56,6 @@ from .rationals import GridRational, detect_chain_limit, frac_ceil
 Matrix = tuple[tuple[Poly, ...], ...]
 # a scan m -> scan(m) as its breaks (m, scan(m)): m = 0 and each m where it changes
 Breaks = list[tuple[int, Submodule]]
-# the digit slices of A(t) on one rank, and the bound on t a state would pass, or None
-DigitSlices = Tuple[List[Multiplier], Optional[int]]
 
 
 def _mat_check(mat: Sequence[Sequence[Poly]], l: int, ring: Ring) -> Matrix:
@@ -325,41 +322,29 @@ def _jump_report(breaks: Breaks, e: int, cfg: CharConfig) -> SeReport:
 # -- the digit-wise walk ------------------------------------------------------
 
 
-def _digit_slices(A: TMatrix, rank: int) -> DigitSlices:
-    """The digit-r slices of A(t) on R^rank, r < q, and the bound
-    N = rank // l - 1 on t if A(t) carries a coordinate past it, else None.
+def _digit_slices(A: TMatrix, rank: int) -> List[_DigitSlice]:
+    """The digit-r slices of A(t) on R^rank, r < q: the multipliers of a
+    walk's steps in R^{l(N+1)}, N = rank // l - 1.
 
-    A slice builds a row at its first use (`_DigitSlice`), since a walk's
-    states touch few of the rank slots.  The shift grows with the slot,
-    so column j's top slot (rank - 1 - j) // l, which is N when l divides
-    the rank, alone decides whether its terms go past the bound."""
+    Coordinate s*l + i is slot i of t^s.  The step of digit r multiplies
+    each generator v(t) by A(t), keeps the terms x^a t^m with m = r (mod q)
+    and roots them one level in x and t: x^a t^m goes to the x-residue
+    a mod q with coefficient x^(a div q) t^(m div q).  The slice is the
+    t-part; `_RootGraph.child` roots x.  A slice builds a row at its first
+    use (`_DigitSlice`), since a walk's states touch few of the rank slots.
+    A child's t-degree is at most floor((d + N)/q) <= N; a coordinate that
+    A(t) would carry past N is an internal error, raised here for the whole
+    walk.  The shift grows with the slot, so column j's top slot
+    (rank - 1 - j) // l, which is N when l divides the rank, alone decides."""
     q, l, bound = A.cfg.q, A.l, rank // A.l - 1
-    over = any(
+    if any(
         (mono[-1] + (rank - 1 - j) // l) // q > bound
         for row in A.mat for j, entry in enumerate(row) for mono in entry.terms
-    )
-    return [_DigitSlice(A.mat, q, r) for r in range(q)], bound if over else None
-
-
-def _expand_state(K: Submodule, slices: DigitSlices, cfg: CharConfig, r: int) -> Submodule:
-    """The child step(K, r) of a state K in R^{l(N+1)} for the digit r < q.
-
-    Coordinate s*l + i of K is slot i of t^s.  step(K, r) multiplies each
-    generator v(t) by A(t), keeps the terms x^a t^m with m = r (mod q) and
-    roots them one level in x and t: x^a t^m goes to the x-residue a mod q
-    with coefficient x^(a div q) t^(m div q).  The t-part is the digit-r
-    slice of A(t) in `slices` (`_digit_slices` of A at K's rank, cfg being
-    A's); the x-part is `_root_generators` on that multiplier.  A child's
-    t-degree is at most floor((d + N)/q) <= N; a coordinate of K, zero or
-    not, that A(t) would carry past N is an internal error once K has a
-    generator, and the zero state steps to zero.
-    """
-    mults, N = slices
-    if K._flats and N is not None:
-        raise InternalConsistencyError(f"a Frobenius-root state exceeds the tau-degree bound {N}")
-    # the generators go straight to Buchberger: a repeated one reduces to
-    # zero, so no dedupe is needed
-    return Submodule._spanned(K.rank, K.ring, _root_generators(K, 1, cfg, mults[r]))
+    ):
+        raise InternalConsistencyError(
+            f"a Frobenius-root state exceeds the tau-degree bound {bound}"
+        )
+    return [_DigitSlice(A.mat, q, r) for r in range(q)]
 
 
 class _RootWalk:
@@ -368,14 +353,14 @@ class _RootWalk:
     With N = floor(d/(q-1)), the piece (H^{e+1}_n)^[1/q^{e+1}] of the level-e
     scan is the state K_{e+1}, where K_0 is spanned by the unit vectors of
     the t^0 slots and K_{i+1} = step(K_i, n_i) for the base-q digits n_i of
-    n, lowest first (see `_expand_state`).  That is exact: the level-e
+    n, lowest first (see `_digit_slices`).  That is exact: the level-e
     product is P_e = P_{e-1}^[q] A with Frobenius acting on t as well, a
     root of B^[q] K is B times the root of K, and roots compose.  The graph
     takes each (state, digit) step once for the life of the walk and keeps
     the running sums of its levels, which start from `zero`; `levels` steps
     the sums of the level below, not the pieces.  A walk takes a
     `MatrixList` or A(t) itself, and builds the digit slices of A(t) for
-    its one rank once (`_digit_slices`); they go with the graph.
+    its one rank once (`_digit_slices`): they are its graph's multipliers.
     """
 
     def __init__(self, A: TMatrix | MatrixList, cfg: CharConfig):
@@ -385,8 +370,7 @@ class _RootWalk:
         units = [{(i, (0,) * ring.width): 1} for i in range(A.l)]
         self.start = Submodule._spanned(rank, ring, units)
         self.zero = Submodule.zero(rank, ring)
-        slices = _digit_slices(A, rank)
-        self.graph = _RootGraph(lambda K, r: _expand_state(K, slices, cfg, r), cfg)
+        self.graph = _RootGraph(_digit_slices(A, rank), cfg)
 
     def piece(self, n: int, e: int) -> Submodule:
         """The piece at n on level e: e + 1 steps along the digits of n."""

@@ -11,10 +11,10 @@ a = a_0 + a_1 q + ... + a_{e-1} q^{e-1} + N q^e in base q, they give
 (f^a K)^[1/q^e] = f^N K_e with K_0 = K and K_{i+1} = (f^{a_i} K_i)^[1/q], so
 degrees stay near deg(f) q rather than deg(f) a.  The step
 K_i -> K_{i+1} depends only on the span of K_i and the digit a_i, so each
-call keeps its steps in one `frobenius._RootGraph` and takes each
-(ideal, digit) step once, however many digit prefixes reach the ideal; the
-list walks of `listmod` run on the same graph and kernel, with a matrix
-slice in place of f^d.
+call keeps its steps in one `frobenius._RootGraph` over the multipliers
+f^d, d < q, and takes each (ideal, digit) step once, however many digit
+prefixes reach the ideal; the list walks of `listmod` run on the same graph,
+with a matrix slice in place of f^d.
 
 F-jumping exponents are found by bisecting the grid k/q^e, not by rooting
 all of its points.  k -> (f^k)^[1/q^e] never grows (f^{k+1} lies in (f^k),
@@ -46,12 +46,13 @@ instead, promises the bound deg <= floor(maxdeg / q^e).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import ResourceLimitExceeded, StabilizationError
+from .frobenius import Multiplier, _root_generators, _RootGraph, _scalar
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
 # every module that holds it.  The roots below use `_root_generators`.
-from .frobenius import Multiplier, _root_generators, _RootGraph, _scalar, frobenius_root  # noqa: F401
+from .frobenius import frobenius_root  # noqa: F401
 from .modgb import Submodule, VectorR
 from .polyring import CharConfig, Poly, PowerCache, check_char
 from .rationals import frac_ceil, snap_interval
@@ -78,22 +79,21 @@ def _check_level(e: int, what: str) -> None:
         raise ResourceLimitExceeded(f"{what} = {e} exceeds the level cap of {MAX_LEVEL}")
 
 
+class _PowerDigits(dict):
+    """The multipliers by f^d, d < q, of f = powers.f, each built at first use."""
+
+    def __init__(self, powers: PowerCache):
+        super().__init__()
+        self.powers = powers
+
+    def __missing__(self, d: int) -> Multiplier:
+        self[d] = mult = _scalar(self.powers.power(d), 1)
+        return mult
+
+
 def _power_graph(powers: PowerCache, cfg: CharConfig) -> _RootGraph:
-    """The one-level roots K -> (f^d K)^[1/q], d < q, of f = powers.f.
-
-    Each step is the module generated by the root's reduced basis
-    (`Submodule._spanned`), not a pruned generator list, so its generators
-    carry no degree bound; the span is the same.  The multiplier by f^d is
-    built once per digit, at its first step.
-    """
-    mults: Dict[int, Multiplier] = {}
-
-    def step(K: Submodule, d: int) -> Submodule:
-        if d not in mults:
-            mults[d] = _scalar(powers.power(d), 1)
-        return Submodule._spanned(K.rank, K.ring, _root_generators(K, 1, cfg, mults[d]))
-
-    return _RootGraph(step, cfg)
+    """The one-level roots K -> (f^d K)^[1/q], d < q, of f = powers.f."""
+    return _RootGraph(_PowerDigits(powers), cfg)
 
 
 def _digit_root(n: int, e: int, K: Submodule, graph: _RootGraph, powers: PowerCache) -> Submodule:
@@ -112,28 +112,19 @@ def _digit_root(n: int, e: int, K: Submodule, graph: _RootGraph, powers: PowerCa
     return Submodule._from_flats(K.rank, K.ring, flats)
 
 
-def _checked_powers(
-    f: Poly, alpha: Fraction, cfg: CharConfig, powers: Optional[PowerCache]
-) -> PowerCache:
-    """The inputs of `tau_f` and `tau_f_stable` checked, and the power cache
-    of f: `powers`, or a new one."""
+def _checked_powers(f: Poly, alpha: Fraction, cfg: CharConfig) -> PowerCache:
+    """The inputs of `tau_f` and `tau_f_stable` checked, and a power cache of f."""
     check_char(f.ring, cfg)
     if f.is_zero():
         raise ValueError("f must be nonzero")
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    return powers or PowerCache(f)
+    return PowerCache(f)
 
 
-def tau_f(
-    f: Poly,
-    alpha: Fraction,
-    e: int,
-    cfg: CharConfig,
-    powers: Optional[PowerCache] = None,
-) -> Submodule:
+def tau_f(f: Poly, alpha: Fraction, e: int, cfg: CharConfig) -> Submodule:
     """The e-th member (f^{ceil(alpha q^e)})^[1/q^e] of the chain for tau(f^alpha)."""
-    powers = _checked_powers(f, alpha, cfg, powers)
+    powers = _checked_powers(f, alpha, cfg)
     if e < 0:
         raise ValueError("e must be non-negative")
     _check_level(e, "the chain level e")
@@ -203,13 +194,7 @@ def _ascend(
     )
 
 
-def tau_f_stable(
-    f: Poly,
-    alpha: Fraction,
-    cfg: CharConfig,
-    e_cap: int = DEFAULT_STABLE_CAP,
-    powers: Optional[PowerCache] = None,
-) -> Submodule:
+def tau_f_stable(f: Poly, alpha: Fraction, cfg: CharConfig) -> Submodule:
     """The test ideal tau(f^alpha) itself, the union of the tau_f chain.
 
     Computed exactly rather than by watching the chain: with
@@ -224,7 +209,7 @@ def tau_f_stable(
     (f = x0^3 over F_2 at alpha = 8/25 pauses at e = 1, 2).  For alpha < 1
     the generators are the reduced basis.
     """
-    powers = _checked_powers(f, alpha, cfg, powers)
+    powers = _checked_powers(f, alpha, cfg)
     full = Submodule.full(1, f.ring)
     if alpha == 0:
         return full
@@ -235,7 +220,7 @@ def tau_f_stable(
     den = cfg.q**d - 1
     m, a = divmod(a, den)
     seed = _ideal(powers.power(-(-a // den)))
-    fixed = _ascend(a, d, seed, graph, powers, e_cap)
+    fixed = _ascend(a, d, seed, graph, powers, DEFAULT_STABLE_CAP)
     return _digit_root(m, c, fixed, graph, powers)
 
 

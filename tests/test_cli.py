@@ -244,11 +244,11 @@ def test_limit_pairs_reaches_every_buchberger_run(monkeypatch, capsys, tame_prob
     ["bfun", "--e-max", "3"],
 ])
 def test_internal_error_exit_code(monkeypatch, capsys, tame_problem, command):
-    # hexpand checks its H-family; sset and bfun check each state of the walk
+    # hexpand checks its H-family; sset and bfun check the digit slices of the walk
     if command[0] == "hexpand":
         check, message = "_validate_family", "reassembly of H^2 does not reproduce A^1"
     else:
-        check, message = "_expand_state", "a Frobenius-root state exceeds the tau-degree bound 0"
+        check, message = "_digit_slices", "a Frobenius-root state exceeds the tau-degree bound 0"
 
     def broken(*args):
         raise InternalConsistencyError(message)

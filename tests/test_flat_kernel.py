@@ -2,7 +2,8 @@
 
 `frobenius._root_generators` multiplies the flat generators of a
 `Submodule` by a multiplier and roots them in one pass: by `_scalar(g, rank)`
-for a product g N, and by a digit's slice of A(t) in `listmod._expand_state`.
+for a product g N, and by a digit's slice of A(t) (`listmod._digit_slices`)
+in a list walk's step `frobenius._RootGraph.child`.
 The `ref_*` functions below build the product as `VectorR`s of `Poly`
 entries first and root it after; each flat step must give the same
 generators (where the step hands them back) and the same reduced basis.
@@ -17,8 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsing.errors import InternalConsistencyError
-from fsing.frobenius import _root_generators, _scalar, frobenius_root
-from fsing.listmod import TMatrix, _digit_slices, _expand_state
+from fsing.frobenius import _root_generators, _RootGraph, _scalar, frobenius_root
+from fsing.listmod import TMatrix, _digit_slices
 from fsing.modgb import Submodule, VectorR, prune_generators
 from fsing.polyring import CharConfig, Monomial, Poly, Ring, frobenius_decompose, poly_parse
 
@@ -197,11 +198,21 @@ def rank_three_state():
 @example(rank_three_state())
 def test_expand_state_matches_reference(case):
     A, cfg, K = case
-    slices = _digit_slices(A, K.rank)
-    got = outcome(lambda: [_expand_state(K, slices, cfg, r) for r in range(cfg.q)])
+
+    def children():
+        graph = _RootGraph(_digit_slices(A, K.rank), cfg)
+        return [graph.child(K, r) for r in range(cfg.q)]
+
+    got = outcome(children)
     want = outcome(
         lambda: [Submodule(K.rank, g, K.ring) for g in ref_expand_state(K, A, cfg)]
     )
+    if not K.generators:
+        # the bound is checked once for the walk, whose start state is never
+        # zero; the reference checks it on a state's generators, so it is
+        # asked on the full module, and the zero state steps to zero
+        full = Submodule.full(K.rank, K.ring)
+        want = outcome(lambda: ref_expand_state(full, A, cfg) and [K] * cfg.q)
     assert got == want
 
 
@@ -213,7 +224,7 @@ def test_expand_state_checks_zero_coordinates():
     A = TMatrix(((Poly(Ring(2, 0, "t"), {(3,): 1}),),), cfg)
     K = Submodule(2, (VectorR((Poly.const(ring, 1), Poly.zero(ring))),), ring)
     with pytest.raises(InternalConsistencyError, match="tau-degree bound 1"):
-        _expand_state(K, _digit_slices(A, K.rank), cfg, 0)
+        _RootGraph(_digit_slices(A, K.rank), cfg).child(K, 0)
     with pytest.raises(InternalConsistencyError, match="tau-degree bound 1"):
         ref_expand_state(K, A, cfg)
 

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from fsing.frobenius import _RootGraph, bracket_power, frobenius_root
+from fsing import frobenius
+from fsing.frobenius import _RootGraph, _scalar, bracket_power, frobenius_root
 from fsing.modgb import Submodule, VectorR, contains_all
 from fsing.polyring import CharConfig, Poly, Ring, poly_parse
 
@@ -135,23 +136,32 @@ def test_root_rejects_module_over_r_t():
         frobenius_root(ideal(ring, "x0"), 1, CharConfig(2))
 
 
-def cusp_root_graph():
+def spy_root_steps(monkeypatch):
+    """Every one-level step a root graph takes from here on, as (span, id of
+    the digit's multiplier): each step runs the kernel `_root_generators`
+    once, and so does each public `frobenius_root`."""
+    steps = []
+    kernel = frobenius._root_generators
+
+    def recording(N, e, cfg, mult):
+        steps.append((N._canonical(), id(mult)))
+        return kernel(N, e, cfg, mult)
+
+    monkeypatch.setattr(frobenius, "_root_generators", recording)
+    return steps
+
+
+def cusp_root_graph(monkeypatch):
     """The one-level roots K -> (f^d K)^[1/2] of the cusp over F_2, with every
-    step recorded as (span, digit)."""
+    step recorded by `spy_root_steps`."""
     ring, cfg = Ring(2, 2), CharConfig(2)
     f = poly_parse("x0^2 + x1^3", ring)
-    steps = []
-
-    def step(K, d):
-        steps.append((K._canonical(), d))
-        scaled = Submodule(1, tuple(v.poly_mul(f**d) for v in K.generators), ring)
-        return frobenius_root(scaled, 1, cfg)
-
-    return _RootGraph(step, cfg), steps, ring
+    graph = _RootGraph([_scalar(f**d, 1) for d in range(cfg.q)], cfg)
+    return graph, spy_root_steps(monkeypatch), ring
 
 
-def test_root_graph_one_object_per_span():
-    graph, steps, ring = cusp_root_graph()
+def test_root_graph_one_object_per_span(monkeypatch):
+    graph, steps, ring = cusp_root_graph(monkeypatch)
     full = Submodule.full(1, ring)
     m = graph.child(full, 1)  # (f)^[1/2] = (x0, x1)
     assert m == ideal(ring, "x0", "x1")
@@ -165,8 +175,8 @@ def test_root_graph_one_object_per_span():
     assert len(steps) == len(set(steps)) == 4
 
 
-def test_root_graph_sums_one_object_per_span():
-    graph, steps, ring = cusp_root_graph()
+def test_root_graph_sums_one_object_per_span(monkeypatch):
+    graph, steps, ring = cusp_root_graph(monkeypatch)
     m = graph.child(Submodule.full(1, ring), 1)
     zero = Submodule.zero(1, ring)
     # a sum that reaches a state's span is that state
@@ -183,25 +193,32 @@ def test_root_graph_sums_one_object_per_span():
     assert len(graph._known) == 2
 
 
-def test_root_graph_zero_module_is_its_own_child():
-    graph, steps, ring = cusp_root_graph()
+def test_root_graph_zero_module_is_its_own_child(monkeypatch):
+    graph, steps, ring = cusp_root_graph(monkeypatch)
     zero = Submodule.zero(1, ring)
     assert all(graph.child(zero, d) is zero for d in range(2))
     assert graph.walk(zero, 5, 3) == (zero, 0)
     assert steps == [] and not graph.edges
 
 
-def test_root_graph_steps_each_span_and_digit_once():
-    graph, steps, ring = cusp_root_graph()
+def test_root_graph_steps_each_span_and_digit_once(monkeypatch):
+    ring = Ring(2, 2)
     f = poly_parse("x0^2 + x1^3", ring)
     seeds = [Submodule.full(1, ring), ideal(ring, "x0"), ideal(ring, "x1^3")]
-    for seed in seeds:
+    # the deep roots of f^k seed, k < 16, each taken in one piece before
+    # the spy counts the graph's steps
+    deep = {
+        (i, k): frobenius_root(
+            Submodule(1, tuple(v.poly_mul(f**k) for v in seed.generators), ring), 4, CharConfig(2)
+        )
+        for i, seed in enumerate(seeds) for k in range(2**4)
+    }
+    graph, steps, ring = cusp_root_graph(monkeypatch)
+    for i, seed in enumerate(seeds):
         for n in range(2**6):
             K, rest = graph.walk(seed, n, 4)
             assert rest == n // 2**4
-            # the deep root of f^(n mod 16) seed, taken in one piece
-            scaled = Submodule(1, tuple(v.poly_mul(f ** (n % 16)) for v in seed.generators), ring)
-            assert K == frobenius_root(scaled, 4, CharConfig(2))
+            assert K == deep[i, n % 16]
     assert len(steps) == len(set(steps)) == len(graph.edges)
     # every edge ends on a state some step returned, kept once per span
     kept = {}

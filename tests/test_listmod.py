@@ -18,7 +18,6 @@ from fsing.listmod import (
     SeReport,
     TMatrix,
     _digit_slices,
-    _expand_state,
     _twisted_power,
     _validate_family,
     assemble_A,
@@ -41,6 +40,7 @@ from fsing.rationals import GridRational
 from fsing.testideal import f_jumping_exponents, tau_f, tau_f_stable
 
 from matrix_lists import decompose
+from test_frobenius import spy_root_steps
 
 
 def tmat(cfg, nvars, rows):
@@ -757,17 +757,6 @@ def test_walk_matches_legacy_scan(ml, e):
     assert estimate_jumping_numbers(ml, cfg, max(e, 2)).s_sets[e] == report
 
 
-def count_expansions(monkeypatch):
-    calls = []
-
-    def counting(K, slices, cfg, r):
-        calls.append((K.reduced_basis(), r))
-        return _expand_state(K, slices, cfg, r)
-
-    monkeypatch.setattr(listmod, "_expand_state", counting)
-    return calls
-
-
 @pytest.mark.parametrize("p", [3, 5])
 def test_cusp_graph_state_expansions(monkeypatch, p):
     # the cusp graph has two distinct nonzero states; each of their q digits
@@ -775,7 +764,7 @@ def test_cusp_graph_state_expansions(monkeypatch, p):
     # deep roots before
     cfg = CharConfig(p)
     A = graph_generator(poly_parse("x0^2 + x1^3", Ring(p, 2)), cfg)
-    calls = count_expansions(monkeypatch)
+    calls = spy_root_steps(monkeypatch)
     report = estimate_jumping_numbers(decompose(A), cfg, 4)
     assert report.estimates == (Fraction(1, p),)
     assert len(calls) == len(set(calls)) == 2 * cfg.q
@@ -798,7 +787,7 @@ def test_digit_slices_freed_when_call_returns(monkeypatch):
     def recording(A, rank):
         built.append(rank)
         got = _digit_slices(A, rank)
-        slices.extend(weakref.ref(s) for s in got[0])
+        slices.extend(map(weakref.ref, got))
         return got
 
     monkeypatch.setattr(listmod, "_digit_slices", recording)
@@ -850,9 +839,9 @@ def test_running_sums_freed_when_call_returns(monkeypatch):
     graphs, sums = [], []
     plain_init, plain_add = _RootGraph.__init__, _RootGraph.add
 
-    def recording_init(self, step, cfg):
+    def recording_init(self, mults, cfg):
         graphs.append(weakref.ref(self))
-        plain_init(self, step, cfg)
+        plain_init(self, mults, cfg)
 
     def recording_add(self, cum, piece):
         total = plain_add(self, cum, piece)
@@ -949,13 +938,13 @@ def test_state_past_tau_bound_raises():
     ring = Ring(2, 0)
     A = tmat(cfg, 0, [["t^3"]])
     with pytest.raises(InternalConsistencyError, match="exceeds the tau-degree bound 0"):
-        _expand_state(Submodule.full(1, ring), _digit_slices(A, 1), cfg, 0)
+        _RootGraph(_digit_slices(A, 1), cfg).child(Submodule.full(1, ring), 0)
     # in R^4 (bound 3) the children of <1> are 0 and <t>
     one = Poly.const(ring, 1)
     zero = Poly.zero(ring)
     K = Submodule(4, (VectorR((one, zero, zero, zero)),), ring)
-    slices = _digit_slices(A, K.rank)
-    even, odd = (_expand_state(K, slices, cfg, r) for r in range(cfg.q))
+    graph = _RootGraph(_digit_slices(A, K.rank), cfg)
+    even, odd = (graph.child(K, r) for r in range(cfg.q))
     assert even.is_zero()
     assert odd == Submodule(4, (VectorR((zero, one, zero, zero)),), ring)
 

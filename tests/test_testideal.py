@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fsing import modgb, testideal
 from fsing.errors import ResourceLimitExceeded, StabilizationError
-from fsing.frobenius import _RootGraph, frobenius_root
+from fsing.frobenius import frobenius_root
 from fsing.modgb import Submodule, VectorR, contains_all
 from fsing.polyring import CharConfig, Poly, PowerCache, Ring, frobenius_power, poly_parse
 from fsing.rationals import GridRational, frac_ceil, snap_interval
@@ -29,6 +29,7 @@ from fsing.testideal import (
     tau_f,
     tau_f_stable,
 )
+from test_frobenius import spy_root_steps
 from test_listmod import jump_report
 
 
@@ -607,22 +608,6 @@ def test_digit_root_matches_pruned_chain(data, e, draws, seed_mono, other_mono, 
         assert level.generators == level.reduced_basis()
 
 
-def counting_roots(monkeypatch):
-    """The one-level steps taken by every root graph built from here on."""
-    calls = []
-    init = _RootGraph.__init__
-
-    def counted_init(graph, step, cfg):
-        def counted(K, d):
-            calls.append(None)
-            return step(K, d)
-
-        init(graph, counted, cfg)
-
-    monkeypatch.setattr(_RootGraph, "__init__", counted_init)
-    return calls
-
-
 @pytest.mark.parametrize(
     "p, text, e, seeds",
     [
@@ -648,7 +633,7 @@ def test_one_root_per_distinct_state_and_digit(monkeypatch, p, text, e, seeds):
                 n, digit = divmod(n, cfg.q)
                 keys.add((K.reduced_basis(), digit))
                 K = ref_digit_chain(digit, 1, K, power, cfg)
-    calls = counting_roots(monkeypatch)
+    calls = spy_root_steps(monkeypatch)
     built = []
     scalar = testideal._scalar
     monkeypatch.setattr(testideal, "_scalar", lambda g, rank: built.append(g) or scalar(g, rank))
@@ -932,7 +917,7 @@ def test_bisection_roots_few_grid_points(monkeypatch):
     # the cusp at p=13, e_max=3 has 2197 grid points; a scan of all of them
     # takes 2379 one-level roots, the bisection with one root per distinct
     # state and digit 16
-    calls = counting_roots(monkeypatch)
+    calls = spy_root_steps(monkeypatch)
     f = poly_parse("x0^2+x1^3", Ring(13, 2))
     assert f_jumping_exponents(f, CharConfig(13), 3) == [Fraction(5, 6), Fraction(1)]
     assert len(calls) == 16
