@@ -13,7 +13,8 @@ finite graph on the distinct spans with edges labelled by digits
 the one step K -> (m_d K)^[1/q] itself: m_d is f^d for the test ideals of
 `testideal` and the digit-d slice of A(t) for the list walks of `listmod`.
 A list walk's running sums are kept on its graph as well, one object per
-span, so within one call the graph is the only store of spans.
+span, so within one call the graph is the only store of spans.  The levels
+of one root or walk are capped at `MAX_LEVEL` (`_check_level`).
 """
 
 from __future__ import annotations
@@ -21,10 +22,25 @@ from __future__ import annotations
 from operator import add
 from typing import Dict, List, Sequence, Tuple
 
+from .errors import ResourceLimitExceeded
 from .modgb import FlatVec, Submodule, VectorR, prune_generators
 from .polyring import CharConfig, Monomial, Poly, check_char, frobenius_power
 
 Multiplier = Sequence[Sequence[Tuple[int, Monomial, int]]]
+
+# Cap on the levels e of one root or walk: tau_f's e, f_jumping_exponents'
+# e_max, the c of a stable alpha = a / (q^c (q^d - 1)), a list level e or
+# e_max, and h_expand's e.  A root walks e levels, each a divmod of a number
+# near q^e, so time grows as e^2; the tests need e <= 12 and the benchmarks
+# e <= 4.
+MAX_LEVEL = 1000
+
+
+def _check_level(e: int, what: str) -> None:
+    """Raise `ResourceLimitExceeded` for a level e past `MAX_LEVEL`, before
+    q^e is formed."""
+    if e > MAX_LEVEL:
+        raise ResourceLimitExceeded(f"{what} = {e} exceeds the level cap of {MAX_LEVEL}")
 
 
 def bracket_power(N: Submodule, e: int, cfg: CharConfig) -> Submodule:

@@ -10,10 +10,11 @@ jumping numbers.  Those roots are never taken of the product itself: a
 digit-wise walk (`_RootWalk`) reaches each one in e+1 one-level steps along
 the base-q digits of n, through finitely many states.  The states and steps
 are a `frobenius._RootGraph`, the graph the test ideals of `testideal` run
-on too, over the digit slices of A(t) as its multipliers in place of f^d,
-so each (state, digit) step is taken once per call.  A level's running sum is a step function on its grid,
-kept as its breaks and built from the level below (`_RootWalk.levels`), and
-its jump set is read off the breaks (`_jump_report`).  The running sums live
+on too, with the digit slices of A(t) as its multipliers in place of f^d,
+so each (state, digit) step is taken once per call.  A level's running sum
+is a step function on its grid, kept as its breaks and built from the level
+below (`_RootWalk.levels`), and its jump set is read off the breaks
+(`_jump_report`).  The running sums live
 on the same graph (`_RootGraph.add`): a sum is keyed by the canonical keys
 of its two terms, and each span is one object, a state where a sum reaches a
 state's span.  The levels e = 0..e_max of `estimate_jumping_numbers` share
@@ -21,7 +22,9 @@ it, so a sum that several levels reach costs one reduced basis in all, and
 a level costs q (breaks + 1) lookups: b_function of the cusp graph at p=3
 computes 10 bases at e_max 4 and 10 alike, and at p=5 takes about a
 millisecond at e_max 12.  Every list entry point takes a `MatrixList` or
-the `TMatrix` A(t) itself; a list is assembled once.
+the `TMatrix` A(t) itself; a list is assembled once.  A list level e or
+e_max is capped at `frobenius.MAX_LEVEL`, and the product A^{e-1} that
+`h_expand` forms at `MAX_EXPANSION_TERMS`.
 
 Jump-set elements stay on the integer grid from the walk to the report: an
 element of S_e is its numerator m on the grid q^{e+1}, held by a
@@ -43,10 +46,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import InternalConsistencyError, ProblemFormatError
+from .errors import InternalConsistencyError, ProblemFormatError, ResourceLimitExceeded
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
 # every fsing module that holds it, and its tests expect listmod among them.
-from .frobenius import _RootGraph, frobenius_root  # noqa: F401
+from .frobenius import _check_level, _RootGraph, frobenius_root  # noqa: F401
 from .modgb import Submodule
 from .polyring import (
     MAX_VARS, CharConfig, Monomial, Poly, Ring, check_char, frobenius_power, poly_parse,
@@ -56,6 +59,13 @@ from .rationals import GridRational, detect_chain_limit, frac_ceil
 Matrix = tuple[tuple[Poly, ...], ...]
 # a scan m -> scan(m) as its breaks (m, scan(m)): m = 0 and each m where it changes
 Breaks = list[tuple[int, Submodule]]
+
+# Cap on the terms of the product A^{e-1} that `h_expand` forms, checked
+# before any product as the bound T^e, T the term total of A(t): a matrix
+# product has at most the product of its factors' term totals, and a
+# Frobenius twist keeps them.  The cusp graph's e = 6 at p = 3 (46,656 terms)
+# takes about 0.3 s, e = 7 (279,936) about 1 s, and the tests need e <= 3.
+MAX_EXPANSION_TERMS = 100_000
 
 
 def _mat_check(mat: Sequence[Sequence[Poly]], l: int, ring: Ring) -> Matrix:
@@ -223,11 +233,19 @@ def _twisted_power(A: TMatrix, e: int, cfg: CharConfig) -> Matrix:
 def h_expand(A: TMatrix | MatrixList, e: int, cfg: CharConfig) -> HFamily:
     """Split A^{e-1} along t-exponents v = q^e k + n into the H^e_n(tau).
 
-    The family is checked against A^{e-1} by `_validate_family`.
+    The family is checked against A^{e-1} by `_validate_family`.  A level e
+    past `frobenius.MAX_LEVEL`, or a bound T^e on the terms of A^{e-1} past
+    `MAX_EXPANSION_TERMS`, raises `ResourceLimitExceeded` before any product.
     """
     A = _matrix_of(A, cfg)
     if e < 1:
         raise ValueError("e must be positive")
+    _check_level(e, "the expansion level e")
+    total = sum(len(entry.terms) for row in A.mat for entry in row)
+    if total**e > MAX_EXPANSION_TERMS:
+        raise ResourceLimitExceeded(
+            f"A^{e - 1} may reach {total}^{e} terms, past the cap of {MAX_EXPANSION_TERMS}"
+        )
     prod = _twisted_power(A, e, cfg)
     q_e = cfg.q**e
     l = A.l
@@ -308,6 +326,7 @@ class SeReport:
 
 
 def _grid_index(lam: GridRational, e: int, cfg: CharConfig) -> int:
+    _check_level(e, "the list level e")
     m = frac_ceil(lam.value * cfg.q ** (e + 1))
     if not (0 < m <= cfg.q ** (e + 1)):
         raise ValueError("lambda must lie in (0, 1]")
@@ -409,6 +428,7 @@ def _level(A: TMatrix | MatrixList, e: int, cfg: CharConfig) -> Breaks:
     """The breaks of the level-e scan of A."""
     if e < 0:
         raise ValueError("e must be non-negative")
+    _check_level(e, "the list level e")
     *_, breaks = _RootWalk(A, cfg).levels(e)
     return breaks
 
@@ -560,6 +580,7 @@ def estimate_jumping_numbers(
     """
     if e_max < 2:
         raise ValueError("e_max must be at least 2")
+    _check_level(e_max, "e_max")
     s_sets = {
         e: _jump_report(breaks, e, cfg)
         for e, breaks in enumerate(_RootWalk(A, cfg).levels(e_max))

@@ -21,6 +21,7 @@ at the offset of the first bad token.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from operator import add, neg
 from string import ascii_letters, digits
 from typing import Dict, Iterator, Optional, Tuple
@@ -32,17 +33,17 @@ Monomial = tuple[int, ...]
 # Cap on the ring variables of a problem file or command line: every monomial
 # is a tuple of that many exponents, so a huge count exhausts memory first.
 MAX_VARS = 64
+# Cap on the characteristic: p is checked by trial division up to sqrt(p),
+# which at the cap is 46,341 divisions.
+MAX_P = 2**31 - 1
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def _check_prime(p: int) -> None:
+    """Raise ValueError for a p past `MAX_P`, before any division, or not prime."""
+    if p > MAX_P:
+        raise ValueError(f"p = {p} exceeds the cap of {MAX_P}")
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"p = {p} is not prime")
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,7 @@ class CharConfig:
     gamma: int = 1
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+        _check_prime(self.p)
         if self.gamma < 1:
             raise ValueError(f"gamma = {self.gamma} must be positive")
 
@@ -72,8 +72,7 @@ class Ring:
     extra: Optional[str] = None
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+        _check_prime(self.p)
         if self.nvars < 0:
             raise ValueError("nvars must be non-negative")
         if self.extra not in (None, "t", "tau"):
@@ -163,8 +162,8 @@ class Poly:
         return Poly(ring, {(0,) * ring.width: c})
 
     @staticmethod
-    def monomial(ring: Ring, mono: Monomial, c: int = 1) -> "Poly":
-        return Poly(ring, {tuple(mono): c})
+    def monomial(ring: Ring, mono: Monomial) -> "Poly":
+        return Poly(ring, {tuple(mono): 1})
 
     # -- queries -----------------------------------------------------------
 
@@ -221,12 +220,9 @@ class Poly:
     def scale(self, c: int) -> "Poly":
         return Poly._trusted(self.ring, {m: cc * c for m, cc in self.terms.items()})
 
-    def term_mul(self, mono: Monomial, c: int = 1) -> "Poly":
-        """Multiply by c * x^mono."""
-        return Poly(
-            self.ring,
-            {tuple(map(add, m, mono)): cc * c for m, cc in self.terms.items()},
-        )
+    def term_mul(self, mono: Monomial) -> "Poly":
+        """Multiply by x^mono."""
+        return Poly(self.ring, {tuple(map(add, m, mono)): c for m, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:

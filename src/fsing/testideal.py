@@ -27,7 +27,7 @@ K -> K + Phi(K), Phi(K) = (f^a K)^[1/q^d], over the seed (f^c),
 c = ceil(a/(q^d-1)); a, c and d are found in integers.  The period d, the
 order of q modulo the part of alpha's denominator prime to p, is searched
 only up to `MAX_PERIOD`, since each ascent step walks d levels; the levels
-of any one root, e and c alike, are capped at `MAX_LEVEL`.  The seed
+of any one root, e and c alike, are capped at `frobenius.MAX_LEVEL`.  The seed
 lies in Phi(seed), as f^{c q^d} lies in (f^{a+c}), and Phi keeps
 inclusions, so the steps Phi^i(seed) ascend: they are the sums, no running
 sum is kept, and the first repeated step is the fixed point.
@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .errors import ResourceLimitExceeded, StabilizationError
-from .frobenius import Multiplier, _root_generators, _RootGraph, _scalar
+from .frobenius import Multiplier, _check_level, _root_generators, _RootGraph, _scalar
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
 # every module that holds it.  The roots below use `_root_generators`.
 from .frobenius import frobenius_root  # noqa: F401
@@ -61,22 +61,10 @@ DEFAULT_STABLE_CAP = 16
 # Cap on the period d of a stable alpha = a / (q^c (q^d - 1)); each ascent
 # step walks d levels; the tests need d <= 20 and the benchmarks d <= 6.
 MAX_PERIOD = 1000
-# Cap on the levels e of one root (f^k)^[1/q^e]: tau_f's e, f_jumping_exponents'
-# e_max and the c of a stable alpha = a / (q^c (q^d - 1)).  A root walks e
-# levels, each a divmod of a number near q^e, so time grows as e^2; the
-# tests need e <= 10 and the benchmarks e <= 4.
-MAX_LEVEL = 1000
 
 
 def _ideal(gen: Poly) -> Submodule:
     return Submodule(1, (VectorR((gen,)),), gen.ring)
-
-
-def _check_level(e: int, what: str) -> None:
-    """Raise `ResourceLimitExceeded` for a level e past `MAX_LEVEL`, before
-    q^e is formed."""
-    if e > MAX_LEVEL:
-        raise ResourceLimitExceeded(f"{what} = {e} exceeds the level cap of {MAX_LEVEL}")
 
 
 class _PowerDigits(dict):
@@ -136,8 +124,8 @@ def _pe_decompose(alpha: Fraction, cfg: CharConfig) -> Tuple[int, int, int]:
     """Write alpha = a / (q^c (q^d - 1)) with a, c, d integers, d minimal.
 
     d = 0 encodes a pure q-power denominator (alpha = a / q^c).  A period d
-    past `MAX_PERIOD` or a c past `MAX_LEVEL` raises `ResourceLimitExceeded`
-    before q^d or q^c is formed.
+    past `MAX_PERIOD` or a c past `frobenius.MAX_LEVEL` raises
+    `ResourceLimitExceeded` before q^d or q^c is formed.
     """
     q = cfg.q
     num, den = alpha.numerator, alpha.denominator

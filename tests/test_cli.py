@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -205,9 +206,46 @@ def test_long_period_exit_code(capsys, argv):
     ["fjump", "--f", "x0^2+x1^3", "-p", "2", "--e-max", "1001"],
 ])
 def test_deep_level_exit_code(capsys, argv):
-    # a root of more levels than testideal.MAX_LEVEL is a resource limit
+    # a root of more levels than frobenius.MAX_LEVEL is a resource limit
     assert run(argv) == 2
     assert "exceeds the level cap of 1000" in capsys.readouterr().err
+
+
+@pytest.fixture
+def cusp_graph(tmp_path, capsys):
+    """The problem file of the cusp's graph generator at p = 3: A(t) has 6 terms."""
+    assert run(["graphgen", "--f", "x0^2+x1^3", "-p", "3"]) == 0
+    path = tmp_path / "cusp3.json"
+    path.write_text(capsys.readouterr().out)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sset", "--e", "1001"], "the list level e = 1001 exceeds the level cap of 1000"),
+    (["jumps", "--e-max", "1001"], "e_max = 1001 exceeds the level cap of 1000"),
+    (["bfun", "--e-max", "1001"], "e_max = 1001 exceeds the level cap of 1000"),
+    (["hexpand", "--e", "1001"], "the expansion level e = 1001 exceeds the level cap of 1000"),
+    # A^9 has at most 6^10 terms; the product is never formed
+    (["hexpand", "--e", "10"], "A^9 may reach 6^10 terms, past the cap of 100000"),
+], ids=["sset", "jumps", "bfun", "hexpand-level", "hexpand-terms"])
+def test_list_caps_exit_code(capsys, cusp_graph, argv, message):
+    # without the caps, jumps --e-max 30000 took 17 s and hexpand --e 10 over 30 s
+    start = time.perf_counter()
+    assert run(argv[:1] + ["--input", cusp_graph] + argv[1:]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"fsing: resource limit: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # (10^9 + 7)(10^9 + 9): trial division to its square root hung
+    ["tau", "--f", "x0", "-p", "1000000016000000063", "--alpha", "1/2"],
+    ["fjump", "--f", "x0", "-p", str(2**31 + 11), "--e-max", "1"],
+])
+def test_huge_characteristic_exit_code(capsys, argv):
+    start = time.perf_counter()
+    assert run(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    assert f"exceeds the cap of {2**31 - 1}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [

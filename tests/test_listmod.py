@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsing import listmod, modgb
+from fsing import frobenius, listmod, modgb
 from fsing.bfun import b_function, graph_generator
-from fsing.errors import InternalConsistencyError, ProblemFormatError
+from fsing.errors import InternalConsistencyError, ProblemFormatError, ResourceLimitExceeded
 from fsing.frobenius import _root_generators, _RootGraph, _scalar, frobenius_root
 from fsing.listmod import (
     MatrixList,
@@ -592,7 +592,7 @@ def oracle_columns(mat, l, rank, ring):
         for i in range(l):
             for mono, c in mat[i][j].terms.items():
                 slot = mono[-1] * l + i
-                coords[slot] = coords[slot] + Poly.monomial(ring, mono[:-1], c)
+                coords[slot] = coords[slot] + Poly(ring, {mono[:-1]: c})
         if any(not x.is_zero() for x in coords):
             cols.append(VectorR(coords))
     return cols
@@ -1024,3 +1024,34 @@ def test_config_mismatch_rejected(name, cfg):
     # a polynomial over F_3 or a matrix list built at q = 3, with another p or q
     with pytest.raises(ValueError, match="characteristic mismatch between"):
         CONFIG_MISMATCHES[name](cfg)
+
+
+# each list entry point at list level e (e_max for the chain fits)
+AT_LEVEL = {
+    "ltm_scan": lambda e: ltm_scan(CUSP3_LIST, e, CFG3),
+    "s_set": lambda e: s_set(CUSP3_LIST, e, CFG3),
+    "list_test_module": lambda e: list_test_module(CUSP3_LIST, GridRational(1, e, CFG3), e, CFG3),
+    "simple_list_I": lambda e: simple_list_I(_simple_list(CFG3), GridRational(1, e, CFG3), e, CFG3),
+    "estimate_jumping_numbers": lambda e: estimate_jumping_numbers(CUSP3_LIST, CFG3, e),
+    "b_function": lambda e: b_function(CUSP3_GRAPH, CFG3, e),
+    "h_expand": lambda e: h_expand(CUSP3_GRAPH, e, CFG3),
+}
+
+
+@pytest.mark.parametrize("name", AT_LEVEL)
+def test_list_level_cap_boundary(monkeypatch, name):
+    # a level equal to frobenius.MAX_LEVEL is solved, one past it is refused
+    expected = AT_LEVEL[name](3)
+    monkeypatch.setattr(frobenius, "MAX_LEVEL", 3)
+    assert AT_LEVEL[name](3) == expected
+    with pytest.raises(ResourceLimitExceeded, match="= 4 exceeds the level cap of 3"):
+        AT_LEVEL[name](4)
+
+
+def test_expansion_term_cap_boundary(monkeypatch):
+    # A(t) of the cusp graph at p = 3 has 6 terms, so A^2 has at most 6^3
+    monkeypatch.setattr(listmod, "MAX_EXPANSION_TERMS", 6**3)
+    assert h_expand(CUSP3_GRAPH, 3, CFG3).e == 3
+    monkeypatch.setattr(listmod, "MAX_EXPANSION_TERMS", 6**3 - 1)
+    with pytest.raises(ResourceLimitExceeded, match=r"A\^2 may reach 6\^3 terms, past the cap"):
+        h_expand(CUSP3_GRAPH, 3, CFG3)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from fsing.errors import PolyParseError
 from fsing.polyring import (
+    MAX_P,
     CharConfig,
     Poly,
     PowerCache,
@@ -21,6 +22,20 @@ import poly_walk
 def test_charconfig_rejects_composite():
     with pytest.raises(ValueError):
         CharConfig(4)
+
+
+@pytest.mark.parametrize("make", [CharConfig, lambda p: Ring(p, 1)], ids=["CharConfig", "Ring"])
+def test_characteristic_cap(make):
+    # the cap is the prime 2^31 - 1, checked by 46,341 divisions at most; a
+    # p past it is refused before any division
+    assert MAX_P == 2**31 - 1
+    assert make(MAX_P).p == MAX_P
+    for p in (MAX_P + 2, 1000000016000000063):
+        with pytest.raises(ValueError, match=f"p = {p} exceeds the cap of {MAX_P}"):
+            make(p)
+    for p in (0, 1, 4, 46337 * 46337):
+        with pytest.raises(ValueError, match=f"p = {p} is not prime"):
+            make(p)
 
 
 def test_charconfig_q():

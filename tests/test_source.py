@@ -196,3 +196,59 @@ def test_every_export_has_a_use():
     named = {word for span in re.findall(r"`([^`]*)`", readme) for word in re.findall(r"\w+", span)}
     unused = [name for name in exported if name not in used | named]
     assert unused == [], f"fsing exports that src/fsing and README.md never use: {unused}"
+
+
+def public_functions(tree):
+    """(qualified name, function node, whether a call passes self) of each
+    public module-level function and each public method of a public class."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            out.append((node.name, node, False))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    decorators = {getattr(d, "id", None) for d in sub.decorator_list}
+                    out.append((f"{node.name}.{sub.name}", sub, "staticmethod" not in decorators))
+    return out
+
+
+def defaulted_parameters(fn, bound):
+    """(name, index among a call's positional arguments, or None) of each
+    parameter of `fn` with a default; `bound` skips self or cls."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+    return out + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def sets_parameter(call, name, index):
+    """Whether `call` may set the parameter by keyword or by position."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    # a knob no library path turns is code kept for a caller that does not
+    # exist; one kept for users is named in README's documented signatures
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    calls = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    readme = (REPO / "README.md").read_text()
+    spans = re.findall(r"`([^`]*)`", readme)
+    unset = []
+    for path, tree in zip(SOURCES, trees):
+        for qualified, fn, bound in public_functions(tree):
+            mine = [
+                call for call in calls
+                if (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) == fn.name
+            ]
+            for name, index in defaulted_parameters(fn, bound):
+                signature = re.compile(rf"\b{fn.name}\([^)]*\b{name}\b")
+                documented = any(map(signature.search, spans))
+                if not documented and not any(sets_parameter(c, name, index) for c in mine):
+                    unset.append(f"{path.stem}.{qualified}.{name}")
+    assert unset == [], f"defaulted parameters no call in src/fsing sets: {unset}"

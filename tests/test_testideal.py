@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fsing import modgb, testideal
+from fsing import frobenius, modgb, testideal
 from fsing.errors import ResourceLimitExceeded, StabilizationError
-from fsing.frobenius import frobenius_root
+from fsing.frobenius import MAX_LEVEL, frobenius_root
 from fsing.modgb import Submodule, VectorR, contains_all
 from fsing.polyring import CharConfig, Poly, PowerCache, Ring, frobenius_power, poly_parse
 from fsing.rationals import GridRational, frac_ceil, snap_interval
@@ -21,7 +21,6 @@ from fsing.listmod import (
 )
 from fsing.testideal import (
     DEFAULT_STABLE_CAP,
-    MAX_LEVEL,
     MAX_PERIOD,
     _digit_root,
     _power_graph,
@@ -863,7 +862,7 @@ def test_level_cap_boundary(monkeypatch):
         lambda: tau_f_stable(f, Fraction(5, 7 * 8), cfg),
     ]
     expected = [solve() for solve in at_cap]
-    monkeypatch.setattr(testideal, "MAX_LEVEL", 3)
+    monkeypatch.setattr(frobenius, "MAX_LEVEL", 3)
     assert [solve() for solve in at_cap] == expected
     for solve in (
         lambda: tau_f(f, Fraction(1, 3), 4, cfg),
