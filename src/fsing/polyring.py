@@ -21,7 +21,6 @@ at the offset of the first bad token.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from operator import add, neg
 from string import ascii_letters, digits
 from typing import Dict, Iterator, Optional, Tuple
@@ -38,11 +37,22 @@ MAX_VARS = 64
 MAX_P = 2**31 - 1
 
 
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def _check_prime(p: int) -> None:
     """Raise ValueError for a p past `MAX_P`, before any division, or not prime."""
     if p > MAX_P:
         raise ValueError(f"p = {p} exceeds the cap of {MAX_P}")
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
 
 
