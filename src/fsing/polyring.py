@@ -13,9 +13,8 @@ ring variables x0..x{n-1}, and an optional distinguished variable (``t`` or
 The canonical monomial order, used everywhere for deterministic output, is
 graded reverse lexicographic.
 
-`poly_parse` reads ASCII polynomial text by splitting it on '+', '*' and '^';
-a token walk reads any text the split declines and raises each PolyParseError
-at the offset of the first bad token.
+`poly_parse` reads polynomial text by one token walk, which raises each
+PolyParseError at the offset of the first bad token.
 """
 
 from __future__ import annotations
@@ -330,13 +329,10 @@ def poly_parse(text: str, ring: Ring) -> Poly:
     names are ASCII.  Whitespace is insignificant.  Coefficients are reduced
     mod p.
     """
-    terms = _split_terms(text, ring)
-    if terms is not None:
-        return Poly._trusted(ring, terms)
     tokens = _tokenize(text)
     if not tokens:
         raise PolyParseError("empty polynomial", 0)
-    terms = {}
+    terms: Dict[Monomial, int] = {}
     idx = 0
     while True:
         idx, mono, coeff = _parse_term(tokens, idx, ring)
@@ -349,32 +345,8 @@ def poly_parse(text: str, ring: Ring) -> Poly:
         idx += 1
         if idx >= len(tokens):
             raise PolyParseError("dangling '+'", pos)
-    return Poly(ring, terms)
-
-
-def _split_terms(text: str, ring: Ring) -> Optional[Dict[Monomial, int]]:
-    """The term map of ASCII `text` read by splitting it on '+', '*' and '^',
-    or None where a piece is not one integer or one power of a variable."""
-    if not text.isascii():
-        return None
-    terms: Dict[Monomial, int] = {}
-    try:
-        for term in text.split("+"):
-            factors = term.split("*")
-            head = factors[0].strip()
-            coeff = int(head) if head.isdigit() else 1
-            expo = [0] * ring.width
-            for factor in factors[1:] if head.isdigit() else factors:
-                name, caret, power = factor.partition("^")
-                power = power.strip() if caret else "1"
-                if not power.isdigit():
-                    return None
-                expo[_var_index(name.strip(), ring, 0)] += int(power)
-            mono = tuple(expo)
-            terms[mono] = terms.get(mono, 0) + coeff
-    except (PolyParseError, ValueError):  # not a variable of the ring, or past int's digit limit
-        return None
-    return terms
+    # every monomial is a tuple of ring.width naturals
+    return Poly._trusted(ring, terms)
 
 
 def _natural(digit_text: str, pos: int) -> int:
@@ -428,39 +400,34 @@ def _parse_term(tokens, idx, ring: Ring):
     kind, value, pos = tokens[idx]
     coeff = 1
     expo = [0] * ring.width
-    saw_factor = False
     if kind == "int":
         coeff = _natural(value, pos)
         idx += 1
     elif kind == "name":
-        expo[_var_index(value, ring, pos)] += 1
-        idx = _parse_power(tokens, idx + 1, expo, ring, pos)
-        saw_factor = True
+        idx = _parse_factor(tokens, idx, expo, ring)
     else:
         raise PolyParseError(f"expected a term but found {value!r}", pos)
     while idx < len(tokens) and tokens[idx][0] == "*":
         idx += 1
         if idx >= len(tokens) or tokens[idx][0] != "name":
-            where = tokens[idx - 1][2]
-            raise PolyParseError("expected a variable after '*'", where)
-        kind, value, pos = tokens[idx]
-        expo[_var_index(value, ring, pos)] += 1
-        idx = _parse_power(tokens, idx + 1, expo, ring, pos)
-        saw_factor = True
-    if not saw_factor and kind != "int":
-        raise PolyParseError("empty term", pos)
+            raise PolyParseError("expected a variable after '*'", tokens[idx - 1][2])
+        idx = _parse_factor(tokens, idx, expo, ring)
     return idx, tuple(expo), coeff
 
 
-def _parse_power(tokens, idx, expo, ring: Ring, var_pos: int):
+def _parse_factor(tokens, idx, expo, ring: Ring) -> int:
+    """Add the factor that starts at the name tokens[idx] to `expo`; the
+    index of the token after it."""
+    _, name, pos = tokens[idx]
+    slot = _var_index(name, ring, pos)
+    idx += 1
     if idx < len(tokens) and tokens[idx][0] == "^":
         if idx + 1 >= len(tokens) or tokens[idx + 1][0] != "int":
             raise PolyParseError("expected a natural number after '^'", tokens[idx][2])
-        # the '^1' case already added 1; add the remainder
-        n = _natural(tokens[idx + 1][1], tokens[idx + 1][2])
-        name = tokens[idx - 1][1]
-        expo[_var_index(name, ring, var_pos)] += n - 1
+        _, power, power_pos = tokens[idx + 1]
+        expo[slot] += _natural(power, power_pos)
         return idx + 2
+    expo[slot] += 1
     return idx
 
 

@@ -13,7 +13,6 @@ from fsing.polyring import (
     frobenius_power,
     grevlex_key,
     poly_parse,
-    _split_terms,
 )
 
 import poly_walk
@@ -262,11 +261,16 @@ def test_public_constructor_keeps_checks():
         Poly.monomial(Ring(3, 0), ()).lift_to(Ring(3, 0, "t"), -1)
 
 
-# -- the split reader and the token walk ----------------------------------------------
-# poly_parse reads well-formed ASCII text by splitting it and hands any other
-# text to the token walk.  `poly_walk` keeps the walk as it was before the
-# split reader: on ASCII text the two must agree term for term, in the same
-# order, and error for error.
+# -- the token walk ------------------------------------------------------------------
+# poly_parse reads every text by one token walk.  `poly_walk` keeps the walk
+# as it was before the walk was made lean: on ASCII text the two must agree
+# term for term, in the same order, and error for error.
+
+
+@pytest.mark.parametrize("space", ["\xa0", "\u2003"], ids=["no-break", "em"])
+def test_non_ascii_whitespace_is_whitespace(space):
+    ring = Ring(3, 2)
+    assert poly_parse(f"x0 +{space}x1", ring) == poly_parse("x0 + x1", ring)
 
 
 @pytest.mark.parametrize("text, position", [
@@ -330,8 +334,5 @@ def well_formed(draw):
     st.one_of(well_formed(), st.lists(st.sampled_from(PIECES), max_size=12).map("".join)),
     st.sampled_from(RINGS),
 )
-def test_split_reader_matches_the_token_walk(text, ring):
-    result = outcome(poly_parse, text, ring)
-    assert result == outcome(poly_walk.poly_parse, text, ring)
-    # the walk runs only to report an error
-    assert (_split_terms(text, ring) is not None) == isinstance(result, list)
+def test_poly_parse_matches_the_token_walk(text, ring):
+    assert outcome(poly_parse, text, ring) == outcome(poly_walk.poly_parse, text, ring)
