@@ -17,17 +17,18 @@ from typing import Dict, List, Optional, Tuple
 from .listmod import (
     ChainEstimate, JumpReport, MatrixList, SeReport, TMatrix, estimate_jumping_numbers,
 )
-from .polyring import CharConfig, Poly
+from .polyring import CharConfig, Poly, PowerCache
 
 
 def graph_generator(f: Poly, cfg: CharConfig) -> TMatrix:
-    """The 1x1 matrix [(f - t)^{q-1}] attached to the graph of f."""
+    """The 1x1 matrix [(f - t)^{q-1}] attached to the graph of f, its power
+    built by `PowerCache`, whose term cap refuses a q too large for it."""
     if f.ring.extra is not None:
         raise ValueError("f must not involve the distinguished variable")
     t_ring = f.ring.with_extra("t")
     t = Poly.monomial(t_ring, (0,) * f.ring.nvars + (1,))
     base = f.lift_to(t_ring) - t
-    return TMatrix(((base ** (cfg.q - 1),),), cfg)
+    return TMatrix(((PowerCache(base).power(cfg.q - 1),),), cfg)
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ class RankMismatchError(FsingError):
 
 class ResourceLimitExceeded(FsingError):
     """A computation exceeded a resource cap: the Groebner pair queue, the
-    period of a stable test ideal's exponent, or the levels of a test-ideal
-    root.
+    period of a stable test ideal's exponent, the levels of a root, or the
+    terms of a product that `h_expand` or `PowerCache.power` forms.
 
     Distinct from wrong answers: nothing was truncated silently.
     """

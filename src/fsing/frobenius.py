@@ -28,9 +28,10 @@ from .polyring import CharConfig, Monomial, Poly, check_char, frobenius_power
 
 Multiplier = Sequence[Sequence[Tuple[int, Monomial, int]]]
 
-# Cap on the levels e of one root or walk: tau_f's e, f_jumping_exponents'
-# e_max, the c of a stable alpha = a / (q^c (q^d - 1)), a list level e or
-# e_max, and h_expand's e.  A root walks e levels, each a divmod of a number
+# Cap on the levels e of one root or walk: frobenius_root's and
+# bracket_power's e, tau_f's e, f_jumping_exponents' e_max, the c of a
+# stable alpha = a / (q^c (q^d - 1)), a list level e or e_max, and
+# h_expand's e.  A root walks e levels, each a divmod of a number
 # near q^e, so time grows as e^2; the tests need e <= 12 and the benchmarks
 # e <= 4.
 MAX_LEVEL = 1000
@@ -47,6 +48,7 @@ def bracket_power(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
     """N^[q^e]: span of the entrywise q^e-th powers of the generators."""
     if e < 1:
         raise ValueError("e must be positive")
+    _check_level(e, "the bracket power level e")
     gens = [
         VectorR(tuple(frobenius_power(p, e, cfg) for p in v.entries))
         for v in N.generators
@@ -65,6 +67,7 @@ def frobenius_root(N: Submodule, e: int, cfg: CharConfig) -> Submodule:
     """
     if e < 1:
         raise ValueError("e must be positive")
+    _check_level(e, "the root level e")
     if N.ring.extra is not None:
         raise ValueError("frobenius roots need a module over the pure ring R")
     check_char(N.ring, cfg, "module")

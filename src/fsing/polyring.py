@@ -24,16 +24,22 @@ from operator import add, neg
 from string import ascii_letters, digits
 from typing import Dict, Iterator, Optional, Tuple
 
-from .errors import PolyParseError
+from .errors import PolyParseError, ResourceLimitExceeded
 
 Monomial = tuple[int, ...]
 
 # Cap on the ring variables of a problem file or command line: every monomial
 # is a tuple of that many exponents, so a huge count exhausts memory first.
 MAX_VARS = 64
-# Cap on the characteristic: p is checked by trial division up to sqrt(p),
-# which at the cap is 46,341 divisions.
+# Cap on the characteristic p and on q = p^gamma: p is checked by trial
+# division up to sqrt(p), which at the cap is 46,341 divisions, and a list
+# walk builds one digit slice per digit d < q.
 MAX_P = 2**31 - 1
+# Cap on the terms of one product of `PowerCache.power`, checked before the
+# product as the product of its factors' term counts.  A power of a
+# binomial over F_2 has 2^k terms, k the binary ones of its exponent, so
+# (x0 + x1)^(10^400) would reach 2^476.
+MAX_POWER_TERMS = 100_000
 
 
 def _is_prime(n: int) -> bool:
@@ -66,6 +72,10 @@ class CharConfig:
         _check_prime(self.p)
         if self.gamma < 1:
             raise ValueError(f"gamma = {self.gamma} must be positive")
+        # p >= 2, so a gamma of MAX_P's bit length or more passes the cap
+        # without p**gamma being formed
+        if self.gamma >= MAX_P.bit_length() or self.p**self.gamma > MAX_P:
+            raise ValueError(f"q = {self.p}^{self.gamma} exceeds the cap of {MAX_P}")
 
     @property
     def q(self) -> int:
@@ -480,12 +490,14 @@ class PowerCache:
     """Powers of one polynomial f over F_p, keeping the digit powers f^0 .. f^{p-1}.
 
     f^n = (f^{n // p})^[p] f^{n mod p}: in characteristic p the p-th power
-    only scales exponents by p, so the one real product per base-p digit of
-    n has a factor f^{n mod p} of degree below p deg(f), and no squaring of
-    large powers ever happens.  The digit powers are kept because a call
-    asks for them again: a root graph's steps multiply by f^d, d < q, and
-    every root of an ascent ends with the same f^N.  A power n >= p is
-    built afresh, one product per nonzero base-p digit.
+    only scales exponents by p, so f^n is built from the top base-p digit of
+    n down, result <- result^[p] f^d, with one real product per nonzero
+    digit d below the top, whose factor f^d has degree below p deg(f); no
+    squaring of large powers ever happens.  The digit powers are kept, each
+    built from the one below, so that each new digit costs one product: a
+    root graph's steps ask for f^d, d < q, one digit at a time.  Before each
+    product the product of its factors' term counts is checked against
+    `MAX_POWER_TERMS`.
     """
 
     def __init__(self, f: Poly):
@@ -496,11 +508,32 @@ class PowerCache:
     def power(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative power")
-        high, low = divmod(n, self._prime_cfg.p)
+        cfg = self._prime_cfg
+        below = []  # the base-p digits of n below its top digit, lowest first
+        while n >= cfg.p:
+            n, d = divmod(n, cfg.p)
+            below.append(d)
+        result = self._digit(n)
+        for d in reversed(below):
+            result = frobenius_power(result, 1, cfg)
+            if d:
+                result = _capped_product(result, self._digit(d))
+        return result
+
+    def _digit(self, d: int) -> Poly:
+        """f^d for a digit d < p."""
         digits = self._digits
-        while len(digits) <= low:  # each from the one below: the depth does not grow with p
-            digits.append(digits[-1] * self.f)
-        if not high:
-            return digits[low]
-        result = frobenius_power(self.power(high), 1, self._prime_cfg)
-        return result * digits[low] if low else result
+        while len(digits) <= d:
+            digits.append(_capped_product(digits[-1], self.f))
+        return digits[d]
+
+
+def _capped_product(a: Poly, b: Poly) -> Poly:
+    """a * b, or `ResourceLimitExceeded` before the product when it may pass
+    `MAX_POWER_TERMS` terms."""
+    bound = len(a.terms) * len(b.terms)
+    if bound > MAX_POWER_TERMS:
+        raise ResourceLimitExceeded(
+            f"a power's product may reach {bound} terms, past the cap of {MAX_POWER_TERMS}"
+        )
+    return a * b

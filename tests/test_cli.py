@@ -586,3 +586,39 @@ def test_non_ascii_alpha_is_a_usage_error(capsys):
         "fsing tau: error: argument --alpha: expected an exact rational 'num' or"
         " 'num/den', got '٣/4'\n"
     )
+
+
+TEN_TO_400 = str(10**400)
+GAMMA_40 = {"p": 2, "gamma": 40, "num_vars": 2, "rank": 1, "matrix": [["x0^2 + t"]]}
+
+
+@pytest.mark.parametrize("argv, code", [
+    # f^(10^400) is one product per binary digit of 10^400, 1329 in all
+    (["tau", "--f", "x0", "-p", "2", "--alpha", TEN_TO_400], 0),
+    (["tau", "--f", "x0", "-p", "2", "--alpha", TEN_TO_400, "--e", "1"], 0),
+    # (x0 + x1)^(10^400) would have 2^476 terms: the power's term cap
+    (["tau", "--f", "x0+x1", "-p", "2", "--alpha", TEN_TO_400], 2),
+    # q = p^gamma past the cap of p
+    (["tau", "--f", "x0^2+x1^3", "-p", "2", "--gamma", "1000", "--alpha", "1/3"], 1),
+    (["fjump", "--f", "x0^2+x1^3", "-p", "2", "--gamma", "1000", "--e-max", "1"], 1),
+    (["sset", "--input", "GAMMA_40", "--e", "1"], 1),
+    (["bfun", "--input", "GAMMA_40", "--e-max", "3"], 1),
+    # q = 2^30 passes the q cap; (x0^2 - t)^(q-1) would have 2^30 terms
+    (["graphgen", "--f", "x0^2", "-p", "2", "--gamma", "30"], 2),
+    (["froot", "--gens", "x0^3", "-p", "2", "--e", "1000000000"], 2),
+], ids=[
+    "alpha-10^400", "alpha-10^400-e1", "alpha-10^400-binomial", "tau-gamma-1000",
+    "fjump-gamma-1000", "sset-gamma-40", "bfun-gamma-40", "graphgen-gamma-30", "froot-deep-e",
+])
+def test_hostile_inputs_exit_at_once(tmp_path, argv, code):
+    # each of these raised RecursionError, hung or ran past 5 s before its cap
+    path = tmp_path / "gamma40.json"
+    path.write_text(json.dumps(GAMMA_40))
+    argv = [str(path) if arg == "GAMMA_40" else arg for arg in argv]
+    proc = subprocess.run(FSING + argv, capture_output=True, text=True, timeout=1.0)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert proc.stdout == f"x0^{TEN_TO_400}\n"
+    else:
+        assert proc.stderr.startswith("fsing: resource limit: " if code == 2 else "fsing: error: ")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fsing import frobenius
+from fsing.errors import ResourceLimitExceeded
 from fsing.frobenius import _RootGraph, _scalar, bracket_power, frobenius_root
 from fsing.modgb import Submodule, VectorR, contains_all
 from fsing.polyring import CharConfig, Poly, Ring, poly_parse
@@ -74,6 +75,20 @@ def test_defining_containment():
     N = ideal(ring, "x0^4 + x1^2", "x0*x1")
     rooted = frobenius_root(N, 1, cfg)
     assert contains_all(bracket_power(rooted, 1, cfg), N.generators)
+
+
+def test_level_cap(monkeypatch):
+    # the two public entry points that take a level e check it before q^e is
+    # formed: froot --e 1000000000 formed 2^(10^9)
+    ring = Ring(2, 1)
+    cfg = CharConfig(2)
+    N = ideal(ring, "x0^9")
+    monkeypatch.setattr(frobenius, "MAX_LEVEL", 3)
+    assert frobenius_root(N, 3, cfg) == ideal(ring, "x0")
+    assert bracket_power(N, 3, cfg) == ideal(ring, "x0^72")
+    for call, what in [(frobenius_root, "root level"), (bracket_power, "bracket power level")]:
+        with pytest.raises(ResourceLimitExceeded, match=f"the {what} e = 4 exceeds the level cap of 3"):
+            call(N, 4, cfg)
 
 
 def test_gamma_bigger_than_one():

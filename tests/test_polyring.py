@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsing.errors import PolyParseError
+from fsing import polyring
+from fsing.errors import PolyParseError, ResourceLimitExceeded
 from fsing.polyring import (
     MAX_P,
+    MAX_POWER_TERMS,
     CharConfig,
     Poly,
     PowerCache,
@@ -40,6 +42,15 @@ def test_characteristic_cap(make):
 def test_charconfig_q():
     assert CharConfig(2, 3).q == 8
     assert CharConfig(5).q == 5
+
+
+def test_q_cap():
+    # q is capped where p is: a list walk builds one digit slice per d < q
+    assert CharConfig(2, 30).q == 2**30
+    assert CharConfig(46337, 2).q == 46337**2 < MAX_P
+    for p, gamma in [(2, 31), (46349, 2), (MAX_P, 2), (3, 10**9)]:
+        with pytest.raises(ValueError, match=rf"q = {p}\^{gamma} exceeds the cap of {MAX_P}"):
+            CharConfig(p, gamma)
 
 
 def test_ring_width_and_names():
@@ -168,8 +179,31 @@ def test_power_cache_consistent():
     ring = Ring(3, 1)
     f = poly_parse("x0 + 1", ring)
     cache = PowerCache(f)
-    for n in [0, 1, 5, 9]:
+    for n in [0, 1, 5, 9, 2, 80, 3**7 + 1]:
         assert cache.power(n) == f**n
+
+
+def test_power_cache_takes_any_number_of_digits():
+    # one loop step per base-p digit: 10^400 has 1329 binary digits, which
+    # ran past the recursion limit
+    ring = Ring(2, 1)
+    n = 10**400
+    assert PowerCache(poly_parse("x0", ring)).power(n) == Poly.monomial(ring, (n,))
+
+
+def test_power_cache_term_cap(monkeypatch):
+    # (x0 + x1)^3 = (x0 + x1)^[2] (x0 + x1) over F_2: one product of 2 x 2 terms
+    f = poly_parse("x0 + x1", Ring(2, 2))
+    assert MAX_POWER_TERMS == 100_000
+    monkeypatch.setattr(polyring, "MAX_POWER_TERMS", 4)
+    assert PowerCache(f).power(3) == f**3
+    monkeypatch.setattr(polyring, "MAX_POWER_TERMS", 3)
+    with pytest.raises(ResourceLimitExceeded, match="may reach 4 terms, past the cap of 3"):
+        PowerCache(f).power(3)
+    # the digit powers f^d, d < p, are products too
+    g = poly_parse("x0 + x1", Ring(3, 2))
+    with pytest.raises(ResourceLimitExceeded, match="may reach 4 terms, past the cap of 3"):
+        PowerCache(g).power(2)
 
 
 # -- the trusted internal constructor ---------------------------------------------

@@ -252,3 +252,38 @@ def test_every_defaulted_parameter_is_set_somewhere():
                 if not documented and not any(sets_parameter(c, name, index) for c in mine):
                     unset.append(f"{path.stem}.{qualified}.{name}")
     assert unset == [], f"defaulted parameters no call in src/fsing sets: {unset}"
+
+
+def self_calls(tree):
+    """(line, qualified name) of each function that calls itself by its bare
+    name or as self.<its own name>, in its own body or a nested one."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(child):
+                    func = getattr(call, "func", None) if isinstance(call, ast.Call) else None
+                    by_name = isinstance(func, ast.Name) and func.id == child.name
+                    by_self = (
+                        isinstance(func, ast.Attribute) and func.attr == child.name
+                        and isinstance(func.value, ast.Name) and func.value.id == "self"
+                    )
+                    if by_name or by_self:
+                        out.append((call.lineno, prefix + child.name))
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_self_recursion(path):
+    # a recursion as deep as its input, such as one call per base-p digit,
+    # ends in a RecursionError, not a typed error; a loop has no depth
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert self_calls(tree) == [], f"{path.name} has functions that call themselves"
