@@ -1,6 +1,7 @@
 """The token walk as it read every polynomial before a split reader was
-added and later removed, and before the walk was made lean: the oracle that `fsing.polyring.poly_parse` must match, term for term and error
-for error, on ASCII text."""
+added and later removed, and before the walk was made lean: the oracle that
+`fsing.polyring.poly_parse` must match, term for term and error for error,
+on ASCII text."""
 
 from typing import Dict
 
