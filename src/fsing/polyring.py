@@ -369,26 +369,26 @@ def _natural(digit_text: str, pos: int) -> int:
 
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    while i < len(text):
+    i, n = 0, len(text)
+    while i < n:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+*^":
+        if ch in "+*^":
             tokens.append((ch, ch, i))
             i += 1
         elif ch in digits:
-            j = i
-            while j < len(text) and text[j] in digits:
+            j = i + 1
+            while j < n and text[j] in digits:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
         elif ch in ascii_letters:
-            j = i
-            while j < len(text) and text[j] in _NAME_CHARS:
+            j = i + 1
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j
+        elif ch.isspace():
+            i += 1
         else:
             raise PolyParseError(f"unexpected character {ch!r}", i)
     return tokens
