@@ -66,6 +66,11 @@ Breaks = list[tuple[int, Submodule]]
 # Frobenius twist keeps them.  The cusp graph's e = 6 at p = 3 (46,656 terms)
 # takes about 0.3 s, e = 7 (279,936) about 1 s, and the tests need e <= 3.
 MAX_EXPANSION_TERMS = 100_000
+# Cap on the q of a list walk, checked before its digit slices are built: a
+# walk takes q steps at every level, so s_set(x0^2 + t, 1) takes about 0.04 s
+# at q = 2^12 and 0.2 s at 2^14, and q = 2^30, which `CharConfig` accepts,
+# would run for hours.  The tests and benchmarks walk at q <= 5.
+MAX_WALK_Q = 2**14
 
 
 def _mat_check(mat: Sequence[Sequence[Poly]], l: int, ring: Ring) -> Matrix:
@@ -159,25 +164,39 @@ class TMatrix:
         return _mat_is_zero(self.mat)
 
 
-class _DigitSlice(dict):
-    """The digit-r slice of a matrix over R[t], each row built at first use.
+class _Columns(dict):
+    """The terms of a matrix over R[t] that each coordinate of a walk's
+    module meets, by digit: coordinate s*l + j is slot j of t^s, and maps
+    to {r: row}, built at its first use in one pass over column j.
 
-    c x^a t^m in row i of column j sends x^w t^s in slot j (coordinate
-    s*l + j) to digit r = (m+s) mod q, as c x^(w+a) in slot i of
-    t^((m+s) div q)."""
+    c x^a t^m in row i of column j sends x^w t^s in slot j to digit
+    r = (m+s) mod q, as c x^(w+a) in slot i of t^((m+s) div q)."""
 
-    def __init__(self, mat: Matrix, q: int, r: int):
+    def __init__(self, mat: Matrix, q: int):
         super().__init__()
-        self.mat, self.q, self.r = mat, q, r
+        self.mat, self.q = mat, q
 
-    def __missing__(self, idx: int) -> list:
+    def __missing__(self, idx: int) -> Dict[int, list]:
         l, q = len(self.mat), self.q
         s, j = divmod(idx, l)
-        self[idx] = row = [
-            ((m[-1] + s) // q * l + i, m[:-1], c)
-            for i in range(l) for m, c in self.mat[i][j].terms.items()
-            if (m[-1] + s) % q == self.r
-        ]
+        self[idx] = buckets = {}
+        for i in range(l):
+            for m, c in self.mat[i][j].terms.items():
+                k, r = divmod(m[-1] + s, q)
+                buckets.setdefault(r, []).append((k * l + i, m[:-1], c))
+        return buckets
+
+
+class _DigitSlice(dict):
+    """The digit-r slice of a matrix over R[t]: row idx, the digit-r terms
+    that coordinate idx meets, read from the walk's `_Columns` at first use."""
+
+    def __init__(self, columns: _Columns, r: int):
+        super().__init__()
+        self.columns, self.r = columns, r
+
+    def __missing__(self, idx: int) -> Sequence[Tuple[int, Monomial, int]]:
+        self[idx] = row = self.columns[idx].get(self.r, ())
         return row
 
 
@@ -350,7 +369,9 @@ def _digit_slices(A: TMatrix, rank: int) -> List[_DigitSlice]:
     and roots them one level in x and t: x^a t^m goes to the x-residue
     a mod q with coefficient x^(a div q) t^(m div q).  The slice is the
     t-part; `_RootGraph.child` roots x.  A slice builds a row at its first
-    use (`_DigitSlice`), since a walk's states touch few of the rank slots.
+    use (`_DigitSlice`), since a walk's states touch few of the rank slots,
+    and the q slices share one `_Columns`, which splits a column by digit
+    once for all of them.
     A child's t-degree is at most floor((d + N)/q) <= N; a coordinate that
     A(t) would carry past N is an internal error, raised here for the whole
     walk.  The shift grows with the slot, so column j's top slot
@@ -363,7 +384,8 @@ def _digit_slices(A: TMatrix, rank: int) -> List[_DigitSlice]:
         raise InternalConsistencyError(
             f"a Frobenius-root state exceeds the tau-degree bound {bound}"
         )
-    return [_DigitSlice(A.mat, q, r) for r in range(q)]
+    columns = _Columns(A.mat, q)
+    return [_DigitSlice(columns, r) for r in range(q)]
 
 
 class _RootWalk:
@@ -380,10 +402,15 @@ class _RootWalk:
     the sums of the level below, not the pieces.  A walk takes a
     `MatrixList` or A(t) itself, and builds the digit slices of A(t) for
     its one rank once (`_digit_slices`): they are its graph's multipliers.
+    A q past `MAX_WALK_Q` raises `ResourceLimitExceeded` before they are.
     """
 
     def __init__(self, A: TMatrix | MatrixList, cfg: CharConfig):
         A = _matrix_of(A, cfg)
+        if cfg.q > MAX_WALK_Q:
+            raise ResourceLimitExceeded(
+                f"q = {cfg.q} exceeds the list walk's cap of {MAX_WALK_Q}"
+            )
         rank = A.l * (A.tdeg // (cfg.q - 1) + 1)
         ring = A.ring.base()
         units = [{(i, (0,) * ring.width): 1} for i in range(A.l)]

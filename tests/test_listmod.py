@@ -1055,3 +1055,47 @@ def test_expansion_term_cap_boundary(monkeypatch):
     monkeypatch.setattr(listmod, "MAX_EXPANSION_TERMS", 6**3 - 1)
     with pytest.raises(ResourceLimitExceeded, match=r"A\^2 may reach 6\^3 terms, past the cap"):
         h_expand(CUSP3_GRAPH, 3, CFG3)
+
+
+# every list entry point that walks, at the cusp's q = 3
+LIST_WALKS = {
+    name: CONFIG_MISMATCHES[name]
+    for name in ["simple_list_I", "simple_list_tau", "s_set_simple", "ltm_scan", "s_set",
+                 "list_test_module", "estimate_jumping_numbers", "b_function"]
+}
+LIST_WALKS["simple_tau_scan"] = lambda cfg: simple_tau_scan(_simple_list(cfg), 1, cfg)
+
+
+@pytest.mark.parametrize("name", LIST_WALKS)
+def test_list_walk_q_cap_boundary(monkeypatch, name):
+    # a q equal to listmod.MAX_WALK_Q is walked; past it the walk is refused
+    # before any digit slice is built
+    expected = LIST_WALKS[name](CFG3)
+    monkeypatch.setattr(listmod, "MAX_WALK_Q", 3)
+    assert LIST_WALKS[name](CFG3) == expected
+
+    def unreachable(*args):
+        raise AssertionError("digit slices built past the q cap")
+
+    monkeypatch.setattr(listmod, "MAX_WALK_Q", 2)
+    monkeypatch.setattr(listmod, "_digit_slices", unreachable)
+    with pytest.raises(ResourceLimitExceeded, match="q = 3 exceeds the list walk's cap of 2"):
+        LIST_WALKS[name](CFG3)
+
+
+def test_digit_slice_rows_match_a_scan_per_digit():
+    # each row holds its coordinate's terms on its digit in the column's
+    # order, as a scan of the whole column for that one digit finds them
+    cfg = CharConfig(3)
+    A = tmat(cfg, 1, [["x0*t^2 + t^4 + 2", "2*t"], ["t^3 + x0", "x0^2*t^5 + t"]])
+    l, q, rank = A.l, cfg.q, 6
+    slices = _digit_slices(A, rank)
+    for r in range(q):
+        for idx in range(rank):
+            s, j = divmod(idx, l)
+            scan = [
+                ((m[-1] + s) // q * l + i, m[:-1], c)
+                for i in range(l) for m, c in A.mat[i][j].terms.items()
+                if (m[-1] + s) % q == r
+            ]
+            assert list(slices[r][idx]) == scan
