@@ -12,6 +12,9 @@ A `Submodule` keeps its generators and reduced basis as flat vectors, maps
 modules from flats (`Submodule._from_flats`), test membership on flats
 (`_contains_flats`) and key memos by `_canonical()`, one frozenset of flat
 items per reduced basis element, which `==` and `hash` use too.
+The CLI prints a reduced basis straight from these flats, split by
+position, through `polyring.format_terms` (the formatter of `Poly.__str__`)
+and `_vector_text` (that of `VectorR.__str__`), so it builds no `VectorR`.
 
 The Buchberger loop takes S-pairs in the normal selection strategy: the pair
 whose lcm is smallest in grevlex comes first, ties broken by the indices
@@ -26,7 +29,9 @@ problem scale it buys nothing.
 
 The queue's one cap, `DEFAULT_PAIR_LIMIT` unless a `with pair_limit(n):`
 block sets another, is held in a context variable, so it applies to one
-thread or task and is restored when the block exits.  A module uses the cap
+thread or task and is restored when the block exits.  `pair_limit` is a
+small context-manager class, not a generator, as the CLI enters one on
+every call.  A module uses the cap
 in force when its basis is first computed; a basis already computed is
 never recomputed under another cap.
 
@@ -59,9 +64,8 @@ from __future__ import annotations
 
 import heapq
 import operator
-from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import RankMismatchError, ResourceLimitExceeded
 from .polyring import Monomial, Poly, Ring, grevlex_key
@@ -70,19 +74,25 @@ DEFAULT_PAIR_LIMIT = 200_000
 _pair_limit: ContextVar[int] = ContextVar("pair_limit", default=DEFAULT_PAIR_LIMIT)
 
 
-@contextmanager
-def pair_limit(limit: int) -> Iterator[None]:
-    """Cap the S-pair queue of every Buchberger run inside the block.
+class pair_limit:
+    """Cap the S-pair queue of every Buchberger run inside a `with` block.
 
-    The cap is held per context (thread or task) and restored on exit.
+    The cap is held per context (thread or task) and restored on exit; a
+    cap below 1 raises `ValueError` on entry.  An instance is entered once.
     """
-    if limit < 1:
-        raise ValueError("pair limit must be positive")
-    token = _pair_limit.set(limit)
-    try:
-        yield
-    finally:
-        _pair_limit.reset(token)
+
+    __slots__ = ("limit", "_token")
+
+    def __init__(self, limit: int):
+        self.limit = limit
+
+    def __enter__(self) -> None:
+        if self.limit < 1:
+            raise ValueError("pair limit must be positive")
+        self._token = _pair_limit.set(self.limit)
+
+    def __exit__(self, *exc_info) -> None:
+        _pair_limit.reset(self._token)
 
 
 ModTerm = tuple[int, Monomial]
@@ -150,12 +160,15 @@ class VectorR:
         return hash(self.entries)
 
     def __str__(self) -> str:
-        if self.rank == 1:
-            return str(self.entries[0])
-        return "(" + ", ".join(str(p) for p in self.entries) + ")"
+        return _vector_text([str(p) for p in self.entries])
 
     def __repr__(self) -> str:
         return f"VectorR{str(self)}"
+
+
+def _vector_text(texts: List[str]) -> str:
+    """A vector's text from its entries' texts: the entry itself at rank 1."""
+    return texts[0] if len(texts) == 1 else "(" + ", ".join(texts) + ")"
 
 
 def _flatten(v: VectorR) -> FlatVec:

@@ -14,7 +14,8 @@ The canonical monomial order, used everywhere for deterministic output, is
 graded reverse lexicographic.
 
 `poly_parse` reads polynomial text by one token walk, which raises each
-PolyParseError at the offset of the first bad token.
+PolyParseError at the offset of the first bad token; `format_terms` writes
+it, for `Poly.__str__` and for the CLI, which prints flat basis vectors.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, neg
 from string import ascii_letters, digits
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import PolyParseError, ResourceLimitExceeded
 
@@ -204,10 +205,6 @@ class Poly:
             return -1
         return max(m[slot] for m in self.terms)
 
-    def sorted_terms(self) -> Iterator[Tuple[Monomial, int]]:
-        """Terms in descending graded reverse lexicographic order."""
-        return iter(sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True))
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Poly"):
@@ -302,27 +299,32 @@ class Poly:
     # -- printing -------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        names = self.ring.var_names()
-        parts = []
-        for mono, c in self.sorted_terms():
-            factors = []
-            for name, e in zip(names, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
-        return " + ".join(parts)
+        return format_terms(self.terms, self.ring.var_names())
 
     def __repr__(self) -> str:
         return f"Poly({self.ring.p}; {self})"
+
+
+def format_terms(terms: Dict[Monomial, int], names: Sequence[str]) -> str:
+    """The text of the sum of c x^m over `terms`, largest term in grevlex
+    first, with `names` for the exponent slots: "0" for no terms, and a
+    coefficient 1 or an exponent 1 left out.  `Poly.__str__` and the CLI's
+    printer of flat basis vectors both print through it."""
+    if not terms:
+        return "0"
+    parts = []
+    for mono in sorted(terms, key=grevlex_key, reverse=True):
+        c = terms[mono]
+        factors = "*".join(
+            name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e
+        )
+        if not factors:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(factors)
+        else:
+            parts.append(f"{c}*{factors}")
+    return " + ".join(parts)
 
 
 # -- parsing -------------------------------------------------------------------
@@ -456,7 +458,11 @@ def frobenius_power(f: Poly, e: int, cfg: CharConfig) -> Poly:
     check_char(f.ring, cfg)
     if e == 0:
         return f
-    s = cfg.q ** e
+    return _scale_exponents(f, cfg.q ** e)
+
+
+def _scale_exponents(f: Poly, s: int) -> Poly:
+    """f with every exponent times s: f^s when s is a power of the characteristic."""
     return Poly._trusted(f.ring, {tuple(v * s for v in m): c for m, c in f.terms.items()})
 
 
@@ -501,21 +507,20 @@ class PowerCache:
     """
 
     def __init__(self, f: Poly):
-        self.f = f
-        self._prime_cfg = CharConfig(f.ring.p)
-        self._digits = [Poly.const(f.ring, 1), f]
+        self.f, self.p = f, f.ring.p
+        self._digits = [Poly._trusted(f.ring, {(0,) * f.ring.width: 1}), f]
 
     def power(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative power")
-        cfg = self._prime_cfg
+        p = self.p
         below = []  # the base-p digits of n below its top digit, lowest first
-        while n >= cfg.p:
-            n, d = divmod(n, cfg.p)
+        while n >= p:
+            n, d = divmod(n, p)
             below.append(d)
         result = self._digit(n)
         for d in reversed(below):
-            result = frobenius_power(result, 1, cfg)
+            result = _scale_exponents(result, p)
             if d:
                 result = _capped_product(result, self._digit(d))
         return result

@@ -198,13 +198,12 @@ def tau_f_stable(f: Poly, alpha: Fraction, cfg: CharConfig) -> Submodule:
     the generators are the reduced basis.
     """
     powers = _checked_powers(f, alpha, cfg)
-    full = Submodule.full(1, f.ring)
     if alpha == 0:
-        return full
+        return Submodule.full(1, f.ring)
     graph = _power_graph(powers, cfg)
     a, c, d = _pe_decompose(alpha, cfg)
     if d == 0:
-        return _digit_root(a, c, full, graph, powers)
+        return _digit_root(a, c, Submodule.full(1, f.ring), graph, powers)
     den = cfg.q**d - 1
     m, a = divmod(a, den)
     seed = _ideal(powers.power(-(-a // den)))

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from fsing import cli, listmod, modgb
 from fsing.cli import _build_parser, run
 from fsing.errors import FsingError, InternalConsistencyError
-from fsing.modgb import DEFAULT_PAIR_LIMIT
-from fsing.polyring import MAX_VARS
+from fsing.modgb import DEFAULT_PAIR_LIMIT, Submodule, VectorR
+from fsing.polyring import MAX_VARS, Poly, Ring
 
 FSING = [sys.executable, "-m", "fsing.cli"]
 
@@ -190,6 +190,17 @@ def test_pair_limit_applies_to_one_call(capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_nonpositive_limit_pairs_is_a_user_error(capsys, limit):
+    # "0" is read by the flag reader and "-1", which starts with '-', by
+    # argparse; both reach pair_limit, which refuses them on entry
+    argv = ["tau", "--f", "x0^2+x1^3", "--alpha", "5/6", "-p", "3", "--limit-pairs", limit]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "fsing: error: pair limit must be positive\n")
+    assert run(argv[:-2]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["tau", "--f", "x0^2+x1^3", "-p", "2", "--alpha", "1/1000003"],
     ["tau", "--f", "x0^2+x1^3", "-p", "3", "--alpha", "99999999/100000000"],
@@ -295,6 +306,50 @@ def test_internal_error_exit_code(monkeypatch, capsys, tame_problem, command):
     code = run(command[:1] + ["--input", tame_problem] + command[1:])
     assert code == 3
     assert capsys.readouterr().err == f"fsing: internal error: {message}\n"
+
+
+ROOT_RANK2 = ["froot", "--gens", "x0^5+2*x1^5,x1^10;x0^10,3*x1^5;0,x0^5*x1^5+4",
+              "--e", "1", "-p", "5"]
+ROOT_RANK2_BASIS = ["(x1^2, 2*x1)", "(x0 + 2*x1, 3)", "(0, x1^2 + 2)", "(0, x0 + 3*x1)"]
+
+
+def test_rank_two_froot_output(capsys):
+    # zero entries, constants and coefficients in a rank-2 reduced basis
+    assert run(ROOT_RANK2) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in ROOT_RANK2_BASIS)
+    assert run(ROOT_RANK2 + ["--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"generators": ["(x1^2, 2*x1)", "(x0 + 2*x1, 3)", "(0, x1^2 + 2)", '
+        '"(0, x0 + 3*x1)"]}\n'
+    )
+
+
+@st.composite
+def submodules(draw):
+    """A submodule of rank 1-3 over F_p[x0, x1], p in {2, 3, 5}, of up to
+    three generators, with zero and constant entries among them."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    rank = draw(st.integers(1, 3))
+    ring = Ring(p, 2)
+    monos = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    entries = st.dictionaries(monos, st.integers(1, p - 1), max_size=3)
+    gens = draw(st.lists(st.lists(entries, min_size=rank, max_size=rank), max_size=3))
+    vectors = [VectorR([Poly(ring, terms) for terms in gen]) for gen in gens]
+    return Submodule(rank, vectors, ring)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(submodules(), st.booleans())
+def test_report_prints_the_reduced_basis(N, as_json):
+    # the report prints from flat vectors what str prints of each VectorR
+    expected = [str(v) for v in N.reduced_basis()]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._submodule_report(N, as_json)
+    if as_json:
+        assert out.getvalue() == json.dumps({"generators": expected}, sort_keys=True) + "\n"
+    else:
+        assert out.getvalue() == "\n".join(expected or ["0"]) + "\n"
 
 
 def test_hexpand_list_and_matrix_forms_agree(tmp_path, tame_problem):
@@ -589,7 +644,10 @@ def test_non_ascii_alpha_is_a_usage_error(capsys):
 
 
 TEN_TO_400 = str(10**400)
-GAMMA_40 = {"p": 2, "gamma": 40, "num_vars": 2, "rank": 1, "matrix": [["x0^2 + t"]]}
+PROBLEMS = {
+    name: {"p": 2, "gamma": gamma, "num_vars": 2, "rank": 1, "matrix": [["x0^2 + t"]]}
+    for name, gamma in [("GAMMA_40", 40), ("GAMMA_20", 20)]
+}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -603,18 +661,23 @@ GAMMA_40 = {"p": 2, "gamma": 40, "num_vars": 2, "rank": 1, "matrix": [["x0^2 + t
     (["fjump", "--f", "x0^2+x1^3", "-p", "2", "--gamma", "1000", "--e-max", "1"], 1),
     (["sset", "--input", "GAMMA_40", "--e", "1"], 1),
     (["bfun", "--input", "GAMMA_40", "--e-max", "3"], 1),
+    # q = 2^20 passes listmod.MAX_WALK_Q; a walk takes q steps a level
+    (["sset", "--input", "GAMMA_20", "--e", "1"], 2),
+    (["jumps", "--input", "GAMMA_20", "--e-max", "2"], 2),
+    (["bfun", "--input", "GAMMA_20", "--e-max", "3"], 2),
     # q = 2^30 passes the q cap; (x0^2 - t)^(q-1) would have 2^30 terms
     (["graphgen", "--f", "x0^2", "-p", "2", "--gamma", "30"], 2),
     (["froot", "--gens", "x0^3", "-p", "2", "--e", "1000000000"], 2),
 ], ids=[
     "alpha-10^400", "alpha-10^400-e1", "alpha-10^400-binomial", "tau-gamma-1000",
-    "fjump-gamma-1000", "sset-gamma-40", "bfun-gamma-40", "graphgen-gamma-30", "froot-deep-e",
+    "fjump-gamma-1000", "sset-gamma-40", "bfun-gamma-40", "sset-gamma-20", "jumps-gamma-20",
+    "bfun-gamma-20", "graphgen-gamma-30", "froot-deep-e",
 ])
 def test_hostile_inputs_exit_at_once(tmp_path, argv, code):
     # each of these raised RecursionError, hung or ran past 5 s before its cap
-    path = tmp_path / "gamma40.json"
-    path.write_text(json.dumps(GAMMA_40))
-    argv = [str(path) if arg == "GAMMA_40" else arg for arg in argv]
+    for name, problem in PROBLEMS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(problem))
+    argv = [str(tmp_path / f"{arg}.json") if arg in PROBLEMS else arg for arg in argv]
     proc = subprocess.run(FSING + argv, capture_output=True, text=True, timeout=1.0)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr

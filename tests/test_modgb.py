@@ -661,6 +661,22 @@ def test_pair_limit_is_scoped_to_its_thread():
     assert results["basis"]
 
 
+def test_pair_limit_restores_the_outer_cap_after_an_exception():
+    # an inner block that fails inside, or that refuses its cap on entry,
+    # leaves the outer block's cap in force
+    ring, gens, _ = BUCHBERGER_CASES[0]
+    vectors = [vec(ring, *g) for g in gens]
+    with pair_limit(28):
+        with pytest.raises(ResourceLimitExceeded), pair_limit(27):
+            Submodule(1, vectors, ring).reduced_basis()
+        assert modgb._pair_limit.get() == 28
+        with pytest.raises(ValueError, match="pair limit must be positive"), pair_limit(0):
+            pass
+        assert modgb._pair_limit.get() == 28
+        assert Submodule(1, vectors, ring).reduced_basis()
+    assert modgb._pair_limit.get() == DEFAULT_PAIR_LIMIT
+
+
 def test_pair_limit_restored_after_an_exception():
     ring, gens, _ = BUCHBERGER_CASES[0]
     vectors = [vec(ring, *g) for g in gens]

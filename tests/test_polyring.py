@@ -82,6 +82,42 @@ def test_parse_t_and_tau():
     assert str(poly_parse("tau", Ring(2, 0, "tau"))) == "tau"
 
 
+def ref_str(f: Poly) -> str:
+    """The printed form of f, the reference of `polyring.format_terms`:
+    terms by descending grevlex, each coefficient then its factors."""
+    parts = []
+    for mono, c in sorted(f.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True):
+        factors = []
+        for name, e in zip(f.ring.var_names(), mono):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        if not factors:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append("*".join(factors))
+        else:
+            parts.append(f"{c}*" + "*".join(factors))
+    return " + ".join(parts) or "0"
+
+
+@st.composite
+def polys_with_extra(draw):
+    """A polynomial over F_p[x0..], with or without t or tau, zero and constants included."""
+    p = draw(st.sampled_from([2, 3, 7]))
+    ring = Ring(p, draw(st.integers(0, 3)), draw(st.sampled_from([None, "t", "tau"])))
+    monos = st.tuples(*[st.integers(0, 4)] * ring.width)
+    return Poly(ring, draw(st.dictionaries(monos, st.integers(0, 2 * p), max_size=5)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(polys_with_extra())
+def test_str_matches_the_reference_printer(f):
+    assert str(f) == ref_str(f)
+    assert poly_parse(str(f), f.ring) == f
+
+
 @pytest.mark.parametrize(
     "bad",
     ["x0 -", "x2", "x0^", "*x0", "x0 + ", "", "y0", "t", "x0^x0", "2.5"],
