@@ -7,11 +7,12 @@ check, which signals a bug).  All exact rationals cross the boundary as
 {"num": ..., "den": ...} pairs; floating point is rejected on input.
 JSON output is byte-identical across runs for identical inputs.
 run(argv) may be called repeatedly in one process: it builds its parser, the
-JSON encoder and the variable pattern once.  A module result is printed from
-its reduced basis's flat vectors by the one term formatter of `Poly.__str__`
-(`polyring.format_terms`); the --limit-pairs cap is entered through
-`modgb.pair_limit`, a context-manager class that sets the cap for the call
-and restores it on exit, and refuses a cap below 1 (exit 1).
+JSON encoder and the variable pattern once.  A module result is printed by
+`Submodule.reduced_basis_texts`, from its reduced basis's flat vectors by the
+one term formatter of `Poly.__str__` (`polyring.format_terms`).  The
+--limit-pairs cap is entered through `modgb.pair_limit`, a context-manager
+class that sets the cap for the call, restores it on exit and refuses a cap
+below 1 (exit 1).
 A call that names a subcommand and gives only its flags, each required one,
 and values that convert and do not start with '-' is read by a table taken
 from the subcommand's argparse actions; argparse parses any other call and
@@ -30,8 +31,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import FsingError, InternalConsistencyError, ResourceLimitExceeded
 from .frobenius import frobenius_root
-from .modgb import DEFAULT_PAIR_LIMIT, Submodule, VectorR, _vector_text, pair_limit
-from .polyring import MAX_VARS, CharConfig, Ring, format_terms, poly_parse
+from .modgb import DEFAULT_PAIR_LIMIT, Submodule, VectorR, pair_limit
+from .polyring import MAX_VARS, CharConfig, Ring, poly_parse
 
 _ALPHA_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
 _VAR_RE = re.compile(r"x([0-9]+)")
@@ -116,15 +117,7 @@ def _emit(obj: dict, as_json: bool, text_lines: List[str]) -> None:
 
 
 def _submodule_report(N: Submodule, as_json: bool) -> None:
-    """Print N's reduced basis, each element as `str` of its `VectorR` reads,
-    from its flat vector split by position."""
-    names = N.ring.var_names()
-    gens = []
-    for _, flat in N._reduced():
-        entries = [{} for _ in range(N.rank)]
-        for (pos, mono), c in flat.items():
-            entries[pos][mono] = c
-        gens.append(_vector_text([format_terms(terms, names) for terms in entries]))
+    gens = N.reduced_basis_texts()
     _emit({"generators": gens}, as_json, gens or ["0"])
 
 

@@ -12,9 +12,10 @@ A `Submodule` keeps its generators and reduced basis as flat vectors, maps
 modules from flats (`Submodule._from_flats`), test membership on flats
 (`_contains_flats`) and key memos by `_canonical()`, one frozenset of flat
 items per reduced basis element, which `==` and `hash` use too.
-The CLI prints a reduced basis straight from these flats, split by
-position, through `polyring.format_terms` (the formatter of `Poly.__str__`)
-and `_vector_text` (that of `VectorR.__str__`), so it builds no `VectorR`.
+`reduced_basis_texts`, which the CLI prints, writes the reduced basis
+straight from these flats, split by position, through `polyring.format_terms`
+(the formatter of `Poly.__str__`) and `_vector_text` (that of
+`VectorR.__str__`), so it builds no `VectorR`.
 
 The Buchberger loop takes S-pairs in the normal selection strategy: the pair
 whose lcm is smallest in grevlex comes first, ties broken by the indices
@@ -68,7 +69,7 @@ from contextvars import ContextVar
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import RankMismatchError, ResourceLimitExceeded
-from .polyring import Monomial, Poly, Ring, grevlex_key
+from .polyring import Monomial, Poly, Ring, format_terms, grevlex_key
 
 DEFAULT_PAIR_LIMIT = 200_000
 _pair_limit: ContextVar[int] = ContextVar("pair_limit", default=DEFAULT_PAIR_LIMIT)
@@ -179,11 +180,16 @@ def _flatten(v: VectorR) -> FlatVec:
     return out
 
 
-def _unflatten(flat: FlatVec, rank: int, ring: Ring) -> VectorR:
+def _split(flat: FlatVec, rank: int) -> List[Dict[Monomial, int]]:
+    """A flat vector's terms by position."""
     per_pos: List[Dict[Monomial, int]] = [{} for _ in range(rank)]
     for (pos, mono), c in flat.items():
         per_pos[pos][mono] = c
-    return VectorR(tuple(Poly._trusted(ring, terms) for terms in per_pos))
+    return per_pos
+
+
+def _unflatten(flat: FlatVec, rank: int, ring: Ring) -> VectorR:
+    return VectorR(tuple(Poly._trusted(ring, terms) for terms in _split(flat, rank)))
 
 
 def _lead(flat: FlatVec) -> ModTerm:
@@ -430,6 +436,15 @@ class Submodule:
         if self._vectors is None:
             self._vectors = tuple(_unflatten(g, self.rank, self.ring) for _, g in self._reduced())
         return self._vectors
+
+    def reduced_basis_texts(self) -> List[str]:
+        """`str` of each element of `reduced_basis()`, printed from the flat
+        basis by `polyring.format_terms` without building any `VectorR`."""
+        names, rank = self.ring.var_names(), self.rank
+        return [
+            _vector_text([format_terms(terms, names) for terms in _split(g, rank)])
+            for _, g in self._reduced()
+        ]
 
     def _canonical(self) -> Tuple[frozenset, ...]:
         """The reduced basis as a key, equal exactly for equal spans of one rank and ring."""

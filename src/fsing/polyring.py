@@ -15,7 +15,8 @@ graded reverse lexicographic.
 
 `poly_parse` reads polynomial text by one token walk, which raises each
 PolyParseError at the offset of the first bad token; `format_terms` writes
-it, for `Poly.__str__` and for the CLI, which prints flat basis vectors.
+it, for `Poly.__str__` and for `modgb.Submodule.reduced_basis_texts`, which
+prints flat basis vectors.
 """
 
 from __future__ import annotations
@@ -308,8 +309,9 @@ class Poly:
 def format_terms(terms: Dict[Monomial, int], names: Sequence[str]) -> str:
     """The text of the sum of c x^m over `terms`, largest term in grevlex
     first, with `names` for the exponent slots: "0" for no terms, and a
-    coefficient 1 or an exponent 1 left out.  `Poly.__str__` and the CLI's
-    printer of flat basis vectors both print through it."""
+    coefficient 1 or an exponent 1 left out.  `Poly.__str__` and
+    `modgb.Submodule.reduced_basis_texts`, which prints flat basis vectors,
+    both print through it."""
     if not terms:
         return "0"
     parts = []
