@@ -7,10 +7,9 @@ check, which signals a bug).  All exact rationals cross the boundary as
 {"num": ..., "den": ...} pairs; floating point is rejected on input.
 JSON output is byte-identical across runs for identical inputs.
 run(argv) may be called repeatedly in one process: it builds its parser, the
-JSON encoder and the variable pattern once.  A module result is printed by
-`Submodule.reduced_basis_texts`, from its reduced basis's flat vectors by the
-one term formatter of `Poly.__str__` (`polyring.format_terms`).  The
---limit-pairs cap is entered through `modgb.pair_limit`, a context-manager
+JSON encoder and the variable pattern once.  A module result is printed as
+`str` of each element of its reduced basis, so every entry goes through the
+one term formatter, `Poly.__str__`.  The --limit-pairs cap is entered through `modgb.pair_limit`, a context-manager
 class that sets the cap for the call, restores it on exit and refuses a cap
 below 1 (exit 1).
 A call that names a subcommand and gives only its flags, each required one,
@@ -117,7 +116,7 @@ def _emit(obj: dict, as_json: bool, text_lines: List[str]) -> None:
 
 
 def _submodule_report(N: Submodule, as_json: bool) -> None:
-    gens = N.reduced_basis_texts()
+    gens = [str(v) for v in N.reduced_basis()]
     _emit({"generators": gens}, as_json, gens or ["0"])
 
 

@@ -11,11 +11,9 @@ A `Submodule` keeps its generators and reduced basis as flat vectors, maps
 (`generators`, `reduced_basis()`) on first access.  Internal callers build
 modules from flats (`Submodule._from_flats`), test membership on flats
 (`_contains_flats`) and key memos by `_canonical()`, one frozenset of flat
-items per reduced basis element, which `==` and `hash` use too.
-`reduced_basis_texts`, which the CLI prints, writes the reduced basis
-straight from these flats, split by position, through `polyring.format_terms`
-(the formatter of `Poly.__str__`) and `_vector_text` (that of
-`VectorR.__str__`), so it builds no `VectorR`.
+items per reduced basis element, which `==` and `hash` use too.  The CLI
+prints a module as `str` of each `reduced_basis()` element, whose entries
+`Poly.__str__`, the one term formatter, writes.
 
 The Buchberger loop takes S-pairs in the normal selection strategy: the pair
 whose lcm is smallest in grevlex comes first, ties broken by the indices
@@ -69,7 +67,7 @@ from contextvars import ContextVar
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import RankMismatchError, ResourceLimitExceeded
-from .polyring import Monomial, Poly, Ring, format_terms, grevlex_key
+from .polyring import Monomial, Poly, Ring, grevlex_key
 
 DEFAULT_PAIR_LIMIT = 200_000
 _pair_limit: ContextVar[int] = ContextVar("pair_limit", default=DEFAULT_PAIR_LIMIT)
@@ -161,15 +159,12 @@ class VectorR:
         return hash(self.entries)
 
     def __str__(self) -> str:
-        return _vector_text([str(p) for p in self.entries])
+        if self.rank == 1:
+            return str(self.entries[0])
+        return "(" + ", ".join(str(p) for p in self.entries) + ")"
 
     def __repr__(self) -> str:
         return f"VectorR{str(self)}"
-
-
-def _vector_text(texts: List[str]) -> str:
-    """A vector's text from its entries' texts: the entry itself at rank 1."""
-    return texts[0] if len(texts) == 1 else "(" + ", ".join(texts) + ")"
 
 
 def _flatten(v: VectorR) -> FlatVec:
@@ -180,16 +175,11 @@ def _flatten(v: VectorR) -> FlatVec:
     return out
 
 
-def _split(flat: FlatVec, rank: int) -> List[Dict[Monomial, int]]:
-    """A flat vector's terms by position."""
+def _unflatten(flat: FlatVec, rank: int, ring: Ring) -> VectorR:
     per_pos: List[Dict[Monomial, int]] = [{} for _ in range(rank)]
     for (pos, mono), c in flat.items():
         per_pos[pos][mono] = c
-    return per_pos
-
-
-def _unflatten(flat: FlatVec, rank: int, ring: Ring) -> VectorR:
-    return VectorR(tuple(Poly._trusted(ring, terms) for terms in _split(flat, rank)))
+    return VectorR(tuple(Poly._trusted(ring, terms) for terms in per_pos))
 
 
 def _lead(flat: FlatVec) -> ModTerm:
@@ -436,15 +426,6 @@ class Submodule:
         if self._vectors is None:
             self._vectors = tuple(_unflatten(g, self.rank, self.ring) for _, g in self._reduced())
         return self._vectors
-
-    def reduced_basis_texts(self) -> List[str]:
-        """`str` of each element of `reduced_basis()`, printed from the flat
-        basis by `polyring.format_terms` without building any `VectorR`."""
-        names, rank = self.ring.var_names(), self.rank
-        return [
-            _vector_text([format_terms(terms, names) for terms in _split(g, rank)])
-            for _, g in self._reduced()
-        ]
 
     def _canonical(self) -> Tuple[frozenset, ...]:
         """The reduced basis as a key, equal exactly for equal spans of one rank and ring."""

@@ -14,9 +14,8 @@ The canonical monomial order, used everywhere for deterministic output, is
 graded reverse lexicographic.
 
 `poly_parse` reads polynomial text by one token walk, which raises each
-PolyParseError at the offset of the first bad token; `format_terms` writes
-it, for `Poly.__str__` and for `modgb.Submodule.reduced_basis_texts`, which
-prints flat basis vectors.
+PolyParseError at the offset of the first bad token; `Poly.__str__` writes
+it back, and is the one term formatter the CLI prints through.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, neg
 from string import ascii_letters, digits
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import PolyParseError, ResourceLimitExceeded
 
@@ -300,33 +299,28 @@ class Poly:
     # -- printing -------------------------------------------------------------
 
     def __str__(self) -> str:
-        return format_terms(self.terms, self.ring.var_names())
+        """Terms by descending grevlex: "0" for no terms, and a coefficient 1
+        or an exponent 1 left out."""
+        terms = self.terms
+        if not terms:
+            return "0"
+        names = self.ring.var_names()
+        parts = []
+        for mono in sorted(terms, key=grevlex_key, reverse=True):
+            c = terms[mono]
+            factors = "*".join(
+                name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e
+            )
+            if not factors:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(factors)
+            else:
+                parts.append(f"{c}*{factors}")
+        return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"Poly({self.ring.p}; {self})"
-
-
-def format_terms(terms: Dict[Monomial, int], names: Sequence[str]) -> str:
-    """The text of the sum of c x^m over `terms`, largest term in grevlex
-    first, with `names` for the exponent slots: "0" for no terms, and a
-    coefficient 1 or an exponent 1 left out.  `Poly.__str__` and
-    `modgb.Submodule.reduced_basis_texts`, which prints flat basis vectors,
-    both print through it."""
-    if not terms:
-        return "0"
-    parts = []
-    for mono in sorted(terms, key=grevlex_key, reverse=True):
-        c = terms[mono]
-        factors = "*".join(
-            name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e
-        )
-        if not factors:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(factors)
-        else:
-            parts.append(f"{c}*{factors}")
-    return " + ".join(parts)
 
 
 # -- parsing -------------------------------------------------------------------

@@ -341,7 +341,7 @@ def submodules(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(submodules(), st.booleans())
 def test_report_prints_the_reduced_basis(N, as_json):
-    # the report prints from flat vectors what str prints of each VectorR
+    # the report prints str of each reduced-basis element, as text or JSON
     expected = [str(v) for v in N.reduced_basis()]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

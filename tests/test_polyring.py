@@ -83,7 +83,7 @@ def test_parse_t_and_tau():
 
 
 def ref_str(f: Poly) -> str:
-    """The printed form of f, the reference of `polyring.format_terms`:
+    """The printed form of f, the reference of `Poly.__str__`:
     terms by descending grevlex, each coefficient then its factors."""
     parts = []
     for mono, c in sorted(f.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True):
