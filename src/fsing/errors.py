@@ -22,8 +22,9 @@ class RankMismatchError(FsingError):
 
 class ResourceLimitExceeded(FsingError):
     """A computation exceeded a resource cap: the Groebner pair queue, the
-    period of a stable test ideal's exponent, the levels of a root, or the
-    terms of a product that `h_expand` or `PowerCache.power` forms.
+    period of a stable test ideal's exponent, the levels of a root, the
+    terms of a product that `h_expand` or `PowerCache.power` forms, or the
+    products that build one digit power of `PowerCache.power`.
 
     Distinct from wrong answers: nothing was truncated silently.
     """

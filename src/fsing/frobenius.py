@@ -11,7 +11,8 @@ depends only on the span of the module and the digit, so the steps form a
 finite graph on the distinct spans with edges labelled by digits
 (`_RootGraph`).  The graph takes the multiplier m_d of each digit d and runs
 the one step K -> (m_d K)^[1/q] itself: m_d is f^d for the test ideals of
-`testideal` and the digit-d slice of A(t) for the list walks of `listmod`.
+`testideal` and the digit-d slice of A(t) for the list walks of `listmod`,
+each built at its first use by a `_Table`.
 A list walk's running sums are kept on its graph as well, one object per
 span, so within one call the graph is the only store of spans.  The levels
 of one root or walk are capped at `MAX_LEVEL` (`_check_level`).
@@ -20,7 +21,7 @@ of one root or walk are capped at `MAX_LEVEL` (`_check_level`).
 from __future__ import annotations
 
 from operator import add
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import ResourceLimitExceeded
 from .modgb import FlatVec, Submodule, VectorR, prune_generators
@@ -120,6 +121,19 @@ def _root_generators(N: Submodule, e: int, cfg: CharConfig, mult: Multiplier) ->
     return out
 
 
+class _Table(dict):
+    """A dict that builds the value of a missing key by `build(key)` at its
+    first lookup and keeps it; a hit is a plain dict lookup."""
+
+    def __init__(self, build: Callable):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        self[key] = value = self.build(key)
+        return value
+
+
 class _RootGraph:
     """The one-level steps K -> (mults[d] K)^[1/q], d < q, of one call, each
     taken once, and the sums K -> K + P of its running sums.
@@ -134,8 +148,9 @@ class _RootGraph:
     `kept`, which `f_jumping_exponents` does.  The zero module is
     its own child and is never stepped.  The graph lives as long as its
     owner; nothing is kept at module level.  `mults[d]` is the multiplier
-    of digit d, read at each new step of that digit, and `cfg` is the
-    characteristic the steps are taken in.
+    of digit d, read at each new step of that digit; the library's callers
+    pass a `_Table` that builds it then.  `cfg` is the characteristic the
+    steps are taken in.
     """
 
     def __init__(self, mults: Sequence[Multiplier], cfg: CharConfig):

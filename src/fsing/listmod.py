@@ -49,7 +49,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .errors import InternalConsistencyError, ProblemFormatError, ResourceLimitExceeded
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
 # every fsing module that holds it, and its tests expect listmod among them.
-from .frobenius import _check_level, _RootGraph, frobenius_root  # noqa: F401
+from .frobenius import _check_level, _RootGraph, _Table, frobenius_root  # noqa: F401
 from .modgb import Submodule
 from .polyring import (
     MAX_VARS, CharConfig, Monomial, Poly, Ring, check_char, frobenius_power, poly_parse,
@@ -71,6 +71,11 @@ MAX_EXPANSION_TERMS = 100_000
 # at q = 2^12 and 0.2 s at 2^14, and q = 2^30, which `CharConfig` accepts,
 # would run for hours.  The tests and benchmarks walk at q <= 5.
 MAX_WALK_Q = 2**14
+# Cap on a problem file's rank R, checked before any entry is read: a file
+# of a few bytes with an empty list asks for R^2 matrix cells and a walk in
+# R^{R(N+1)}: `sset --e 1` takes about 0.3 s and 48 MB at R = 400, and
+# R = 10^5 would exhaust memory.  The tests and benchmarks use R <= 2.
+MAX_RANK = 64
 
 
 def _mat_check(mat: Sequence[Sequence[Poly]], l: int, ring: Ring) -> Matrix:
@@ -164,42 +169,6 @@ class TMatrix:
         return _mat_is_zero(self.mat)
 
 
-class _Columns(dict):
-    """The terms of a matrix over R[t] that each coordinate of a walk's
-    module meets, by digit: coordinate s*l + j is slot j of t^s, and maps
-    to {r: row}, built at its first use in one pass over column j.
-
-    c x^a t^m in row i of column j sends x^w t^s in slot j to digit
-    r = (m+s) mod q, as c x^(w+a) in slot i of t^((m+s) div q)."""
-
-    def __init__(self, mat: Matrix, q: int):
-        super().__init__()
-        self.mat, self.q = mat, q
-
-    def __missing__(self, idx: int) -> Dict[int, list]:
-        l, q = len(self.mat), self.q
-        s, j = divmod(idx, l)
-        self[idx] = buckets = {}
-        for i in range(l):
-            for m, c in self.mat[i][j].terms.items():
-                k, r = divmod(m[-1] + s, q)
-                buckets.setdefault(r, []).append((k * l + i, m[:-1], c))
-        return buckets
-
-
-class _DigitSlice(dict):
-    """The digit-r slice of a matrix over R[t]: row idx, the digit-r terms
-    that coordinate idx meets, read from the walk's `_Columns` at first use."""
-
-    def __init__(self, columns: _Columns, r: int):
-        super().__init__()
-        self.columns, self.r = columns, r
-
-    def __missing__(self, idx: int) -> Sequence[Tuple[int, Monomial, int]]:
-        self[idx] = row = self.columns[idx].get(self.r, ())
-        return row
-
-
 @dataclass(frozen=True)
 class HFamily:
     """The matrices H^e_n(tau) with A^{e-1} = sum_n H^e_n(t^{q^e}) t^n.
@@ -272,16 +241,13 @@ def h_expand(A: TMatrix | MatrixList, e: int, cfg: CharConfig) -> HFamily:
     bound = d // (cfg.q - 1)
     tau_ring = A.ring.base().with_extra("tau")
 
-    table: Dict[int, List[List[Poly]]] = {}
+    z = Poly.zero(tau_ring)
+    table = _Table(lambda n: [[z] * l for _ in range(l)])
     for i in range(l):
         for j in range(l):
             for v, coeff in prod[i][j].split_extra().items():
                 k, n = divmod(v, q_e)
-                mat = table.get(n)
-                if mat is None:
-                    z = Poly.zero(tau_ring)
-                    mat = [[z] * l for _ in range(l)]
-                    table[n] = mat
+                mat = table[n]
                 mat[i][j] = mat[i][j] + coeff.lift_to(tau_ring, k)
 
     frozen = {n: tuple(tuple(row) for row in mat) for n, mat in table.items()}
@@ -360,7 +326,7 @@ def _jump_report(breaks: Breaks, e: int, cfg: CharConfig) -> SeReport:
 # -- the digit-wise walk ------------------------------------------------------
 
 
-def _digit_slices(A: TMatrix, rank: int) -> List[_DigitSlice]:
+def _digit_slices(A: TMatrix, rank: int) -> List[_Table]:
     """The digit-r slices of A(t) on R^rank, r < q: the multipliers of a
     walk's steps in R^{l(N+1)}, N = rank // l - 1.
 
@@ -368,10 +334,13 @@ def _digit_slices(A: TMatrix, rank: int) -> List[_DigitSlice]:
     each generator v(t) by A(t), keeps the terms x^a t^m with m = r (mod q)
     and roots them one level in x and t: x^a t^m goes to the x-residue
     a mod q with coefficient x^(a div q) t^(m div q).  The slice is the
-    t-part; `_RootGraph.child` roots x.  A slice builds a row at its first
-    use (`_DigitSlice`), since a walk's states touch few of the rank slots,
-    and the q slices share one `_Columns`, which splits a column by digit
-    once for all of them.
+    t-part; `_RootGraph.child` roots x.  Slice r maps coordinate idx to the
+    terms (k l + i, a, c) that send x^w t^s in slot j to c x^(w+a) in slot i
+    of t^k: c x^a t^m in row i of column j with m + s = k q + r.  A slice is
+    a `_Table` that builds a row at its first use, since a walk's states
+    touch few of the rank slots, and the q slices share one `_Table` of
+    columns, which splits the column of a coordinate by digit in one pass
+    for all of them.
     A child's t-degree is at most floor((d + N)/q) <= N; a coordinate that
     A(t) would carry past N is an internal error, raised here for the whole
     walk.  The shift grows with the slot, so column j's top slot
@@ -384,8 +353,18 @@ def _digit_slices(A: TMatrix, rank: int) -> List[_DigitSlice]:
         raise InternalConsistencyError(
             f"a Frobenius-root state exceeds the tau-degree bound {bound}"
         )
-    columns = _Columns(A.mat, q)
-    return [_DigitSlice(columns, r) for r in range(q)]
+
+    def column(idx: int) -> Dict[int, list]:
+        s, j = divmod(idx, l)
+        buckets: Dict[int, list] = {}
+        for i in range(l):
+            for m, c in A.mat[i][j].terms.items():
+                k, r = divmod(m[-1] + s, q)
+                buckets.setdefault(r, []).append((k * l + i, m[:-1], c))
+        return buckets
+
+    columns = _Table(column)
+    return [_Table(lambda idx, r=r: columns[idx].get(r, ())) for r in range(q)]
 
 
 class _RootWalk:
@@ -677,6 +656,8 @@ def load_problem(obj: dict):
     rank = _require(obj, "rank", int)
     if rank < 1:
         raise ProblemFormatError("field 'rank' must be positive")
+    if rank > MAX_RANK:
+        raise ProblemFormatError(f"field 'rank' exceeds the cap of {MAX_RANK}")
     if num_vars < 0:
         raise ProblemFormatError("field 'num_vars' must be non-negative")
     if num_vars > MAX_VARS:
@@ -727,4 +708,6 @@ def load_problem_file(path: str):
         raise ProblemFormatError(f"problem file is not valid JSON: {exc}") from None
     except ValueError as exc:  # a number past int's digit limit
         raise ProblemFormatError(f"problem file holds a number too long to read: {exc}") from None
+    except RecursionError:
+        raise ProblemFormatError("problem file nests its arrays or objects too deeply") from None
     return load_problem(obj)

@@ -28,11 +28,10 @@ problem scale it buys nothing.
 
 The queue's one cap, `DEFAULT_PAIR_LIMIT` unless a `with pair_limit(n):`
 block sets another, is held in a context variable, so it applies to one
-thread or task and is restored when the block exits.  `pair_limit` is a
-small context-manager class, not a generator, as the CLI enters one on
-every call.  A module uses the cap
-in force when its basis is first computed; a basis already computed is
-never recomputed under another cap.
+thread or task and is restored when the block exits; `_buchberger`, the one
+loop it caps, reads it.  A module uses the cap in force when its basis is
+first computed; a basis already computed is never recomputed under another
+cap.
 
 `Submodule._reduced` computes each basis once, by `_basis`.  A lone
 nonzero generator, made monic, is its own reduced basis (Cox-Little-O'Shea,
@@ -243,10 +242,9 @@ def _make_monic(flat: FlatVec, p: int) -> Tuple[ModTerm, FlatVec]:
     return lead, {t: (c * inv) % p for t, c in flat.items()}
 
 
-def _buchberger(
-    gens: List[FlatVec], p: int, pair_limit: int
-) -> List[Tuple[ModTerm, FlatVec]]:
-    """A monic Groebner basis of the span of `gens`, as (lead, element) pairs."""
+def _buchberger(gens: List[FlatVec], p: int) -> List[Tuple[ModTerm, FlatVec]]:
+    """A monic Groebner basis of the span of `gens`, as (lead, element) pairs,
+    under the pair cap in force."""
     monic = [_make_monic(g, p) for g in gens if g]
     leads = [lead for lead, _ in monic]
     G = [g for _, g in monic]
@@ -263,10 +261,11 @@ def _buchberger(
                 push(j, i)
 
     processed = set()
+    limit = _pair_limit.get()
     while pairs:
-        if len(pairs) > pair_limit:
+        if len(pairs) > limit:
             raise ResourceLimitExceeded(
-                f"pair queue grew past the cap of {pair_limit}; raise --limit-pairs"
+                f"pair queue grew past the cap of {limit}; raise --limit-pairs"
             )
         _, i, j = heapq.heappop(pairs)
         processed.add((i, j))
@@ -324,18 +323,17 @@ def _reduce_basis(
     return reduced
 
 
-def _basis(flats: List[FlatVec], p: int, cap: int) -> List[Tuple[ModTerm, FlatVec]]:
+def _basis(flats: List[FlatVec], p: int) -> List[Tuple[ModTerm, FlatVec]]:
     """The reduced basis of the span of `flats`, (lead, element) pairs,
-    largest lead first, under the pair cap `cap`.  One nonzero vector, made
-    monic, is its own basis.  A term list's basis is its minimal terms,
-    monic: visited in ascending term order, each term is tested only against
-    the terms kept before it."""
+    largest lead first.  One nonzero vector, made monic, is its own basis.
+    A term list's basis is its minimal terms, monic: visited in ascending
+    term order, each term is tested only against the terms kept before it."""
     nonzero = [g for g in flats if g]
     if len(nonzero) == 1:
         return [_make_monic(nonzero[0], p)]
     for g in nonzero:
         if len(g) > 1:
-            return _reduce_basis(_buchberger(flats, p, cap), p)
+            return _reduce_basis(_buchberger(flats, p), p)
     keep: List[ModTerm] = []
     for term in sorted({t for g in flats for t in g}, key=_term_key):
         pos, mono = term
@@ -391,7 +389,7 @@ class Submodule:
         basis, with that basis in place: equality, membership and sums on it
         compute no further basis.  A reduced basis holds no zero or repeated
         vector."""
-        basis = _basis(flats, ring.p, _pair_limit.get())
+        basis = _basis(flats, ring.p)
         out = cls._from_flats(rank, ring, [g for _, g in basis])
         out._flat_basis = basis
         return out
@@ -419,7 +417,7 @@ class Submodule:
     def _reduced(self) -> List[Tuple[ModTerm, FlatVec]]:
         """The flat reduced basis as (lead, element) pairs, largest lead first."""
         if self._flat_basis is None:
-            self._flat_basis = _basis(self._flats, self.ring.p, _pair_limit.get())
+            self._flat_basis = _basis(self._flats, self.ring.p)
         return self._flat_basis
 
     def reduced_basis(self) -> Tuple[VectorR, ...]:

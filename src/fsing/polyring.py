@@ -41,6 +41,12 @@ MAX_P = 2**31 - 1
 # binomial over F_2 has 2^k terms, k the binary ones of its exponent, so
 # (x0 + x1)^(10^400) would reach 2^476.
 MAX_POWER_TERMS = 100_000
+# Cap on the products that build one digit power f^d, d < p, of
+# `PowerCache.power` from the largest digit power kept below it, checked
+# before the first product.  The digit p - 1 takes up to p - 2 products, so
+# a p near `MAX_P` would multiply for hours, and a p below 4099 never
+# reaches the cap.
+MAX_DIGIT_PRODUCTS = 4096
 
 
 def _is_prime(n: int) -> bool:
@@ -489,22 +495,26 @@ def frobenius_decompose(f: Poly, e: int, cfg: CharConfig) -> Dict[Monomial, Poly
 
 
 class PowerCache:
-    """Powers of one polynomial f over F_p, keeping the digit powers f^0 .. f^{p-1}.
+    """Powers of one polynomial f over F_p, keeping the digit powers f^d,
+    d < p, that its calls ask for.
 
     f^n = (f^{n // p})^[p] f^{n mod p}: in characteristic p the p-th power
     only scales exponents by p, so f^n is built from the top base-p digit of
     n down, result <- result^[p] f^d, with one real product per nonzero
     digit d below the top, whose factor f^d has degree below p deg(f); no
-    squaring of large powers ever happens.  The digit powers are kept, each
-    built from the one below, so that each new digit costs one product: a
-    root graph's steps ask for f^d, d < q, one digit at a time.  Before each
-    product the product of its factors' term counts is checked against
-    `MAX_POWER_TERMS`.
+    squaring of large powers ever happens.  A digit power is kept once
+    built, f^0 and f^1 from the start, and a new one is built up from the
+    largest kept digit below it, one product by f per step, so the powers
+    between are never all held at once: a root graph's steps ask for f^d,
+    d < q, one digit at a time.  A digit whose build would take more than
+    `MAX_DIGIT_PRODUCTS` products raises `ResourceLimitExceeded` before the
+    first, and before each product the product of its factors' term counts
+    is checked against `MAX_POWER_TERMS`.
     """
 
     def __init__(self, f: Poly):
         self.f, self.p = f, f.ring.p
-        self._digits = [Poly._trusted(f.ring, {(0,) * f.ring.width: 1}), f]
+        self._digits = {0: Poly._trusted(f.ring, {(0,) * f.ring.width: 1}), 1: f}
 
     def power(self, n: int) -> Poly:
         if n < 0:
@@ -524,9 +534,19 @@ class PowerCache:
     def _digit(self, d: int) -> Poly:
         """f^d for a digit d < p."""
         digits = self._digits
-        while len(digits) <= d:
-            digits.append(_capped_product(digits[-1], self.f))
-        return digits[d]
+        power = digits.get(d)
+        if power is None:
+            below = max(k for k in digits if k < d)
+            if d - below > MAX_DIGIT_PRODUCTS:
+                raise ResourceLimitExceeded(
+                    f"the power f^{d} takes {d - below} products from f^{below},"
+                    f" past the cap of {MAX_DIGIT_PRODUCTS}"
+                )
+            power = digits[below]
+            for _ in range(d - below):
+                power = _capped_product(power, self.f)
+            digits[d] = power
+        return power
 
 
 def _capped_product(a: Poly, b: Poly) -> Poly:

@@ -12,7 +12,8 @@ a = a_0 + a_1 q + ... + a_{e-1} q^{e-1} + N q^e in base q, they give
 degrees stay near deg(f) q rather than deg(f) a.  The step
 K_i -> K_{i+1} depends only on the span of K_i and the digit a_i, so each
 call keeps its steps in one `frobenius._RootGraph` over the multipliers
-f^d, d < q, and takes each (ideal, digit) step once, however many digit
+f^d, d < q, each built at its digit's first step by a `frobenius._Table`,
+and takes each (ideal, digit) step once, however many digit
 prefixes reach the ideal; the list walks of `listmod` run on the same graph,
 with a matrix slice in place of f^d.
 
@@ -49,7 +50,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .errors import ResourceLimitExceeded, StabilizationError
-from .frobenius import Multiplier, _check_level, _root_generators, _RootGraph, _scalar
+from .frobenius import _check_level, _root_generators, _RootGraph, _scalar, _Table
 # frobenius_root stays importable from here: perfbench/tracer.py rebinds it in
 # every module that holds it.  The roots below use `_root_generators`.
 from .frobenius import frobenius_root  # noqa: F401
@@ -67,21 +68,10 @@ def _ideal(gen: Poly) -> Submodule:
     return Submodule(1, (VectorR((gen,)),), gen.ring)
 
 
-class _PowerDigits(dict):
-    """The multipliers by f^d, d < q, of f = powers.f, each built at first use."""
-
-    def __init__(self, powers: PowerCache):
-        super().__init__()
-        self.powers = powers
-
-    def __missing__(self, d: int) -> Multiplier:
-        self[d] = mult = _scalar(self.powers.power(d), 1)
-        return mult
-
-
 def _power_graph(powers: PowerCache, cfg: CharConfig) -> _RootGraph:
-    """The one-level roots K -> (f^d K)^[1/q], d < q, of f = powers.f."""
-    return _RootGraph(_PowerDigits(powers), cfg)
+    """The one-level roots K -> (f^d K)^[1/q], d < q, of f = powers.f, with
+    the multiplier f^d built at the first step of digit d."""
+    return _RootGraph(_Table(lambda d: _scalar(powers.power(d), 1)), cfg)
 
 
 def _digit_root(n: int, e: int, K: Submodule, graph: _RootGraph, powers: PowerCache) -> Submodule:
@@ -243,19 +233,15 @@ def f_jumping_exponents(f: Poly, cfg: CharConfig, e_max: int) -> List[Fraction]:
     powers = PowerCache(f)
     graph = _power_graph(powers, cfg)
     full = graph.kept(Submodule.full(1, f.ring))
-    roots = {0: full}
-
-    def root(k: int) -> Submodule:
-        if k not in roots:
-            roots[k] = graph.kept(_digit_root(k, e_max, full, graph, powers))
-        return roots[k]
+    roots = _Table(lambda k: graph.kept(_digit_root(k, e_max, full, graph, powers)))
+    roots[0] = full
 
     out: List[Fraction] = []
     # intervals still to test, leftmost on top, so drops come out in order
     stack = [(0, grid)]
     while stack:
         lo, hi = stack.pop()
-        left, right = root(lo), root(hi)
+        left, right = roots[lo], roots[hi]
         if left is right:
             continue
         if hi - lo > 1:

@@ -274,9 +274,9 @@ def test_limit_pairs_reaches_every_buchberger_run(monkeypatch, capsys, tame_prob
     caps = []
     basis = modgb._basis
 
-    def recording(flats, p, cap):
-        caps.append(cap)
-        return basis(flats, p, cap)
+    def recording(flats, p):
+        caps.append(modgb._pair_limit.get())
+        return basis(flats, p)
 
     monkeypatch.setattr(modgb, "_basis", recording)
     argv = [tame_problem if arg == "INPUT" else arg for arg in command]
@@ -645,9 +645,14 @@ def test_non_ascii_alpha_is_a_usage_error(capsys):
 
 TEN_TO_400 = str(10**400)
 PROBLEMS = {
-    name: {"p": 2, "gamma": gamma, "num_vars": 2, "rank": 1, "matrix": [["x0^2 + t"]]}
+    name: json.dumps({"p": 2, "gamma": gamma, "num_vars": 2, "rank": 1, "matrix": [["x0^2 + t"]]})
     for name, gamma in [("GAMMA_40", 40), ("GAMMA_20", 20)]
 }
+PROBLEMS["NESTED"] = "[" * 200000 + "]" * 200000
+PROBLEMS["DEEP_VALUE"] = PROBLEMS["GAMMA_20"].replace("}", ', "note": ' + PROBLEMS["NESTED"] + "}")
+PROBLEMS["RANK_100000"] = json.dumps(
+    {"p": 2, "gamma": 1, "num_vars": 0, "rank": 100000, "list": []}
+)
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -668,15 +673,23 @@ PROBLEMS = {
     # q = 2^30 passes the q cap; (x0^2 - t)^(q-1) would have 2^30 terms
     (["graphgen", "--f", "x0^2", "-p", "2", "--gamma", "30"], 2),
     (["froot", "--gens", "x0^3", "-p", "2", "--e", "1000000000"], 2),
+    # json.loads recursed once per level of nesting
+    (["sset", "--input", "NESTED", "--e", "1"], 1),
+    (["sset", "--input", "DEEP_VALUE", "--e", "1"], 1),
+    # 60 bytes asking for 10^10 matrix cells
+    (["sset", "--input", "RANK_100000", "--e", "1"], 1),
+    # the digit power f^((p-1)/2) would take about 10^9 products
+    (["tau", "--f", "x0^2+x1^3", "-p", "2147483647", "--alpha", "1/2"], 2),
 ], ids=[
     "alpha-10^400", "alpha-10^400-e1", "alpha-10^400-binomial", "tau-gamma-1000",
     "fjump-gamma-1000", "sset-gamma-40", "bfun-gamma-40", "sset-gamma-20", "jumps-gamma-20",
-    "bfun-gamma-20", "graphgen-gamma-30", "froot-deep-e",
+    "bfun-gamma-20", "graphgen-gamma-30", "froot-deep-e", "sset-nested", "sset-deep-value",
+    "sset-rank-10^5", "tau-p-max",
 ])
 def test_hostile_inputs_exit_at_once(tmp_path, argv, code):
     # each of these raised RecursionError, hung or ran past 5 s before its cap
-    for name, problem in PROBLEMS.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(problem))
+    for name, text in PROBLEMS.items():
+        (tmp_path / f"{name}.json").write_text(text)
     argv = [str(tmp_path / f"{arg}.json") if arg in PROBLEMS else arg for arg in argv]
     proc = subprocess.run(FSING + argv, capture_output=True, text=True, timeout=1.0)
     assert proc.returncode == code, proc.stderr

@@ -472,6 +472,15 @@ class TestProblemJson:
         with pytest.raises(ProblemFormatError, match="number too long to read"):
             load_problem_file(str(path))
 
+    def test_rank_cap(self):
+        # a few bytes ask for rank^2 cells; the cap is checked before them
+        obj = {"p": 2, "gamma": 1, "num_vars": 0, "rank": listmod.MAX_RANK, "list": []}
+        problem, _ = load_problem(obj)
+        assert problem.l == listmod.MAX_RANK == 64
+        obj["rank"] += 1
+        with pytest.raises(ProblemFormatError, match="field 'rank' exceeds the cap of 64"):
+            load_problem(obj)
+
     @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32-be"])
     def test_file_is_read_as_json_bytes(self, tmp_path, encoding):
         # JSON's own encoding detection, whatever the locale: a UTF-8 byte

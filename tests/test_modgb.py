@@ -263,7 +263,7 @@ BUCHBERGER_CASES = [
 def test_buchberger_unreduced_basis_pinned(ring, gens, expected):
     # the unreduced basis records the order in which S-pairs were taken
     flats = [_flatten(vec(ring, *g)) for g in gens]
-    assert [g for _, g in _buchberger(flats, ring.p, DEFAULT_PAIR_LIMIT)] == expected
+    assert [g for _, g in _buchberger(flats, ring.p)] == expected
 
 
 def test_pair_limit_boundary():
@@ -452,7 +452,7 @@ def test_buchberger_and_reduced_basis_match_reference(case):
     ring, rank, gens = case
     p = ring.p
     expected = ref_buchberger([dict(g) for g in gens], p)
-    G = _buchberger([dict(g) for g in gens], p, DEFAULT_PAIR_LIMIT)
+    G = _buchberger([dict(g) for g in gens], p)
     assert [g for _, g in G] == expected
     # the leads handed to `_reduce_basis` are those of the monic elements
     assert [lead for lead, _ in G] == [ref_lead(g) for g in expected]
@@ -490,7 +490,7 @@ def generators_with_shared_leads(draw):
 @given(generators_with_shared_leads())
 def test_shared_and_equal_degree_leads_match_reference(case):
     p, gens = case
-    G = _buchberger([dict(g) for g in gens], p, DEFAULT_PAIR_LIMIT)
+    G = _buchberger([dict(g) for g in gens], p)
     assert [g for _, g in G] == ref_buchberger([dict(g) for g in gens], p)
     assert [lead for lead, _ in G] == [ref_lead(g) for _, g in G]
     assert _reduce_basis(G, p) == ref_reduce_basis([g for _, g in G], p)
@@ -529,17 +529,17 @@ def test_term_generators_queue_no_pair(monkeypatch):
     ]
     counts = count_kernel_work(monkeypatch)
     flats = [_flatten(v) for v in gens]
-    assert _basis(flats, ring.p, 1) == [
-        ((0, (2, 0)), {(0, (2, 0)): 1}),
-        ((0, (1, 1)), {(0, (1, 1)): 1}),
-        ((1, (0, 3)), {(1, (0, 3)): 1}),
-    ]
     with pair_limit(1):
+        assert _basis(flats, ring.p) == [
+            ((0, (2, 0)), {(0, (2, 0)): 1}),
+            ((0, (1, 1)), {(0, (1, 1)): 1}),
+            ((1, (0, 3)), {(1, (0, 3)): 1}),
+        ]
         basis = Submodule._from_flats(2, ring, flats).reduced_basis()
     assert basis == (vec(ring, "x0^2", "0"), vec(ring, "x0*x1", "0"), vec(ring, "0", "x1^3"))
     assert counts == {"pairs": 0, "normal_forms": 0}
     # the counters see the pair loop whenever one generator has two terms
-    _basis(flats + [_flatten(vec(ring, "x0 + x1", "0"))], ring.p, DEFAULT_PAIR_LIMIT)
+    _basis(flats + [_flatten(vec(ring, "x0 + x1", "0"))], ring.p)
     assert counts["pairs"] > 0 and counts["normal_forms"] > 0
 
 
@@ -586,14 +586,14 @@ def test_term_basis_matches_reference(case):
     # with no pair queued even under a cap of 1; one two-term vector beside a
     # term of its position sends the list through the pair loop
     p, gens, two_terms = case
-    with recorded_pushes() as pushed:
-        assert _basis([dict(g) for g in gens], p, 1) == ref_reduce_basis(
+    with recorded_pushes() as pushed, pair_limit(1):
+        assert _basis([dict(g) for g in gens], p) == ref_reduce_basis(
             ref_buchberger([dict(g) for g in gens], p), p
         )
     assert pushed == []
     mixed = gens + [two_terms]
     with recorded_pushes() as pushed:
-        assert _basis([dict(g) for g in mixed], p, DEFAULT_PAIR_LIMIT) == ref_reduce_basis(
+        assert _basis([dict(g) for g in mixed], p) == ref_reduce_basis(
             ref_buchberger([dict(g) for g in mixed], p), p
         )
     assert pushed
@@ -620,15 +620,15 @@ def test_lone_generator_is_its_own_basis(case):
     # interreduction, element by element: leads, terms and coefficients; no
     # Buchberger run, so even a cap of 1 cannot trip
     p, gens = case
-    expected = _reduce_basis(_buchberger([dict(g) for g in gens], p, DEFAULT_PAIR_LIMIT), p)
+    expected = _reduce_basis(_buchberger([dict(g) for g in gens], p), p)
     runs = []
 
     def counted(*args):
         runs.append(None)
         return _buchberger(*args)
 
-    with mock.patch.object(modgb, "_buchberger", counted):
-        got = _basis([dict(g) for g in gens], p, 1)
+    with mock.patch.object(modgb, "_buchberger", counted), pair_limit(1):
+        got = _basis([dict(g) for g in gens], p)
     assert len(expected) == 1 and got == expected
     assert runs == []
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from fsing import polyring
 from fsing.errors import PolyParseError, ResourceLimitExceeded
 from fsing.polyring import (
+    MAX_DIGIT_PRODUCTS,
     MAX_P,
     MAX_POWER_TERMS,
     CharConfig,
@@ -240,6 +241,35 @@ def test_power_cache_term_cap(monkeypatch):
     g = poly_parse("x0 + x1", Ring(3, 2))
     with pytest.raises(ResourceLimitExceeded, match="may reach 4 terms, past the cap of 3"):
         PowerCache(g).power(2)
+
+
+def test_power_cache_keeps_only_the_digits_asked_for():
+    # f^50 at p = 101 is built up from f^1; the powers between are not kept
+    ring = Ring(101, 1)
+    f = poly_parse("x0 + 1", ring)
+    cache = PowerCache(f)
+    assert cache.power(50) == f**50
+    assert sorted(cache._digits) == [0, 1, 50]
+    # a digit above a kept one is built from it, a digit below from f^1
+    assert cache.power(100) == f**100 and cache.power(30) == f**30
+    assert sorted(cache._digits) == [0, 1, 30, 50, 100]
+
+
+def test_power_cache_digit_product_cap(monkeypatch):
+    # the products a digit power takes are counted from the largest kept
+    # digit below it and checked before the first product
+    f = poly_parse("x0 + 1", Ring(11, 1))
+    assert MAX_DIGIT_PRODUCTS == 4096
+    monkeypatch.setattr(polyring, "MAX_DIGIT_PRODUCTS", 3)
+    cache = PowerCache(f)
+    assert cache.power(4) == f**4
+    products = []
+    monkeypatch.setattr(polyring, "_capped_product", lambda a, b: products.append(None))
+    with pytest.raises(ResourceLimitExceeded, match="f\\^8 takes 4 products from f\\^4, past the cap of 3"):
+        cache.power(8)
+    with pytest.raises(ResourceLimitExceeded, match="f\\^9 takes 5 products from f\\^4"):
+        cache.power(9 * 11 + 2)
+    assert products == [] and sorted(cache._digits) == [0, 1, 4]
 
 
 # -- the trusted internal constructor ---------------------------------------------

@@ -287,3 +287,16 @@ def test_no_self_recursion(path):
     # ends in a RecursionError, not a typed error; a loop has no depth
     tree = ast.parse(path.read_text(), filename=str(path))
     assert self_calls(tree) == [], f"{path.name} has functions that call themselves"
+
+
+def test_one_class_builds_missing_keys():
+    # a value built at its first lookup comes from `frobenius._Table` and the
+    # builder it is given, not from one more dict subclass per memo
+    classes = [
+        f"{path.name}:{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "__missing__" for item in node.body)
+    ]
+    assert classes == ["frobenius.py:_Table"]

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -509,6 +510,21 @@ def test_power_cache_large_prime_digit():
     cache = PowerCache(poly_parse("x0", ring))
     assert cache.power(1500) == Poly.monomial(ring, (1500, 0))
     assert cache.power(1510 * 1511 + 1499) == Poly.monomial(ring, (1510 * 1511 + 1499, 0))
+
+
+def test_stable_tau_at_a_large_p_keeps_few_powers():
+    # alpha = 1/2 at p = 1009 asks for the digit power f^504; keeping every
+    # power below it as well took 20 MB here
+    ring = Ring(1009, 2)
+    f = poly_parse("x0^2 + x1^3", ring)
+    tracemalloc.start()
+    try:
+        got = tau_f_stable(f, Fraction(1, 2), CharConfig(1009))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == Submodule.full(1, ring)
+    assert peak < 2 * 2**20
 
 
 # -- closed forms -------------------------------------------------------------
