@@ -54,20 +54,34 @@ def _shift_witness(report: JumpReport, cfg: CharConfig, e_max: int) -> Optional[
     """Smallest N with every S_e element within q^N/q^{e+1} below some limit.
 
     A jump m/q^{e+1} lies within q^N/q^{e+1} below a limit L/D when
-    0 <= L q^{e+1} - m D < q^N D, which is tested in integers.
+    0 <= L q^{e+1} - m D < q^N D, which is tested in integers.  The nearest
+    limit at or above a jump needs the least N of all limits, so one pass
+    finds that N for each jump and returns the largest; None when a jump
+    has no limit at or above it or needs an N past e_max.
     """
     limits = [
-        (c.limit.numerator, c.limit.denominator) for c in report.chains if c.limit is not None
+        (L.numerator, L.denominator)
+        for L in sorted({c.limit for c in report.chains if c.limit is not None})
     ]
     if not limits:
         return 0 if all(not r.jumps for r in report.s_sets.values()) else None
-    q = cfg.q
-    jumps = [(q ** (e + 1), g.m) for e, rep in report.s_sets.items() for g in rep.jumps]
-    for n_shift in range(0, e_max + 1):
-        slack = q**n_shift
-        if all(any(0 <= L * den - m * D < slack * D for L, D in limits) for den, m in jumps):
-            return n_shift
-    return None
+    q, shift = cfg.q, 0
+    for e, rep in report.s_sets.items():
+        den = q ** (e + 1)
+        for m in (g.m for g in rep.jumps):
+            for L, D in limits:
+                if L * den >= m * D:
+                    break
+            else:
+                return None
+            over, slack, n = L * den - m * D, D, 0
+            while over >= slack:
+                n += 1
+                if n > e_max:
+                    return None
+                slack *= q
+            shift = max(shift, n)
+    return shift
 
 
 def b_function(A: TMatrix | MatrixList, cfg: CharConfig, e_max: int = 5) -> BFunctionResult:

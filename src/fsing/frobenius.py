@@ -145,12 +145,12 @@ class _RootGraph:
     steps or sums that reach one span hand back the same object, and a
     running sum over the states is itself a state where their spans meet;
     a seed a caller walks or sums from is kept only if it is passed to
-    `kept`, which `f_jumping_exponents` does.  The zero module is
-    its own child and is never stepped.  The graph lives as long as its
-    owner; nothing is kept at module level.  `mults[d]` is the multiplier
-    of digit d, read at each new step of that digit; the library's callers
-    pass a `_Table` that builds it then.  `cfg` is the characteristic the
-    steps are taken in.
+    `kept`, which `f_jumping_exponents` does for its seed and `_RootWalk`
+    for its zero.  The zero module is its own child and is never stepped.
+    The graph lives as long as its owner; nothing is kept at module level.
+    `mults[d]` is the multiplier of digit d, read at each new step of that
+    digit; the library's callers pass a `_Table` that builds it then.
+    `cfg` is the characteristic the steps are taken in.
     """
 
     def __init__(self, mults: Sequence[Multiplier], cfg: CharConfig):
@@ -177,7 +177,11 @@ class _RootGraph:
 
     def add(self, cum: Submodule, piece: Submodule) -> Submodule:
         """cum + piece: cum itself when it contains piece, else the one
-        object kept for the span of the two, generated by its reduced basis."""
+        object kept for the span of the two, generated by its reduced basis.
+        A piece that is cum, or has no generators, returns cum with no key
+        looked up."""
+        if piece is cum or not piece._flats:
+            return cum
         key = (cum._canonical(), piece._canonical())
         total = self._sums.get(key)
         if total is None:

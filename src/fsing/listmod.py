@@ -14,21 +14,24 @@ on too, with the digit slices of A(t) as its multipliers in place of f^d,
 so each (state, digit) step is taken once per call.  A level's running sum
 is a step function on its grid, kept as its breaks and built from the level
 below (`_RootWalk.levels`), and its jump set is read off the breaks
-(`_jump_report`).  The running sums live
-on the same graph (`_RootGraph.add`): a sum is keyed by the canonical keys
-of its two terms, and each span is one object, a state where a sum reaches a
-state's span.  The levels e = 0..e_max of `estimate_jumping_numbers` share
-it, so a sum that several levels reach costs one reduced basis in all, and
-a level costs q (breaks + 1) lookups: b_function of the cusp graph at p=3
-computes 10 bases at e_max 4 and 10 alike, and at p=5 takes about a
-millisecond at e_max 12.  Every list entry point takes a `MatrixList` or
-the `TMatrix` A(t) itself; a list is assembled once.  A list level e or
-e_max is capped at `frobenius.MAX_LEVEL`, and the product A^{e-1} that
-`h_expand` forms at `MAX_EXPANSION_TERMS`.
+(`_jump_report`).  The running sums live on the same graph
+(`_RootGraph.add`): a sum is keyed by the canonical keys of its two terms,
+and each span is one object, a state where a sum reaches a state's span.
+The walk's zero is kept on the graph as well, so every state a level holds
+is the graph's one object for its span: a break is decided by identity, and
+a call compares no spans.  The levels e = 0..e_max of
+`estimate_jumping_numbers` share the graph, so a sum that several levels
+reach costs one reduced basis in all, and a level costs q (breaks + 1)
+lookups: b_function of the cusp graph at p=3 computes 10 bases at e_max 4
+and at e_max 10 alike, and at p=5 takes about a millisecond at e_max 12.
+Every list entry point takes a `MatrixList` or the `TMatrix` A(t) itself; a
+list is assembled once.  A list level e or e_max is capped at
+`frobenius.MAX_LEVEL`, and the product A^{e-1} that `h_expand` forms at
+`MAX_EXPANSION_TERMS`.
 
 Jump-set elements stay on the integer grid from the walk to the report: an
 element of S_e is its numerator m on the grid q^{e+1}, held by a
-`GridRational` (m, e, cfg), and the chain match (`_build_chains`) compares
+`GridRational` (m, e, cfg), and the chain match (`_build_chains`) bisects
 numerators, not values.  A `Fraction` is built only where the API hands one
 out: `GridRational.value`, a chain's witnesses and limit, and the report's
 estimates.
@@ -42,6 +45,7 @@ leaves the t^0 slot, even when r_{q-1} != 0 gives the walk rank 2.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -378,10 +382,12 @@ class _RootWalk:
     root of B^[q] K is B times the root of K, and roots compose.  The graph
     takes each (state, digit) step once for the life of the walk and keeps
     the running sums of its levels, which start from `zero`; `levels` steps
-    the sums of the level below, not the pieces.  A walk takes a
-    `MatrixList` or A(t) itself, and builds the digit slices of A(t) for
-    its one rank once (`_digit_slices`): they are its graph's multipliers.
-    A q past `MAX_WALK_Q` raises `ResourceLimitExceeded` before they are.
+    the sums of the level below, not the pieces.  `zero` is kept on the
+    graph, built after it, so that a zero step or sum hands back this one
+    object too.  A walk takes a `MatrixList` or A(t) itself, and builds the
+    digit slices of A(t) for its one rank once (`_digit_slices`): they are
+    its graph's multipliers.  A q past `MAX_WALK_Q` raises
+    `ResourceLimitExceeded` before they are.
     """
 
     def __init__(self, A: TMatrix | MatrixList, cfg: CharConfig):
@@ -394,8 +400,8 @@ class _RootWalk:
         ring = A.ring.base()
         units = [{(i, (0,) * ring.width): 1} for i in range(A.l)]
         self.start = Submodule._spanned(rank, ring, units)
-        self.zero = Submodule.zero(rank, ring)
         self.graph = _RootGraph(_digit_slices(A, rank), cfg)
+        self.zero = self.graph.kept(Submodule.zero(rank, ring))
 
     def piece(self, n: int, e: int) -> Submodule:
         """The piece at n on level e: e + 1 steps along the digits of n."""
@@ -410,7 +416,11 @@ class _RootWalk:
         scan_e(m) = step(U, 0) + ... + step(U, d-1) + step(scan_{e-1}(m'), d).
         Level e changes only at d q^e + m' for the breaks m' of level e-1,
         and costs q (breaks + 1) graph lookups; level -1 is 0 below 1 and
-        the start state at 1.
+        the start state at 1.  Every state a level holds is the graph's one
+        object for its span: `add` returns its `cum` or a kept object, and
+        `child` a kept object or the zero it was given.  So a step is a
+        break exactly when its state is not the last one's object, and no
+        span is compared.
         """
         graph, q = self.graph, self.graph.q
         breaks: Breaks = [(0, self.zero), (1, self.start)]
@@ -423,9 +433,10 @@ class _RootWalk:
                 ]
                 acc = graph.add(acc, graph.child(top, d))
             steps.append((q * size, acc))
-            # steps[0] is (0, zero); a step is a break when its span is not the last one's
+            # steps[0] is (0, zero); every state is the graph's one object for
+            # its span, so a step is a break when it is not the last one's object
             breaks = steps[:1] + [
-                (m, S) for (_, last), (m, S) in zip(steps, steps[1:]) if S is not last and S != last
+                (m, S) for (_, last), (m, S) in zip(steps, steps[1:]) if S is not last
             ]
             yield breaks
 
@@ -552,18 +563,28 @@ def _build_chains(
     Returns root-to-leaf paths of (e, numerator) pairs, sorted stably by
     their first node.  The match runs on the numerators: m/q^{e+1} and
     h/q^e are q^{e+1} apart by |h q - m|, so the key (|h q - m|, -h) orders
-    the candidates h as their values would.  Each element extends the path
-    of its match; a path of the level below that no element extends is a
-    leaf, and so is every path at e_max.
+    the candidates h as their values would.  The nearest h is one of the two
+    neighbours of m in the sorted h q of the level below, found by
+    bisection; of two equally near, the larger wins.  Each element extends
+    the path of its match; a path of the level below that no element
+    extends is a leaf, and so is every path at e_max.
     """
     q = cfg.q
     paths: List[List[Tuple[int, int]]] = []
     below: Dict[int, List[Tuple[int, int]]] = {}
     for e in range(e_max + 1):
+        hs = sorted(below)
+        scaled = [h * q for h in hs]
         level: Dict[int, List[Tuple[int, int]]] = {}
         extended = set()
         for m in (g.m for g in s_sets[e].jumps):
-            best = min(below, key=lambda h: (abs(h * q - m), -h), default=None)
+            i = bisect_left(scaled, m)
+            if i == len(hs):
+                best = hs[-1] if hs else None
+            elif i and m - scaled[i - 1] < scaled[i] - m:
+                best = hs[i - 1]
+            else:
+                best = hs[i]
             extended.add(best)
             level[m] = below.get(best, []) + [(e, m)]
         paths += [path for h, path in below.items() if h not in extended]

@@ -326,8 +326,11 @@ def _reduce_basis(
 def _basis(flats: List[FlatVec], p: int) -> List[Tuple[ModTerm, FlatVec]]:
     """The reduced basis of the span of `flats`, (lead, element) pairs,
     largest lead first.  One nonzero vector, made monic, is its own basis.
-    A term list's basis is its minimal terms, monic: visited in ascending
-    term order, each term is tested only against the terms kept before it."""
+    A term list's basis is its minimal terms, monic: visited in plain tuple
+    order (position, then exponents lexicographically), each term is tested
+    only against the terms kept before it, since a term's divisors in its
+    position come before it in that order; the survivors alone are then
+    sorted by term order."""
     nonzero = [g for g in flats if g]
     if len(nonzero) == 1:
         return [_make_monic(nonzero[0], p)]
@@ -335,14 +338,14 @@ def _basis(flats: List[FlatVec], p: int) -> List[Tuple[ModTerm, FlatVec]]:
         if len(g) > 1:
             return _reduce_basis(_buchberger(flats, p), p)
     keep: List[ModTerm] = []
-    for term in sorted({t for g in flats for t in g}, key=_term_key):
+    for term in sorted({t for g in flats for t in g}):
         pos, mono = term
         for kpos, kmono in keep:
             if kpos == pos and _divides(kmono, mono):
                 break
         else:
             keep.append(term)
-    keep.reverse()
+    keep.sort(key=_term_key, reverse=True)
     return [(t, {t: 1}) for t in keep]
 
 
@@ -449,6 +452,8 @@ class Submodule:
         return max(v.total_degree() for v in self.generators)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Submodule):
             return NotImplemented
         if self.rank != other.rank or self.ring != other.ring:

@@ -277,6 +277,79 @@ def test_grid_chain_match_and_witness_match_fraction_oracles(case):
         ]
 
 
+def min_key_chains(s_sets, e_max, cfg):
+    """The chain match as it ran before bisection: a `min` over the whole
+    level below for every element, by the key (|h q - m|, -h)."""
+    q = cfg.q
+    paths = []
+    below = {}
+    for e in range(e_max + 1):
+        level = {}
+        extended = set()
+        for m in (g.m for g in s_sets[e].jumps):
+            best = min(below, key=lambda h: (abs(h * q - m), -h), default=None)
+            extended.add(best)
+            level[m] = below.get(best, []) + [(e, m)]
+        paths += [path for h, path in below.items() if h not in extended]
+        below = level
+    paths += below.values()
+    paths.sort(key=lambda path: path[0])
+    return paths
+
+
+def n_shift_witness(report, cfg, e_max):
+    """The shift witness as it ran before it took one pass: every jump
+    against every limit, once per candidate N."""
+    limits = [
+        (c.limit.numerator, c.limit.denominator) for c in report.chains if c.limit is not None
+    ]
+    if not limits:
+        return 0 if all(not r.jumps for r in report.s_sets.values()) else None
+    q = cfg.q
+    jumps = [(q ** (e + 1), g.m) for e, rep in report.s_sets.items() for g in rep.jumps]
+    for n_shift in range(0, e_max + 1):
+        slack = q**n_shift
+        if all(any(0 <= L * den - m * D < slack * D for L, D in limits) for den, m in jumps):
+            return n_shift
+    return None
+
+
+@st.composite
+def shuffled_jump_reports(draw):
+    """`jump_reports` with each level's jumps in a drawn order, so the level
+    below's numerators reach the match in any dict order."""
+    cfg, e_max, report = draw(jump_reports())
+    s_sets = {
+        e: SeReport(e, tuple(draw(st.permutations(rep.jumps))))
+        for e, rep in report.s_sets.items()
+    }
+    return cfg, e_max, JumpReport(s_sets, report.chains, ())
+
+
+def grid_report(q, jumps, limits):
+    """A JumpReport at q from {e: numerators} and limits, one chain each."""
+    cfg = CharConfig(q)
+    s_sets = {e: SeReport(e, tuple(GridRational(m, e, cfg) for m in ms)) for e, ms in jumps.items()}
+    chains = tuple(ChainEstimate(0, (), (), True, lam) for lam in limits)
+    return JumpReport(s_sets, chains, ())
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(shuffled_jump_reports())
+# 3/8 is as far from 2/4 as from 1/4, which come in descending order: 2/4 wins
+@example((CharConfig(2), 2, grid_report(2, {0: (), 1: (2, 1), 2: (3,)}, ())))
+# 1/2 has no limit at or above it
+@example((CharConfig(2), 2, grid_report(2, {0: (1,), 1: (), 2: ()}, (Fraction(1, 4),))))
+# 1/2 sits 1/2 below the limit 1 and needs N = 1, past e_max = 0
+@example((CharConfig(2), 0, grid_report(2, {0: (1,)}, (Fraction(1),))))
+# the same jump at e_max = 1 is within reach; 7/9 needs N = 0 beside it
+@example((CharConfig(3), 1, grid_report(3, {0: (1,), 1: (7,)}, (Fraction(7, 9), Fraction(2, 3)))))
+def test_bisection_match_and_one_pass_witness_match_the_old_loops(case):
+    cfg, e_max, report = case
+    assert _build_chains(report.s_sets, e_max, cfg) == min_key_chains(report.s_sets, e_max, cfg)
+    assert _shift_witness(report, cfg, e_max) == n_shift_witness(report, cfg, e_max)
+
+
 def fractions_built(fn, *args):
     """How many `Fraction`s `fn(*args)` constructs."""
     new = Fraction.__new__.__code__

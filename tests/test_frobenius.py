@@ -206,6 +206,10 @@ def test_root_graph_sums_one_object_per_span(monkeypatch):
     # and a step that reaches a sum's span hands back the sum
     assert graph.child(m, 0) is unit
     assert len(graph._known) == 2
+    # a piece that is the sum, or has no generators, leaves the sum at once
+    sums = len(graph._sums)
+    assert graph.add(m, m) is m and graph.add(m, zero) is m
+    assert len(graph._sums) == sums
 
 
 def test_root_graph_zero_module_is_its_own_child(monkeypatch):

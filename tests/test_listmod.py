@@ -869,12 +869,13 @@ def test_running_sums_freed_when_call_returns(monkeypatch):
 def test_cusp_graph_sums_are_graph_states():
     # at p=3 the breaks of levels 0-2 past m = 0 reach only the spans of the
     # two nonzero states, and the graph hands back its state objects for
-    # them, so it keeps two spans in all
+    # them; beside those two it keeps the walk's zero, so three spans in all
     cfg = CharConfig(3)
     walk = _RootWalk(graph_generator(poly_parse("x0^2 + x1^3", Ring(3, 2)), cfg), cfg)
     sums = [S for breaks in walk.levels(2) for _, S in breaks[1:]]
     states = list(walk.graph._known.values())
-    assert len(states) == 2
+    assert len(states) == 3
+    assert states[0] is walk.zero and not any(K.is_zero() for K in states[1:])
     assert all(any(K is state for state in states) for K in sums)
 
 
@@ -927,6 +928,23 @@ def test_level_breaks_match_piece_fold(ml, e):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_matrix_lists(), st.integers(0, 5))
+@example(graph_list("x0^2 + x1^3", CharConfig(3)), 5)
+@example(rank_two_q4_list(), 5)
+def test_level_breaks_are_graph_objects(ml, e_max):
+    # every break of every level, the zero at m = 0 included, is the graph's
+    # one object for its span, so `levels` may decide a break by identity;
+    # and no two adjacent breaks share a span
+    walk = _RootWalk(ml, ml.cfg)
+    known = walk.graph._known
+    for breaks in walk.levels(e_max):
+        assert all(known[S._canonical()] is S for _, S in breaks)
+        assert all(
+            a._canonical() != b._canonical() for (_, a), (_, b) in zip(breaks, breaks[1:])
+        )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
 @given(small_matrix_lists(), st.integers(2, 4))
 @example(graph_list("x0^2 + x1^3", CharConfig(3)), 4)
 @example(rank_two_q4_list(), 3)
@@ -969,9 +987,9 @@ def test_simple_list_module_outside_t0_slot_raises():
 
 
 def test_b_function_equality_tests(monkeypatch):
-    # a level compares spans only where a value is not the last break's
-    # object: each of the five levels has two breaks past m = 0, so one
-    # b_function call runs 10 comparisons, not one per grid point
+    # every state of a level is the graph's one object for its span, the
+    # walk's zero included, so a level decides its breaks by identity and
+    # one b_function call compares no spans at all
     cfg = CharConfig(3)
     A = graph_generator(poly_parse("x0^2 + x1^3", Ring(3, 2)), cfg)
     compared = []
@@ -983,7 +1001,7 @@ def test_b_function_equality_tests(monkeypatch):
 
     monkeypatch.setattr(Submodule, "__eq__", counting_eq)
     b_function(A, cfg, 4)
-    assert len(compared) == 10
+    assert len(compared) == 0
 
 
 CFG3 = CharConfig(3)

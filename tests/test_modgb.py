@@ -579,6 +579,28 @@ def recorded_pushes():
         yield pushed
 
 
+def term_order_basis(flats):
+    """A term list's basis as the term path made it when it visited every
+    term in ascending `_term_key` order and reversed the kept list."""
+    keep = []
+    for term in sorted({t for g in flats for t in g}, key=_term_key):
+        pos, mono = term
+        if not any(kpos == pos and all(map(int.__le__, kmono, mono)) for kpos, kmono in keep):
+            keep.append(term)
+    keep.reverse()
+    return [(t, {t: 1}) for t in keep]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(term_generator_lists())
+def test_term_basis_matches_term_order_loop(case):
+    # visiting the terms in tuple order and sorting only the survivors keeps
+    # the same terms in the same order: within a position a term's divisors
+    # come before it in lex order as in term order
+    p, gens, _ = case
+    assert _basis([dict(g) for g in gens], p) == term_order_basis(gens)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(term_generator_lists())
 def test_term_basis_matches_reference(case):
